@@ -4,10 +4,12 @@ Solves ``w * exp(w) = x`` for real ``x``.  The principal branch W0 is
 defined on ``x >= -1/e`` and returns ``w >= -1``; the lower branch W-1 is
 defined on ``-1/e <= x < 0`` and returns ``w <= -1``.
 
-Both branches are evaluated by Halley iteration from a branch-appropriate
-initial guess.  Near the branch point ``x = -1/e`` the iteration stalls
-(the defining equation has a double root there), so a series in
-``p = sqrt(2*(e*x + 1))`` is used instead.
+Both branches are evaluated by ``scipy.special.lambertw`` away from the
+branch point ``x = -1/e``.  Close to it scipy is unusable: it returns NaN
+at the rounded ``-1/e`` and, at its default tolerance, W-1 is off by up to
+1e-4 relative for ``e*x + 1`` near 5e-9.  Below ``s = e*x + 1 = 1e-4`` a
+7-term series in ``p = +-sqrt(2*s)`` is used instead; it is exact to about
+1e-15 there, and scipy agrees with high-precision references to 1e-14 above.
 
 Everything here accepts scalars or numpy arrays and is pure/thread-safe.
 """
@@ -18,6 +20,7 @@ import enum
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import BranchDomainError
 
@@ -28,6 +31,8 @@ _E = math.e
 # the branch point itself; slightly more negative arguments (rounding noise
 # from upstream formulas) are treated the same instead of erroring.
 _BRANCH_SNAP = 1e-12
+# Offsets s = e*x + 1 below this use the branch-point series, above it scipy.
+_SERIES_CUTOFF = 1e-4
 
 
 class Branch(enum.Enum):
@@ -45,93 +50,17 @@ def branch_of(w) -> Branch:
     return Branch.PRINCIPAL if w >= -1.0 else Branch.LOWER
 
 
-def _branch_point_series(p: np.ndarray) -> np.ndarray:
-    # W(-1/e + p^2/(2e)) = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
-    # (signed p: positive for W0, negative for W-1).
-    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * (43.0 / 540.0))))
-
-
-def _halley(w: np.ndarray, x: np.ndarray, active: np.ndarray, max_iter: int = 50) -> np.ndarray:
-    """Vectorized Halley refinement of w*e^w = x on the ``active`` mask."""
-    w = w.copy()
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        wa = w[active]
-        xa = x[active]
-        ew = np.exp(wa)
-        f = wa * ew - xa
-        # wp1 == 0 only at the branch point, which the series handles
-        # before we ever get here; guard the division anyway.
-        wp1 = wa + 1.0
-        wp1 = np.where(np.abs(wp1) < 1e-300, 1e-300, wp1)
-        denom = ew * wp1 - (wa + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
-        wa = wa - dw
-        w[active] = wa
-        still = np.abs(dw) > 1e-16 * (2.0 + np.abs(wa))
-        idx = np.flatnonzero(active)
-        active = np.zeros_like(active)
-        active[idx[still]] = True
-    return w
-
-
-def _w_principal(x: np.ndarray) -> np.ndarray:
-    s = _E * x + 1.0
-    bad = s < -_BRANCH_SNAP
-    if bad.any():
-        raise BranchDomainError(Branch.PRINCIPAL, float(np.asarray(x)[bad].flat[0]),
-                                "W0 requires x >= -1/e")
-    s = np.maximum(s, 0.0)
-    p = np.sqrt(2.0 * s)
-
-    w = np.empty_like(p)
-    near = p < 1.0  # x below about -0.18
-    w[near] = _branch_point_series(p[near])
-    large = ~near & (x > 2.0)
-    if large.any():
-        lx = np.log(x[large])
-        w[large] = lx - np.log(lx)
-    mid = ~near & ~large
-    w[mid] = np.log1p(x[mid])
-
-    # Tiny p: series is already at full precision and Halley would divide
-    # by ~0; exact zeros stay exact.
-    active = (p >= 1e-5) & (x != 0.0)
-    w = np.where(x == 0.0, 0.0, w)
-    w = _halley(w, x, active)
-    return np.maximum(w, -1.0)
-
-
-def _w_lower(x: np.ndarray) -> np.ndarray:
-    if (x >= 0.0).any():
-        raise BranchDomainError(Branch.LOWER, float(np.asarray(x)[x >= 0.0].flat[0]),
-                                "W-1 requires -1/e <= x < 0")
-    s = _E * x + 1.0
-    bad = s < -_BRANCH_SNAP
-    if bad.any():
-        raise BranchDomainError(Branch.LOWER, float(np.asarray(x)[bad].flat[0]),
-                                "W-1 requires -1/e <= x < 0")
-    s = np.maximum(s, 0.0)
-    p = np.sqrt(2.0 * s)
-
-    w = np.empty_like(p)
-    near = p < 0.8
-    w[near] = _branch_point_series(-p[near])
-    far = ~near
-    if far.any():
-        # Asymptotic guess plus a few log fixed-point sweeps.
-        xf = x[far]
-        wf = np.log(-xf) - np.log(-np.log(-xf))
-        for _ in range(4):
-            wf = np.log(-xf) - np.log(-wf)
-        w[far] = wf
-
-    # exp(w) underflows for very negative w; there the log fixed point is
-    # already converged well below 1e-13 relative residual.
-    active = (p >= 1e-5) & (w > -500.0)
-    w = _halley(w, x, active)
-    return np.minimum(w, -1.0)
+def _series_plus_one(branch: Branch, s: np.ndarray) -> np.ndarray:
+    """Branch-point series for ``W(-(1-s)/e) + 1``, exact to ~1e-15 for s < 1e-4."""
+    # W(-1/e + p^2/(2e)) + 1 = p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
+    # with p signed: positive for W0, negative for W-1.  Clipping keeps the
+    # values finite where the caller selects scipy's instead.
+    p = np.sqrt(2.0 * np.minimum(s, _SERIES_CUTOFF))
+    if branch is Branch.LOWER:
+        p = -p
+    return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
+                + p * (-43.0 / 540.0 + p * (769.0 / 17280.0
+                + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0)))))))
 
 
 def lambert_w(branch: Branch, x):
@@ -155,18 +84,26 @@ def lambert_w(branch: Branch, x):
         If any argument lies outside the branch domain (beyond a ~1e-12
         snap tolerance at the branch point).
     """
+    if branch not in (Branch.PRINCIPAL, Branch.LOWER):  # pragma: no cover
+        raise ValueError(f"unknown branch {branch!r}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.isfinite(arr).all():
-        raise BranchDomainError(branch, float(arr[~np.isfinite(arr)].flat[0]),
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise BranchDomainError(branch, float(arr[bad].flat[0]),
                                 "non-finite Lambert W argument")
+    s = _E * arr + 1.0
     if branch is Branch.PRINCIPAL:
-        w = _w_principal(arr)
-    elif branch is Branch.LOWER:
-        w = _w_lower(arr)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown branch {branch!r}")
+        bad, need = s < -_BRANCH_SNAP, "W0 requires x >= -1/e"
+    else:
+        bad, need = (s < -_BRANCH_SNAP) | (arr >= 0.0), "W-1 requires -1/e <= x < 0"
+    if bad.any():
+        raise BranchDomainError(branch, float(arr[bad].flat[0]), need)
+    s = np.maximum(s, 0.0)
+    w = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch, s) - 1.0,
+                 special.lambertw(arr, branch.value).real)
+    w = np.maximum(w, -1.0) if branch is Branch.PRINCIPAL else np.minimum(w, -1.0)
     return float(w[0]) if scalar else w
 
 
@@ -185,18 +122,14 @@ def w_plus_one(branch: Branch, s):
     s = np.maximum(np.asarray(s, dtype=float), 0.0)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    out = np.empty_like(s)
-    # Below the cutoff the series is exact to ~1e-15 relative; above it,
-    # forming x and adding 1 back costs at most ~1e-16/sqrt(2s) relative.
-    tiny = s < 1e-4
-    if tiny.any():
-        p = np.sqrt(2.0 * s[tiny])
-        if branch is Branch.LOWER:
-            p = -p
-        out[tiny] = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
-                         + p * (-43.0 / 540.0 + p * (769.0 / 17280.0
-                         + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0)))))))
-    rest = ~tiny
-    if rest.any():
-        out[rest] = lambert_w(branch, (s[rest] - 1.0) / _E) + 1.0
+    # Negative s is clipped above, so only the far end of the domain can be
+    # violated: x = (s - 1)/e must stay finite, and below 0 for W-1.
+    top = s.max()
+    if not top < (1.0 if branch is Branch.LOWER else math.inf):
+        raise BranchDomainError(branch, float((top - 1.0) / _E),
+                                f"{branch} requires s = e*x + 1 in its domain")
+    # Above the cutoff, forming x and adding 1 back costs at most
+    # ~1e-16/sqrt(2s) relative.
+    out = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch, s),
+                   special.lambertw((s - 1.0) / _E, branch.value).real + 1.0)
     return float(out[0]) if scalar else out

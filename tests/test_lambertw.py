@@ -81,6 +81,11 @@ def test_domain_errors_carry_branch_and_argument():
         lambert_w(Branch.LOWER, -0.5)
     with pytest.raises(BranchDomainError):
         lambert_w(Branch.PRINCIPAL, float("nan"))
+    with pytest.raises(BranchDomainError) as err:
+        w_plus_one(Branch.LOWER, np.array([0.5, 1.0]))
+    assert err.value.branch is Branch.LOWER
+    with pytest.raises(BranchDomainError):
+        w_plus_one(Branch.PRINCIPAL, float("nan"))
 
 
 def test_branch_of():
@@ -98,6 +103,22 @@ def test_w_plus_one_matches_high_precision_oracle():
             truth = float(mpmath.re(mpmath.lambertw(x, index)) + 1)
             got = w_plus_one(branch, s)
             assert got == pytest.approx(truth, rel=2e-12, abs=1e-300)
+
+
+def test_lambert_w_matches_high_precision_oracle():
+    # Offsets s = e*x + 1 straddle the 1e-4 switch between the branch-point
+    # series and scipy.  |dW/dx| ~ 1/sqrt(2s), so the last bit of x costs
+    # ~1e-16/sqrt(s) relative: the bar widens below s = 1e-8.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for s in np.geomspace(1e-14, 0.999, 60):
+        x = float((mpmath.mpf(s) - 1) / mpmath.e)
+        rel = 2e-12 if s >= 1e-8 else 2e-9
+        for branch, index in ((Branch.PRINCIPAL, 0), (Branch.LOWER, -1)):
+            truth = float(mpmath.re(mpmath.lambertw(mpmath.mpf(x), index)))
+            assert lambert_w(branch, x) == pytest.approx(truth, rel=rel), (branch, s)
+    for branch in Branch:
+        assert lambert_w(branch, -1.0 / math.e) == -1.0
 
 
 def test_w_plus_one_signs_and_zero():
