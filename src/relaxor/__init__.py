@@ -16,13 +16,12 @@ from .errors import (
 from .lambertw import Branch, lambert_w
 from .model import (
     UnscaledParams, Params, State, ManifoldTag, ScalingMap, rescale,
-    full_rhs, slow_rhs, fast_heteroclinic, conserved_quantity, h0, h1,
-    coexistence_equilibrium, characteristic_roots,
+    vector_field, full_rhs, slow_rhs, fast_heteroclinic, conserved_quantity,
+    h0, h1, coexistence_equilibrium, characteristic_roots,
 )
 from .orbit import (
     Anchor, BranchChoice, JumpPair, SingularOrbit, FamilyRow, FamilyTable,
-    lv_branch_M1, lv_branch_M0, extrema_M1, extrema_M0,
-    eliminate_p2B, eliminate_p1B, travel_time_M1, travel_time_M0,
+    lv_branch, extrema, eliminate, travel_time_M1, travel_time_M0,
     existence_residual, solve_jump_points, scan_family,
     trait_pressure_balance, solve_balanced_orbit, assemble_singular_orbit,
 )

@@ -15,7 +15,6 @@ the neighboring prey peaks.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -400,7 +399,3 @@ def classification_report(sync: SyncClass, ex: ExtremaList) -> dict:
         "period": ex.period,
     }
 
-
-def save_report(sync: SyncClass, ex: ExtremaList, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(classification_report(sync, ex), fh, indent=1)

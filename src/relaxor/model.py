@@ -29,7 +29,7 @@ from .errors import ParameterDomainError, SingularScalingError, UnsupportedManif
 
 __all__ = [
     "UnscaledParams", "Params", "State", "ManifoldTag", "ScalingMap",
-    "rescale", "full_rhs", "slow_rhs", "fast_heteroclinic",
+    "rescale", "vector_field", "full_rhs", "slow_rhs", "fast_heteroclinic",
     "conserved_quantity", "h0", "h1",
     "coexistence_equilibrium", "characteristic_roots",
 ]
@@ -187,6 +187,24 @@ def _as_state4(s) -> np.ndarray:
     return y
 
 
+def vector_field(p: Params, eps: float):
+    """The full system as ``f(t, y) -> (p1', p2', z', q')`` in slow time.
+
+    This is the one definition of the four equations; ``full_rhs`` checks
+    its arguments and evaluates it, and ``solve_ivp`` calls it unchecked.
+    """
+    r, m = p.r, p.m
+
+    def rhs(t, y):
+        p1, p2, z, q = y
+        return ((1.0 - q * z) * p1,
+                (r - (1.0 - q) * z) * p2,
+                (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,
+                q * (1.0 - q) * (p1 - p2) / eps)
+
+    return rhs
+
+
 def full_rhs(s, p: Params, eps: float) -> np.ndarray:
     """Time derivative (p1', p2', z', q') of the full system in slow time."""
     if eps == 0.0:
@@ -195,13 +213,7 @@ def full_rhs(s, p: Params, eps: float) -> np.ndarray:
             "fast_heteroclinic for the layer dynamics instead")
     if eps < 0.0:
         raise ParameterDomainError(f"require eps > 0, got {eps}")
-    p1, p2, z, q = _as_state4(s)
-    return np.array([
-        (1.0 - q * z) * p1,
-        (p.r - (1.0 - q) * z) * p2,
-        (q * p1 + (1.0 - q) * p2 - 1.0) * p.m * z,
-        q * (1.0 - q) * (p1 - p2) / eps,
-    ])
+    return np.array(vector_field(p, eps)(0.0, _as_state4(s)))
 
 
 def slow_rhs(s3, p: Params, man: ManifoldTag) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.integrate import solve_ivp
 from .errors import (
     DegenerateOrbitError, InadmissibleOrbitError, InconsistentEndpointsError,
     InconsistentJumpPairError, NoSolutionError, NonConvergenceError,
-    OffOrbitError, ParameterDomainError,
+    OffOrbitError, ParameterDomainError, UnsupportedManifoldError,
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
@@ -40,8 +40,7 @@ from .quadrature import tanh_sinh
 
 __all__ = [
     "Anchor", "BranchChoice", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
-    "lv_branch_M1", "lv_branch_M0", "extrema_M1", "extrema_M0",
-    "eliminate_p2B", "eliminate_p1B", "travel_time_M1", "travel_time_M0",
+    "lv_branch", "extrema", "eliminate", "travel_time_M1", "travel_time_M0",
     "existence_residual", "solve_jump_points", "scan_family",
     "trait_pressure_balance", "solve_balanced_orbit",
     "assemble_singular_orbit",
@@ -159,48 +158,22 @@ class _LvChart:
 
     # -- travel-time integrals ---------------------------------------------
 
-    def _offset_g(self, pa: float, pb: float, ga: float, gb: float):
-        """Integrand helper: accurate g at nodes given offsets from both ends."""
-        direction = 1.0 if pb >= pa else -1.0
-        mu = self.mu
-
-        def g_nodes(x, d_lo, d_hi):
-            from_a = ga + mu * _dphi(pa, direction * d_lo)
-            from_b = gb + mu * _dphi(pb, -direction * d_hi)
-            return np.where(d_lo <= d_hi, from_a, from_b)
-
-        return g_nodes
-
     def piece_time(self, pa: float, pb: float, side: Side, anchor: Anchor) -> float:
         """Signed time integral along one side between prey values pa and pb."""
         if pa == pb:
             return 0.0
         ga = min(self.g_of(pa, anchor), 0.0)
         gb = min(self.g_of(pb, anchor), 0.0)
-        g_nodes = self._offset_g(pa, pb, ga, gb)
+        direction = 1.0 if pb >= pa else -1.0
         branch = _SIDE_BRANCH[side]
-        sigma = self.sigma
+        sigma, mu = self.sigma, self.mu
 
         def integrand(x, d_lo, d_hi):
-            s = -np.expm1(np.minimum(g_nodes(x, d_lo, d_hi), 0.0))
+            # g at the nodes from the nearer end, accurate for tiny offsets
+            g = np.where(d_lo <= d_hi, ga + mu * _dphi(pa, direction * d_lo),
+                         gb + mu * _dphi(pb, -direction * d_hi))
+            s = -np.expm1(np.minimum(g, 0.0))
             return 1.0 / (sigma * w_plus_one(branch, s) * x)
-
-        return tanh_sinh(integrand, pa, pb)
-
-    def side_difference_time(self, pa: float, pb: float, anchor: Anchor) -> float:
-        """Signed integral of (lower-side integrand - upper-side integrand)."""
-        if pa == pb:
-            return 0.0
-        ga = min(self.g_of(pa, anchor), 0.0)
-        gb = min(self.g_of(pb, anchor), 0.0)
-        g_nodes = self._offset_g(pa, pb, ga, gb)
-        sigma = self.sigma
-
-        def integrand(x, d_lo, d_hi):
-            s = -np.expm1(np.minimum(g_nodes(x, d_lo, d_hi), 0.0))
-            lo = w_plus_one(Branch.PRINCIPAL, s)
-            up = w_plus_one(Branch.LOWER, s)
-            return (1.0 / lo - 1.0 / up) / (sigma * x)
 
         return tanh_sinh(integrand, pa, pb)
 
@@ -243,6 +216,12 @@ class _LvChart:
         return [(p_s, pmin, Side.UPPER), (pmin, pmax, Side.LOWER),
                 (pmax, p_e, Side.UPPER)]
 
+    def route_time(self, start: tuple[float, float], end: tuple[float, float],
+                   anchor: Anchor) -> float:
+        """Time along the first-arrival route on the level orbit through ``anchor``."""
+        return sum(self.piece_time(a, b, side, anchor)
+                   for a, b, side in self.path_pieces(start, end, anchor))
+
     def travel_time(self, start: tuple[float, float], end: tuple[float, float],
                     level_tol: float = _LEVEL_TOL) -> float:
         p_s, z_s = start
@@ -253,93 +232,55 @@ class _LvChart:
                 f"endpoints lie on different conserved levels (drift {drift:.3e})")
         if abs(p_s - p_e) <= 1e-12 * max(p_s, p_e) and abs(z_s - z_e) <= 1e-12 * max(z_s, z_e):
             return 0.0
-        anchor = Anchor(p_s, z_s)
-        return sum(self.piece_time(a, b, side, anchor)
-                   for a, b, side in self.path_pieces(start, end, anchor))
-
-    def explicit_time(self, p_start: float, z_start: float,
-                      p_end: float, z_end: float, anchor: Anchor) -> float:
-        """Travel time in the analytic base-plus-corrections arrangement.
-
-        Upper-side integral from start to end, corrected by side-difference
-        integrals whenever an endpoint actually lies on the lower side.
-        Algebraically identical to the piecewise route for admissible jump
-        geometries; kept in this form because the corrections switch with
-        the endpoint predator levels during root finding.
-        """
-        pmin, pmax = self.extrema(anchor)
-        total = self.piece_time(p_start, p_end, Side.UPPER, anchor)
-        if z_end < self.sigma:
-            total += self.side_difference_time(pmin, p_end, anchor)
-        if z_start < self.sigma:
-            total += self.side_difference_time(p_start, pmax, anchor)
-        return total
+        return self.route_time(start, end, Anchor(p_s, z_s))
 
 
-def _chart_m1(p: Params) -> _LvChart:
-    return _LvChart(sigma=1.0, m=p.m)
-
-
-def _chart_m0(p: Params) -> _LvChart:
-    return _LvChart(sigma=p.r, m=p.m)
+def _chart(man: ManifoldTag, p: Params) -> _LvChart:
+    if man is ManifoldTag.M1:
+        return _LvChart(sigma=1.0, m=p.m)
+    if man is ManifoldTag.M0:
+        return _LvChart(sigma=p.r, m=p.m)
+    raise UnsupportedManifoldError(
+        "the Lotka-Volterra charts live on M0 and M1; the switching plane has none")
 
 
 # ---------------------------------------------------------------------------
 # public chart operations
 # ---------------------------------------------------------------------------
 
-def lv_branch_M1(p1, a: Anchor, b: Branch, p: Params):
-    """Predator level z on the q=1 chart at prey value p1.
+def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
+    """Predator level z at the prey value on the chart of ``man`` (M1: p1, M0: p2).
 
     ``b`` selects the Lotka-Volterra branch: W-1 gives the upper half of
     the closed orbit through the anchor, W0 the lower half.
     """
-    return lv_branch(ManifoldTag.M1, p1, a, b, p)
-
-
-def lv_branch_M0(p2, a: Anchor, b: Branch, p: Params):
-    """Predator level z on the q=0 chart at prey value p2."""
-    return lv_branch(ManifoldTag.M0, p2, a, b, p)
-
-
-def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
-    chart = _chart_m1(p) if man is ManifoldTag.M1 else _chart_m0(p)
     side = Side.UPPER if b is Branch.LOWER else Side.LOWER
-    return chart.z_on_level(prey, a, side)
+    return _chart(man, p).z_on_level(prey, a, side)
 
 
-def extrema_M1(a: Anchor, p: Params) -> tuple[float, float]:
-    """Extremal prey-1 values (p1min, p1max) of the level orbit through ``a``."""
-    return _chart_m1(p).extrema(a)
+def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
+    """Extremal prey values (min, max) of the level orbit through ``a`` on ``man``."""
+    return _chart(man, p).extrema(a)
 
 
-def extrema_M0(a: Anchor, p: Params) -> tuple[float, float]:
-    """Extremal prey-2 values (p2min, p2max) of the level orbit through ``a``."""
-    return _chart_m0(p).extrema(a)
+def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> float:
+    """Prey coordinate on the level orbit through ``a`` on ``man`` at predator level z.
 
-
-def eliminate_p2B(p2A: float, zA: float, zB: float, p: Params,
-                  b: Branch = Branch.LOWER) -> float:
-    """Prey-2 coordinate of B on the q=0 level through (p2A, zA) at z = zB."""
-    return _chart_m0(p).conjugate_p(Anchor(p2A, zA), zB, b)
-
-
-def eliminate_p1B(p1A: float, zA: float, zB: float, p: Params,
-                  b: Branch = Branch.PRINCIPAL) -> float:
-    """Prey-1 coordinate of B on the q=1 level through (p1A, zA) at z = zB."""
-    return _chart_m1(p).conjugate_p(Anchor(p1A, zA), zB, b)
+    On M1 this eliminates p1B from (p1A, zA, zB), on M0 p2B from (p2A, zA, zB).
+    """
+    return _chart(man, p).conjugate_p(a, z, b)
 
 
 def travel_time_M1(start: tuple[float, float], end: tuple[float, float],
                    p: Params, level_tol: float = _LEVEL_TOL) -> float:
     """Slow time from (p1, z) ``start`` to ``end`` along the q=1 flow."""
-    return _chart_m1(p).travel_time(start, end, level_tol)
+    return _chart(ManifoldTag.M1, p).travel_time(start, end, level_tol)
 
 
 def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
                    p: Params, level_tol: float = _LEVEL_TOL) -> float:
     """Slow time from (p2, z) ``start`` to ``end`` along the q=0 flow."""
-    return _chart_m0(p).travel_time(start, end, level_tol)
+    return _chart(ManifoldTag.M0, p).travel_time(start, end, level_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +289,8 @@ def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
 
 def _eliminations(p1A: float, p2A: float, zA: float, zB: float,
                   branches: BranchChoice, p: Params) -> tuple[float, float]:
-    p2B = eliminate_p2B(p2A, zA, zB, p, branches.p2b)
-    p1B = eliminate_p1B(p1A, zA, zB, p, branches.p1b)
+    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, branches.p2b)
+    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, branches.p1b)
     return p1B, p2B
 
 
@@ -361,12 +302,15 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     eliminations; what remains is the agreement between the exponential
     prey growth time and the Lotka-Volterra transit time on each slow
     hyperplane.  Both residuals vanish on the two-parameter orbit family.
+    Both transit times follow the travel-time route on the level orbit
+    through A; the eliminations put B on that level by construction, so
+    the level-drift check of ``travel_time`` is skipped.
     """
     if min(p1A, p2A, zA, zB) <= 0.0:
         raise ParameterDomainError("jump coordinates must be positive")
     p1B, p2B = _eliminations(p1A, p2A, zA, zB, branches, p)
-    t1 = _chart_m1(p).explicit_time(p1A, zA, p1B, zB, Anchor(p1A, zA))
-    t0 = _chart_m0(p).explicit_time(p2B, zB, p2A, zA, Anchor(p2A, zA))
+    t1 = _chart(ManifoldTag.M1, p).route_time((p1A, zA), (p1B, zB), Anchor(p1A, zA))
+    t0 = _chart(ManifoldTag.M0, p).route_time((p2B, zB), (p2A, zA), Anchor(p2A, zA))
     res1 = math.log(p2B / p2A) / p.r - t1
     res2 = math.log(p1A / p1B) - t0
     return res1, res2
@@ -619,7 +563,9 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     with the free coordinates of the nearest previously converged
     neighbor (falling back to ``seed_guess``).  Only converged, admissible
     jump pairs become rows; an empty table is a valid outcome.  Rows are
-    ordered by grid index regardless of the visit order.
+    ordered by grid index regardless of the visit order.  Invalid input,
+    such as a nonpositive pin or a misnamed guess, raises
+    ParameterDomainError instead of dropping grid points.
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
@@ -642,7 +588,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
                     pair = solve_jump_points(pinned, guess, p, branches, tol=tol)
                 except (NonConvergenceError, InadmissibleOrbitError,
                         InconsistentEndpointsError, NoSolutionError,
-                        DegenerateOrbitError, ParameterDomainError):
+                        DegenerateOrbitError):
                     continue
                 solutions[(i, j)] = pair
                 break

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
 from .errors import ParameterDomainError, StiffnessError
-from .model import Params, State
+from .model import Params, State, vector_field
 from .orbit import SingularOrbit
 
 __all__ = [
@@ -117,19 +117,6 @@ class Trajectory:
             return cls.from_dict(json.load(fh))
 
 
-def _rhs(p: Params, eps: float):
-    r, m = p.r, p.m
-
-    def rhs(t, y):
-        p1, p2, z, q = y
-        return ((1.0 - q * z) * p1,
-                (r - (1.0 - q) * z) * p2,
-                (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,
-                q * (1.0 - q) * (p1 - p2) / eps)
-
-    return rhs
-
-
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
@@ -140,7 +127,7 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     y0 = s0.to_array() if isinstance(s0, State) else np.asarray(s0, dtype=float)
     State.from_array(y0)  # validates positivity and q-range
     t_eval = np.linspace(0.0, c.t_end, c.n_samples)
-    sol = solve_ivp(_rhs(p, c.eps), (0.0, c.t_end), y0, method="DOP853",
+    sol = solve_ivp(vector_field(p, c.eps), (0.0, c.t_end), y0, method="DOP853",
                     rtol=c.rel_tol, atol=c.abs_tol,
                     max_step=c.resolved_max_step(), t_eval=t_eval)
     if not sol.success:

@@ -15,16 +15,15 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from relaxor import (
-    Branch, BranchChoice, Params, SimConfig, State, SyncLabel, Orientation,
+    Anchor, Branch, BranchChoice, Params, SimConfig, State, SyncLabel, Orientation,
     assemble_singular_orbit, characteristic_roots, classify_orientation,
     classify_synchronization, closeness_check, coexistence_equilibrium,
     continue_in_eps, detect_jump_events, effective_jump_pair,
-    existence_residual, find_extrema, full_rhs, integrate,
-    lambert_w, scan_family, slow_rhs, solve_balanced_orbit, solve_jump_points,
-    travel_time_M0, travel_time_M1,
+    existence_residual, extrema, find_extrema, full_rhs, integrate,
+    lambert_w, lv_branch, scan_family, slow_rhs, solve_balanced_orbit,
+    solve_jump_points, travel_time_M0, travel_time_M1,
 )
 from relaxor.model import ManifoldTag, h0, h1
-from relaxor.orbit import Anchor, _chart_m0, _chart_m1, Side
 
 from conftest import PRINTED_PREDPREYPREY_ZB, REFERENCE_ORBITS
 
@@ -133,17 +132,17 @@ def test_criterion_5_travel_time_oracle(rng):
         checked = 0
         while checked < 20:
             man = ManifoldTag.M1 if rng.random() < 0.5 else ManifoldTag.M0
-            chart = _chart_m1(p) if man is ManifoldTag.M1 else _chart_m0(p)
-            center = chart.sigma
+            center = 1.0 if man is ManifoldTag.M1 else p.r
             anchor = Anchor(float(rng.uniform(0.3, 2.8)),
                             float(center * rng.uniform(0.35, 2.4)))
             if abs(anchor.p - 1.0) < 0.1 and abs(anchor.z - center) < 0.1 * center:
                 continue
-            pmin, pmax = chart.extrema(anchor)
+            pmin, pmax = extrema(man, anchor, p)
             margin = 0.02 * (pmax - pmin)
             prey_end = float(rng.uniform(pmin + margin, pmax - margin))
-            side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
-            z_end = chart.z_on_level(prey_end, anchor, side)
+            # W0 picks the lower half of the level orbit, W-1 the upper half
+            branch = Branch.PRINCIPAL if rng.random() < 0.5 else Branch.LOWER
+            z_end = lv_branch(man, prey_end, anchor, branch, p)
             start, end = (anchor.p, anchor.z), (prey_end, float(z_end))
             if man is ManifoldTag.M1:
                 t_quad = travel_time_M1(start, end, p)

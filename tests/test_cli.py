@@ -146,6 +146,15 @@ def test_scan_single_point(tmp_path, capsys):
     assert (out / "scan.p1A_zA.svg").exists()
 
 
+def test_scan_nonpositive_pin_is_input_error(tmp_path, capsys):
+    code = run("scan", "--r", "0.5", "--m", "0.4",
+               "--pin1", "p1A=-1:1.8:2", "--pin2", "zA=1.35:1.35:1",
+               "--guess", "p2A=0.49", "--guess", "zB=1.4",
+               "--out", str(tmp_path / "scan"))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("r = 0.8\nm = 1.0\nseed = predpreyprey\n# comment\n")

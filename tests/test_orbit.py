@@ -9,12 +9,14 @@ from relaxor import (
     Anchor, Branch, BranchChoice, DegenerateOrbitError, InadmissibleOrbitError,
     InconsistentEndpointsError, InconsistentJumpPairError, JumpPair, ManifoldTag,
     NoSolutionError, OffOrbitError, Params, SingularOrbit, assemble_singular_orbit,
-    eliminate_p1B, eliminate_p2B, existence_residual, extrema_M0, extrema_M1,
-    lv_branch_M0, lv_branch_M1, scan_family, solve_balanced_orbit,
-    solve_jump_points, trait_pressure_balance, travel_time_M0, travel_time_M1,
+    ParameterDomainError, eliminate, existence_residual, extrema, lv_branch,
+    scan_family, solve_balanced_orbit, solve_jump_points, trait_pressure_balance,
+    UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
 from relaxor.model import h0, h1
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
+
+M0, M1 = ManifoldTag.M0, ManifoldTag.M1
 
 
 # ------------------------------------------------------------ level inversions
@@ -22,7 +24,7 @@ from conftest import BALANCED_GUESS, REFERENCE_ORBITS
 def test_lv_branch_m1_returns_anchor_on_its_own_branch():
     p = Params(0.5, 0.4)
     a = Anchor(2.41, 1.18)  # anchor on the upper half (z > 1)
-    assert lv_branch_M1(a.p, a, Branch.LOWER, p) == pytest.approx(a.z, abs=1e-12)
+    assert lv_branch(M1, a.p, a, Branch.LOWER, p) == pytest.approx(a.z, abs=1e-12)
 
 
 def test_lv_branch_m1_lower_value_matches_bisection():
@@ -30,35 +32,44 @@ def test_lv_branch_m1_lower_value_matches_bisection():
     a = Anchor(2.41, 1.18)
     level = h1(a.p, a.z, p)
     z_ref = brentq(lambda z: h1(1.0, z, p) - level, 1e-8, 1.0, xtol=1e-14)
-    assert lv_branch_M1(1.0, a, Branch.PRINCIPAL, p) == pytest.approx(z_ref, abs=1e-10)
+    assert lv_branch(M1, 1.0, a, Branch.PRINCIPAL, p) == pytest.approx(z_ref, abs=1e-10)
 
 
 def test_lv_branch_m1_extrema_meet_at_center_level():
     p = Params(0.5, 0.4)
     a = Anchor(2.41, 1.18)
-    pmin, pmax = extrema_M1(a, p)
+    pmin, pmax = extrema(M1, a, p)
     for prey in (pmin, pmax):
         for branch in (Branch.PRINCIPAL, Branch.LOWER):
-            assert lv_branch_M1(prey, a, branch, p) == pytest.approx(1.0, abs=1e-7)
+            assert lv_branch(M1, prey, a, branch, p) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_lv_branch_m0_against_bisection():
     p = Params(0.8, 1.0)
     a = Anchor(2.27, 1.39)
-    assert lv_branch_M0(a.p, a, Branch.LOWER, p) == pytest.approx(a.z, abs=1e-12)
+    assert lv_branch(M0, a.p, a, Branch.LOWER, p) == pytest.approx(a.z, abs=1e-12)
     level = h0(a.p, a.z, p)
     z_ref = brentq(lambda z: h0(1.0, z, p) - level, 1e-8, p.r, xtol=1e-15)
-    assert lv_branch_M0(1.0, a, Branch.PRINCIPAL, p) == pytest.approx(z_ref, abs=1e-10)
-    p2min, p2max = extrema_M0(a, p)
-    assert lv_branch_M0(p2min, a, Branch.LOWER, p) == pytest.approx(p.r, abs=1e-7)
+    assert lv_branch(M0, 1.0, a, Branch.PRINCIPAL, p) == pytest.approx(z_ref, abs=1e-10)
+    p2min, p2max = extrema(M0, a, p)
+    assert lv_branch(M0, p2min, a, Branch.LOWER, p) == pytest.approx(p.r, abs=1e-7)
 
 
 def test_lv_branch_off_orbit_error():
     p = Params(0.5, 0.4)
     a = Anchor(2.41, 1.18)
-    _, pmax = extrema_M1(a, p)
+    _, pmax = extrema(M1, a, p)
     with pytest.raises(OffOrbitError):
-        lv_branch_M1(pmax * 1.2, a, Branch.LOWER, p)
+        lv_branch(M1, pmax * 1.2, a, Branch.LOWER, p)
+
+
+def test_chart_calls_reject_switching_plane():
+    p = Params(0.5, 0.4)
+    a = Anchor(2.41, 1.18)
+    with pytest.raises(UnsupportedManifoldError):
+        extrema(ManifoldTag.MSW, a, p)
+    with pytest.raises(UnsupportedManifoldError):
+        lv_branch(ManifoldTag.MSW, a.p, a, Branch.LOWER, p)
 
 
 def test_branch_inversion_level_property(rng):
@@ -68,10 +79,10 @@ def test_branch_inversion_level_property(rng):
         a = Anchor(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.3, 2.5)))
         if abs(a.p - 1.0) < 0.05 and abs(a.z - 1.0) < 0.05:
             continue
-        pmin, pmax = extrema_M1(a, p)
+        pmin, pmax = extrema(M1, a, p)
         prey = float(rng.uniform(pmin, pmax))
         branch = Branch.PRINCIPAL if rng.random() < 0.5 else Branch.LOWER
-        z = lv_branch_M1(prey, a, branch, p)
+        z = lv_branch(M1, prey, a, branch, p)
         assert abs(h1(prey, z, p) - h1(a.p, a.z, p)) < 1e-10
         count += 1
 
@@ -80,13 +91,13 @@ def test_branch_inversion_level_property(rng):
 
 def test_extrema_m1_degenerate_anchor():
     with pytest.raises(DegenerateOrbitError):
-        extrema_M1(Anchor(1.0, 1.0), Params(0.5, 0.4))
+        extrema(M1, Anchor(1.0, 1.0), Params(0.5, 0.4))
 
 
 def test_extrema_m1_level_residual():
     p = Params(0.5, 1.0)
     a = Anchor(2.41, 1.18)
-    pmin, pmax = extrema_M1(a, p)
+    pmin, pmax = extrema(M1, a, p)
     assert pmin < 1.0 < pmax
     level = h1(a.p, a.z, p)
     assert h1(pmin, 1.0, p) == pytest.approx(level, abs=1e-10)
@@ -95,8 +106,8 @@ def test_extrema_m1_level_residual():
 
 def test_extrema_m1_anchor_at_extremum_is_fixed_point():
     p = Params(0.5, 0.4)
-    pmin, pmax = extrema_M1(Anchor(2.41, 1.18), p)
-    again_min, again_max = extrema_M1(Anchor(pmin, 1.0), p)
+    pmin, pmax = extrema(M1, Anchor(2.41, 1.18), p)
+    again_min, again_max = extrema(M1, Anchor(pmin, 1.0), p)
     assert again_min == pytest.approx(pmin, rel=1e-9)
     assert again_max == pytest.approx(pmax, rel=1e-9)
 
@@ -104,14 +115,14 @@ def test_extrema_m1_anchor_at_extremum_is_fixed_point():
 def test_extrema_m0_level_residual_and_fixed_point():
     p = Params(0.8, 1.0)
     a = Anchor(2.27, 1.39)
-    p2min, p2max = extrema_M0(a, p)
+    p2min, p2max = extrema(M0, a, p)
     level = h0(a.p, a.z, p)
     assert h0(p2min, p.r, p) == pytest.approx(level, abs=1e-10)
     assert h0(p2max, p.r, p) == pytest.approx(level, abs=1e-10)
-    again = extrema_M0(Anchor(p2max, p.r), p)
+    again = extrema(M0, Anchor(p2max, p.r), p)
     assert again[1] == pytest.approx(p2max, rel=1e-9)
     with pytest.raises(DegenerateOrbitError):
-        extrema_M0(Anchor(1.0, p.r), p)
+        extrema(M0, Anchor(1.0, p.r), p)
 
 
 # -------------------------------------------------------------- eliminations
@@ -119,14 +130,14 @@ def test_extrema_m0_level_residual_and_fixed_point():
 def test_eliminate_p2b_identity_case():
     p = Params(0.5, 0.4)
     for p2a in (0.3, 0.8, 1.0):
-        out = eliminate_p2B(p2a, 1.3, 1.3, p, Branch.PRINCIPAL)
+        out = eliminate(M0, Anchor(p2a, 1.3), 1.3, Branch.PRINCIPAL, p)
         assert out == pytest.approx(p2a, abs=1e-12)
 
 
 def test_eliminate_p2b_conjugate_root_matches_bisection():
     p = Params(0.5, 0.4)
     p2a = 0.45
-    out = eliminate_p2B(p2a, 1.3, 1.3, p, Branch.LOWER)
+    out = eliminate(M0, Anchor(p2a, 1.3), 1.3, Branch.LOWER, p)
     # conjugate solves x*exp(-x) = p2a*exp(-p2a) on the far side of 1
     target = p2a * np.exp(-p2a)
     ref = brentq(lambda x: x * np.exp(-x) - target, 1.0, 50.0, xtol=1e-13)
@@ -138,24 +149,25 @@ def test_eliminate_against_reference_values():
     # inversion amplifies the p2A rounding by |dH/dp2A| / |dH/dp2B| ~ 7,
     # so the match is asserted at the propagated tolerance
     p = Params(0.5, 0.4)
-    p2b = eliminate_p2B(0.19, 0.70, 0.85, p, Branch.LOWER)
+    p2b = eliminate(M0, Anchor(0.19, 0.70), 0.85, Branch.LOWER, p)
     assert p2b == pytest.approx(2.69, abs=0.035)
-    p1b = eliminate_p1B(4.27, 0.70, 0.85, p, Branch.PRINCIPAL)
+    p1b = eliminate(M1, Anchor(4.27, 0.70), 0.85, Branch.PRINCIPAL, p)
     assert p1b == pytest.approx(0.06, abs=0.02)
 
 
 def test_eliminate_preserves_conserved_quantity():
     p = Params(0.5, 0.4)
-    p2b = eliminate_p2B(0.19, 0.70, 0.85, p, Branch.LOWER)
+    p2b = eliminate(M0, Anchor(0.19, 0.70), 0.85, Branch.LOWER, p)
     assert h0(p2b, 0.85, p) == pytest.approx(h0(0.19, 0.70, p), abs=1e-10)
-    p1b = eliminate_p1B(4.27, 0.70, 0.85, p, Branch.PRINCIPAL)
+    p1b = eliminate(M1, Anchor(4.27, 0.70), 0.85, Branch.PRINCIPAL, p)
     assert h1(p1b, 0.85, p) == pytest.approx(h1(4.27, 0.70, p), abs=1e-10)
 
 
 def test_eliminate_p1b_identity_and_conjugate():
     p = Params(0.5, 0.4)
-    assert eliminate_p1B(0.7, 1.2, 1.2, p, Branch.PRINCIPAL) == pytest.approx(0.7, abs=1e-12)
-    conj = eliminate_p1B(0.7, 1.2, 1.2, p, Branch.LOWER)
+    same = eliminate(M1, Anchor(0.7, 1.2), 1.2, Branch.PRINCIPAL, p)
+    assert same == pytest.approx(0.7, abs=1e-12)
+    conj = eliminate(M1, Anchor(0.7, 1.2), 1.2, Branch.LOWER, p)
     target = 0.7 * np.exp(-0.7)
     ref = brentq(lambda x: x * np.exp(-x) - target, 1.0, 50.0, xtol=1e-13)
     assert conj == pytest.approx(ref, abs=1e-10)
@@ -164,7 +176,7 @@ def test_eliminate_p1b_identity_and_conjugate():
 def test_eliminate_no_solution_beyond_reach():
     p = Params(0.5, 0.4)
     with pytest.raises(NoSolutionError):
-        eliminate_p2B(0.19, 0.70, 50.0, p, Branch.LOWER)
+        eliminate(M0, Anchor(0.19, 0.70), 50.0, Branch.LOWER, p)
 
 
 # -------------------------------------------------------------- travel times
@@ -238,6 +250,23 @@ def test_existence_residual_small_at_consistent_reference_values():
     for name, ((r, m), a, b) in REFERENCE_ORBITS.items():
         res = existence_residual(a[0], a[1], a[2], b[2], BranchChoice(), Params(r, m))
         assert max(abs(res[0]), abs(res[1])) < 5e-2, name
+
+
+@pytest.mark.parametrize("p1a,p2a,za,z_center", [
+    (2.4, 0.4, 1.3, 1.0),     # B crosses the q=1 chart centre z = 1
+    (4.27, 0.19, 0.70, 0.5),  # B crosses the q=0 chart centre z = r
+])
+def test_existence_residual_continuous_where_b_crosses_chart_centre(
+        params_default, p1a, p2a, za, z_center):
+    # B sits on a prey extremum at the centre level; the travel-time route
+    # switches sides there, and the residual must not jump
+    def residual(zb):
+        return np.array(existence_residual(p1a, p2a, za, zb, BranchChoice(),
+                                           params_default))
+
+    for delta in (1e-9, 1e-6):
+        below, above = residual(z_center - delta), residual(z_center + delta)
+        assert np.max(np.abs(above - below)) / (2.0 * delta) < 50.0, delta
 
 
 def test_existence_residual_vanishes_on_converged_pair(reference_pairs):
@@ -315,6 +344,19 @@ def test_scan_rows_pass_residual_recheck(params_default):
                                  BranchChoice(), params_default)
         assert max(abs(res[0]), abs(res[1])) < 1e-10
         assert d["p1A"] > d["p2A"] and d["p1B"] < d["p2B"]
+
+
+def test_scan_raises_on_nonpositive_pin(params_default):
+    # bad input fails loudly instead of silently dropping the grid point
+    with pytest.raises(ParameterDomainError):
+        scan_family(params_default, (np.array([-1.0, 1.8]), np.array([1.35])),
+                    {"p2A": 0.49, "zB": 1.40})
+
+
+def test_scan_raises_on_misnamed_guess(params_default):
+    with pytest.raises(ParameterDomainError):
+        scan_family(params_default, (np.array([1.81]), np.array([1.35])),
+                    {"p2A": 0.49, "zBB": 1.40})
 
 
 def test_family_table_serialization(tmp_path, params_default):
