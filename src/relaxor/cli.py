@@ -11,9 +11,11 @@ to replace it, which also retires the old manifest entry).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,19 @@ class _Manifest:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": [],
         }
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Record the wall time of the block under ``elapsed_s[name]``.
+
+        The time is kept as the midpoint of the microsecond it falls in:
+        the trailing 5 gives every value from 1e-4 s to 10 s the same
+        printed width, so the manifest's size repeats from run to run.
+        """
+        start = time.perf_counter_ns()
+        yield
+        micros = (time.perf_counter_ns() - start) // 1000
+        self.entry.setdefault("elapsed_s", {})[name] = float(f"{micros}5e-7")
 
     def claim(self, path: Path) -> Path:
         if path.exists() and not self.force:
@@ -275,8 +290,10 @@ def cmd_simulate(args, config) -> int:
         "r": r, "m": m, "eps": cfg.eps, "t_end": cfg.t_end,
         "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
         "max_step": cfg.max_step, "state": state.to_array().tolist()})
-    tr = integrate(state, params, cfg)
-    outputs = _write_trajectory(outdir, manifest, "simulate.trajectory", tr)
+    with manifest.phase("integrate"):
+        tr = integrate(state, params, cfg)
+    with manifest.phase("write"):
+        outputs = _write_trajectory(outdir, manifest, "simulate.trajectory", tr)
     manifest.finish()
     print(json.dumps({"final_state": tr.states[-1].tolist(), "outputs": outputs},
                      indent=1))
@@ -292,11 +309,13 @@ def cmd_continue(args, config) -> int:
     outdir, manifest = _prepare(args, "continue", {
         "r": r, "m": m, "state": state.to_array().tolist(),
         "schedule": [[e, d] for e, d in schedule]})
-    trajectories = continue_in_eps(state, params, schedule)
+    with manifest.phase("integrate"):
+        trajectories = continue_in_eps(state, params, schedule)
     outputs = []
-    for i, tr in enumerate(trajectories):
-        outputs += _write_trajectory(outdir, manifest,
-                                     f"continue.{i:02d}.eps{tr.config.eps:g}", tr)
+    with manifest.phase("write"):
+        for i, tr in enumerate(trajectories):
+            outputs += _write_trajectory(outdir, manifest,
+                                         f"continue.{i:02d}.eps{tr.config.eps:g}", tr)
     manifest.finish()
     print(json.dumps({"runs": len(trajectories),
                       "final_eps": trajectories[-1].config.eps,

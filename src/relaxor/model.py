@@ -192,11 +192,14 @@ def vector_field(p: Params, eps: float):
 
     This is the one definition of the four equations; ``full_rhs`` checks
     its arguments and evaluates it, and ``solve_ivp`` calls it unchecked.
+    ``y`` is a float ndarray of shape (4,).  It is unpacked to Python
+    floats, whose arithmetic is the same IEEE arithmetic as on numpy
+    scalars but runs at about half the cost per call.
     """
     r, m = p.r, p.m
 
     def rhs(t, y):
-        p1, p2, z, q = y
+        p1, p2, z, q = y.tolist()
         return ((1.0 - q * z) * p1,
                 (r - (1.0 - q) * z) * p2,
                 (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,

@@ -668,7 +668,7 @@ class SingularOrbit:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def from_json(cls, path) -> "SingularOrbit":

@@ -84,9 +84,12 @@ class Trajectory:
         return self.states[:, :3]
 
     def to_csv(self, path) -> None:
-        header = "t,p1,p2,z,q"
-        np.savetxt(path, np.column_stack([self.times, self.states]),
-                   delimiter=",", header=header, comments="", fmt="%.17g")
+        # one %-format over all rows; the same bytes as np.savetxt(fmt="%.17g")
+        rows = np.column_stack([self.times, self.states])
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        with open(path, "w") as fh:
+            fh.write("t,p1,p2,z,q\n")
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -102,8 +105,9 @@ class Trajectory:
         }
 
     def to_json(self, path) -> None:
+        # json.dumps runs the C encoder; json.dump(obj, fh) never does
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":

@@ -9,6 +9,7 @@ dotted predator, dash-dotted trait.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,16 @@ class _Panel:
 
 def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".")
+
+
+# the zeros that _fmt strips, for every number of a "%.4f" run ended by "," or " "
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[, ])")
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline ``points`` text: ``_fmt(x),_fmt(y)`` pairs joined by spaces."""
+    text = "%.4f,%.4f " * len(xs) % tuple(np.column_stack([xs, ys]).ravel().tolist())
+    return _TRAILING_ZEROS.sub("", text)[:-1]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -121,7 +132,6 @@ def _panel_svg(panel: _Panel, x0: float, y0: float, width: float, height: float)
                      f'font-size="12" text-anchor="middle">{panel.title}</text>')
 
     for s in panel.series:
-        pts = " ".join(f"{_fmt(sx(xv))},{_fmt(sy(yv))}" for xv, yv in zip(s.x, s.y))
         dash = _DASHES.get(s.style)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         if s.marker:
@@ -129,6 +139,7 @@ def _panel_svg(panel: _Panel, x0: float, y0: float, width: float, height: float)
                 parts.append(f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="2.2" '
                              f'fill="{s.color}"/>')
         else:
+            pts = _points(sx(np.asarray(s.x, dtype=float)), sy(np.asarray(s.y, dtype=float)))
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                          f'stroke-width="1.5"{dash_attr}/>')
     for xv, yv, label in panel.points:

@@ -38,6 +38,24 @@ BALANCED_GUESS = {"p1A": 1.218, "p2A": 0.811,
                   "zA": 1.48624943, "zB": 1.48624943}
 
 
+def numpy_scalar_field(p, eps):
+    """The four equations evaluated on numpy scalars.
+
+    Reference for ``vector_field``, which evaluates them on Python floats
+    and must give bitwise the same derivatives.
+    """
+    r, m = p.r, p.m
+
+    def rhs(t, y):
+        p1, p2, z, q = y
+        return ((1.0 - q * z) * p1,
+                (r - (1.0 - q) * z) * p2,
+                (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,
+                q * (1.0 - q) * (p1 - p2) / eps)
+
+    return rhs
+
+
 def solve_reference_orbit(name):
     (r, m), a, b = REFERENCE_ORBITS[name]
     p = Params(r, m)

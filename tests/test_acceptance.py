@@ -126,6 +126,7 @@ def test_criterion_4_printed_predpreyprey_zb_is_inconsistent():
     assert round(root, 2) == b[2] == 1.14, root
 
 
+@pytest.mark.slow
 def test_criterion_5_travel_time_oracle(rng):
     with criterion(5, "travel-time oracle equivalence", 30.0):
         p = Params(0.5, 0.4)
@@ -195,6 +196,7 @@ def test_criterion_6_closeness_scaling():
         assert distances[0.0125] <= 0.75 * distances[0.025]
 
 
+@pytest.mark.slow
 def test_criterion_7_continuation_persistence():
     with criterion(7, "continuation to eps = 1", 120.0):
         p = Params(0.5, 0.4)
@@ -246,6 +248,7 @@ def test_criterion_8_taxonomy(reference_orbits, antiphase_orbit):
         assert classify_orientation(ex) is Orientation.COUNTERCLOCKWISE
 
 
+@pytest.mark.slow
 def test_criterion_9_family_scan():
     with criterion(9, "20x20 family scan", 300.0):
         p = Params(0.5, 0.4)

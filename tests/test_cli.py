@@ -131,6 +131,19 @@ def test_continue_single_entry(tmp_path, capsys):
     assert (out / "continue.00.eps0.1.csv").exists()
 
 
+def test_simulate_and_continue_record_phase_timings(tmp_path):
+    for command, extra in (("simulate", ("--eps", "0.1", "--t-end", "2")),
+                           ("continue", ("--schedule", "0.1:1.0,0.2:1.0"))):
+        out = tmp_path / command
+        assert run(command, "--state", "1.18,0.87,1.5,0.99", *extra,
+                   "--out", str(out)) == 0
+        entry = json.loads((out / "manifest.json").read_text())["runs"][0]
+        assert sorted(entry["elapsed_s"]) == ["integrate", "write"]
+        for v in entry["elapsed_s"].values():
+            assert v >= 0.0
+            assert round(v * 1e7) % 10 == 5  # microsecond midpoint: fixed printed width
+
+
 def test_scan_single_point(tmp_path, capsys):
     out = tmp_path / "scan"
     assert run("scan", "--r", "0.5", "--m", "0.4",

@@ -8,9 +8,11 @@ from relaxor import (
     ManifoldTag, Params, ParameterDomainError, SingularScalingError, State,
     UnscaledParams, UnsupportedManifoldError, characteristic_roots,
     coexistence_equilibrium, conserved_quantity, fast_heteroclinic, full_rhs,
-    rescale, slow_rhs,
+    rescale, slow_rhs, vector_field,
 )
 from relaxor.model import h0, h1
+
+from conftest import numpy_scalar_field
 
 
 # ---------------------------------------------------------------- rescaling
@@ -109,6 +111,25 @@ def test_full_rhs_rejects_singular_limit():
     p = Params(0.5, 0.4)
     with pytest.raises(ParameterDomainError, match="slow_rhs"):
         full_rhs(np.array([1, 1, 1, 0.5]), p, eps=0.0)
+
+
+def test_vector_field_bitwise_equals_numpy_scalar_formula():
+    rng = np.random.default_rng(20261018)
+    states = np.column_stack([rng.uniform(0.0, 5.0, (1000, 3)), rng.uniform(0.0, 1.0, 1000)])
+    states[:100, 3] = 0.0
+    states[100:200, 3] = 1.0
+    for p, eps in ((Params(0.5, 0.4), 0.025), (Params(0.8, 1.0), 0.3)):
+        fast, reference = vector_field(p, eps), numpy_scalar_field(p, eps)
+        for y in states:
+            assert np.array(fast(0.0, y)).tobytes() == np.array(reference(0.0, y)).tobytes()
+
+
+def test_full_rhs_accepts_state_list_and_tuple():
+    p = Params(0.5, 0.4)
+    values = (1.3, 0.7, 1.1, 0.6)
+    expected = full_rhs(np.array(values), p, eps=0.1)
+    for s in (State(*values), list(values), values):
+        assert np.array_equal(full_rhs(s, p, eps=0.1), expected)
 
 
 @given(p1=st.floats(0.0, 5.0), p2=st.floats(0.0, 5.0), z=st.floats(0.0, 5.0),

@@ -1,14 +1,18 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import relaxor.simulate
 from relaxor import (
-    ParameterDomainError, SimConfig, State, Trajectory,
+    Params, ParameterDomainError, SimConfig, State, Trajectory,
     closeness_check, coexistence_equilibrium, continue_in_eps,
     default_continuation_schedule, detect_jump_events, full_rhs, integrate,
 )
+
+from conftest import numpy_scalar_field
 
 
 def test_sim_config_validation():
@@ -108,6 +112,60 @@ def test_trajectory_json_round_trip_is_bit_exact(tmp_path, params_default):
     csv_path = tmp_path / "run.csv"
     tr.to_csv(csv_path)
     assert csv_path.read_text().splitlines()[0] == "t,p1,p2,z,q"
+
+
+def _edge_trajectory():
+    # values whose shortest repr and %.17g text take every form: signed zero,
+    # subnormal, largest double, exponents, integers, non-finite
+    states = np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308],
+                       [1.0, 2.5, -1e-17, 123456789.125],
+                       [0.1, 1 / 3, 2 / 3, 1e22],
+                       [np.nan, np.inf, -np.inf, 0.999999999999999]])
+    return Trajectory(times=[0.0, 1e-9, 0.5, 3.0], states=states,
+                      params=Params(0.5, 0.4), config=SimConfig(eps=0.1, t_end=3.0))
+
+
+def _writer_cases(params):
+    integrated = integrate(State(1.2, 0.9, 1.4, 0.8), params,
+                           SimConfig(eps=0.1, t_end=3.0, n_samples=500))
+    return integrated, _edge_trajectory()
+
+
+def test_to_csv_bytes_equal_savetxt(tmp_path, params_default):
+    for i, tr in enumerate(_writer_cases(params_default)):
+        tr.to_csv(tmp_path / f"{i}.csv")
+        np.savetxt(tmp_path / f"{i}.ref.csv", np.column_stack([tr.times, tr.states]),
+                   delimiter=",", header="t,p1,p2,z,q", comments="", fmt="%.17g")
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}.ref.csv").read_bytes()
+
+
+def test_to_json_bytes_equal_json_dump(tmp_path, params_default, reference_orbits):
+    _, _, orbit = reference_orbits["hybrid"]
+    for i, doc in enumerate((*_writer_cases(params_default), orbit)):
+        doc.to_json(tmp_path / f"{i}.json")
+        with open(tmp_path / f"{i}.ref.json", "w") as fh:
+            json.dump(doc.to_dict(), fh)
+        assert (tmp_path / f"{i}.json").read_bytes() == (tmp_path / f"{i}.ref.json").read_bytes()
+
+
+def test_integrate_matches_numpy_scalar_field_bitwise(monkeypatch, params_default):
+    solutions = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        solutions.append(solve_ivp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(relaxor.simulate, "solve_ivp", recording_solve_ivp)
+    s0 = State(1.18, 0.87, 1.50, 0.99)
+    cfg = SimConfig(eps=0.1, t_end=20.0)
+    tr = integrate(s0, params_default, cfg)
+    reference = solve_ivp(numpy_scalar_field(params_default, cfg.eps), (0.0, cfg.t_end),
+                          s0.to_array(), method="DOP853", rtol=cfg.rel_tol,
+                          atol=cfg.abs_tol, max_step=cfg.resolved_max_step(),
+                          t_eval=np.linspace(0.0, cfg.t_end, cfg.n_samples))
+    assert solutions[0].nfev == reference.nfev
+    assert tr.states.tobytes() == np.ascontiguousarray(reference.y.T).tobytes()
+    assert tr.times.tobytes() == reference.t.tobytes()
 
 
 def test_single_entry_schedule_equals_plain_integrate(params_default):
