@@ -44,7 +44,7 @@ SEEDS = {
 
 _DEFAULTS = {
     "r": 0.5, "m": 0.4, "eps": 0.025, "t_end": 50.0,
-    "rel_tol": 1e-10, "abs_tol": 1e-10, "samples": 400,
+    "rel_tol": 1e-10, "abs_tol": 1e-10,
     "state": "1.18,0.87,1.5,0.99", "seed": "hybrid",
     "schedule": "default", "threshold": 0.5,
 }
@@ -69,7 +69,8 @@ def _read_config(path: str | None) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, cast=float):
+def _resolve(args: argparse.Namespace, config: dict, key: str, cast=float,
+             default=None):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
@@ -78,7 +79,7 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, cast=float):
             return cast(config[key])
         except ValueError as err:
             raise InvalidInputError(f"config value for {key!r}: {err}") from err
-    return _DEFAULTS.get(key)
+    return _DEFAULTS.get(key, default)
 
 
 def _parse_state(text: str) -> State:
@@ -182,7 +183,7 @@ def cmd_construct(args, config) -> int:
     r = _resolve(args, config, "r")
     m = _resolve(args, config, "m")
     params = Params(r, m)
-    samples = int(_resolve(args, config, "samples", int))
+    samples = int(_resolve(args, config, "samples", int, default=400))
     pin = _parse_assignments(args.pin, "--pin")
     guess = _parse_assignments(args.guess, "--guess")
     seed_name = None
@@ -284,7 +285,7 @@ def cmd_simulate(args, config) -> int:
         rel_tol=_resolve(args, config, "rel_tol"),
         abs_tol=_resolve(args, config, "abs_tol"),
         max_step=args.max_step,
-        n_samples=max(2000, int(_resolve(args, config, "samples", int))),
+        n_samples=int(_resolve(args, config, "samples", int, default=2000)),
     )
     outdir, manifest = _prepare(args, "simulate", {
         "r": r, "m": m, "eps": cfg.eps, "t_end": cfg.t_end,
@@ -382,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pinned jump coordinate (twice)")
     sp.add_argument("--guess", action="append", metavar="NAME=VALUE",
                     help="initial guess for a free coordinate")
-    sp.add_argument("--samples", type=int, help="samples per slow segment")
+    sp.add_argument("--samples", type=int,
+                    help="samples per slow segment (default 400)")
 
     sp = sub.add_parser("scan", help="continuation scan of the orbit family")
     common(sp)
@@ -399,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rel-tol", dest="rel_tol", type=float)
     sp.add_argument("--abs-tol", dest="abs_tol", type=float)
     sp.add_argument("--max-step", dest="max_step", type=float)
-    sp.add_argument("--samples", type=int, help="number of output samples")
+    sp.add_argument("--samples", type=int,
+                    help="number of output samples, at least 2 (default 2000)")
 
     sp = sub.add_parser("continue", help="chain runs along an eps schedule")
     common(sp)

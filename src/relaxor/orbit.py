@@ -14,8 +14,9 @@ Both Lotka-Volterra charts -- (p1, z) around (1, 1) on q = 1 and (p2, z)
 around (1, r) on q = 0 -- are handled by one engine parameterized by the
 center level ``sigma`` of the predator.  Level curves are inverted in
 closed form with the Lambert W function; travel times are integrals with
-inverse-square-root endpoint singularities at the extremal prey values,
-evaluated with tanh-sinh quadrature split exactly at the extrema.
+inverse-square-root singularities at the extremal prey values, evaluated
+piece by piece between the extrema with one fixed Gauss-Legendre rule
+under the sine map that cancels those singularities.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
-from .quadrature import tanh_sinh
+from .quadrature import sine_gauss
 
 __all__ = [
     "Anchor", "BranchChoice", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
@@ -158,24 +159,23 @@ class _LvChart:
 
     # -- travel-time integrals ---------------------------------------------
 
-    def piece_time(self, pa: float, pb: float, side: Side, anchor: Anchor) -> float:
-        """Signed time integral along one side between prey values pa and pb."""
-        if pa == pb:
-            return 0.0
-        ga = min(self.g_of(pa, anchor), 0.0)
-        gb = min(self.g_of(pb, anchor), 0.0)
-        direction = 1.0 if pb >= pa else -1.0
+    def piece_time(self, pa: float, pb: float, side: Side,
+                   ext: tuple[float, float]) -> float:
+        """Signed time integral along one side between prey values pa and pb.
+
+        ``ext`` holds the extrema (pmin, pmax) of the level orbit.
+        """
+        pmin, pmax = ext
         branch = _SIDE_BRANCH[side]
         sigma, mu = self.sigma, self.mu
 
         def integrand(x, d_lo, d_hi):
-            # g at the nodes from the nearer end, accurate for tiny offsets
-            g = np.where(d_lo <= d_hi, ga + mu * _dphi(pa, direction * d_lo),
-                         gb + mu * _dphi(pb, -direction * d_hi))
+            # g vanishes at both extrema; take it from the nearer one
+            g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
             s = -np.expm1(np.minimum(g, 0.0))
             return 1.0 / (sigma * w_plus_one(branch, s) * x)
 
-        return tanh_sinh(integrand, pa, pb)
+        return sine_gauss(integrand, pmin, pmax, pa, pb)
 
     # -- path construction ---------------------------------------------------
 
@@ -192,11 +192,11 @@ class _LvChart:
         return Side.LOWER if at_max else Side.UPPER
 
     def path_pieces(self, start: tuple[float, float], end: tuple[float, float],
-                    anchor: Anchor) -> list[tuple[float, float, Side]]:
+                    ext: tuple[float, float]) -> list[tuple[float, float, Side]]:
         """First-arrival route from start to end along the flow direction."""
         p_s, z_s = start
         p_e, z_e = end
-        pmin, pmax = self.extrema(anchor)
+        pmin, pmax = ext
         side_s = self.side_of(p_s, z_s, pmin, pmax, "start")
         side_e = self.side_of(p_e, z_e, pmin, pmax, "end")
 
@@ -219,15 +219,15 @@ class _LvChart:
     def route_time(self, start: tuple[float, float], end: tuple[float, float],
                    anchor: Anchor) -> float:
         """Time along the first-arrival route on the level orbit through ``anchor``."""
-        return sum(self.piece_time(a, b, side, anchor)
-                   for a, b, side in self.path_pieces(start, end, anchor))
+        ext = self.extrema(anchor)
+        return sum(self.piece_time(a, b, side, ext)
+                   for a, b, side in self.path_pieces(start, end, ext))
 
-    def travel_time(self, start: tuple[float, float], end: tuple[float, float],
-                    level_tol: float = _LEVEL_TOL) -> float:
+    def travel_time(self, start: tuple[float, float], end: tuple[float, float]) -> float:
         p_s, z_s = start
         p_e, z_e = end
         drift = abs(self.level(p_s, z_s) - self.level(p_e, z_e))
-        if drift > level_tol:
+        if drift > _LEVEL_TOL:
             raise InconsistentEndpointsError(
                 f"endpoints lie on different conserved levels (drift {drift:.3e})")
         if abs(p_s - p_e) <= 1e-12 * max(p_s, p_e) and abs(z_s - z_e) <= 1e-12 * max(z_s, z_e):
@@ -272,15 +272,15 @@ def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> fl
 
 
 def travel_time_M1(start: tuple[float, float], end: tuple[float, float],
-                   p: Params, level_tol: float = _LEVEL_TOL) -> float:
+                   p: Params) -> float:
     """Slow time from (p1, z) ``start`` to ``end`` along the q=1 flow."""
-    return _chart(ManifoldTag.M1, p).travel_time(start, end, level_tol)
+    return _chart(ManifoldTag.M1, p).travel_time(start, end)
 
 
 def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
-                   p: Params, level_tol: float = _LEVEL_TOL) -> float:
+                   p: Params) -> float:
     """Slow time from (p2, z) ``start`` to ``end`` along the q=0 flow."""
-    return _chart(ManifoldTag.M0, p).travel_time(start, end, level_tol)
+    return _chart(ManifoldTag.M0, p).travel_time(start, end)
 
 
 # ---------------------------------------------------------------------------

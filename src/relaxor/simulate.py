@@ -72,16 +72,9 @@ class Trajectory:
         if self.states.shape != (len(self.times), 4):
             raise ParameterDomainError("states must be (n, 4) matching times")
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def final_state(self) -> State:
         p1, p2, z, q = self.states[-1]
         return State(p1, p2, float(z), float(min(max(q, 0.0), 1.0)))
-
-    def slow_states(self) -> np.ndarray:
-        return self.states[:, :3]
 
     def to_csv(self, path) -> None:
         # one %-format over all rows; the same bytes as np.savetxt(fmt="%.17g")

@@ -120,6 +120,16 @@ def test_simulate_equilibrium_flat_lines(tmp_path, capsys):
     assert len(rows) >= 2001
 
 
+def test_simulate_honours_samples(tmp_path, capsys):
+    args = ("simulate", "--eps", "0.1", "--t-end", "2", "--state", "1.18,0.87,1.5,0.99")
+    out = tmp_path / "few"
+    assert run(*args, "--samples", "500", "--out", str(out)) == 0
+    rows = (out / "simulate.trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 500
+    assert run(*args, "--samples", "1", "--out", str(tmp_path / "one")) == 2
+    assert "sample" in capsys.readouterr().err
+
+
 def test_continue_single_entry(tmp_path, capsys):
     out = tmp_path / "cont"
     assert run("continue", "--r", "0.5", "--m", "0.4",

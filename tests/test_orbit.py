@@ -14,6 +14,7 @@ from relaxor import (
     UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
 from relaxor.model import h0, h1
+from relaxor.orbit import _chart
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
 
 M0, M1 = ManifoldTag.M0, ManifoldTag.M1
@@ -242,6 +243,32 @@ def test_travel_time_cross_formula_consistency(reference_pairs, name):
     assert pair.p1b * np.exp(t0) == pytest.approx(pair.p1a, abs=1e-8)
 
 
+@pytest.mark.parametrize("man,anchor", [
+    (M1, (1.10, 1.0)), (M1, (1.80, 1.0)), (M1, (0.05, 1.0)),
+    (M0, (1.10, 0.5)), (M0, (5.0, 0.5)),
+])
+def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
+    # the lower half of the level orbit, pmin -> pmax, against DOP853 run to
+    # the next crossing of the centre level z = sigma.  The route keeps the
+    # anchor's level: re-deriving the extrema from (pmin, sigma) would move
+    # pmax by an ulp, and the time to an end near an extremum changes like
+    # the square root of such a shift.
+    p = Params(0.5, 0.4)
+    sigma = 1.0 if man is M1 else p.r
+    pmin, pmax = extrema(man, Anchor(*anchor), p)
+    t_quad = _chart(man, p).route_time((pmin, sigma), (pmax, sigma), Anchor(*anchor))
+
+    def centre_level(t, y):
+        return y[1] - sigma
+
+    centre_level.direction = 1.0
+    sol = solve_ivp(lambda t, y: [(sigma - y[1]) * y[0], (y[0] - 1) * p.m * y[1]],
+                    (0.0, 100.0), [pmin, sigma], method="DOP853",
+                    rtol=1e-13, atol=1e-14, events=centre_level)
+    t_ode = min(t for t in sol.t_events[0] if t > 1e-6)
+    assert t_quad == pytest.approx(t_ode, rel=1e-11)
+
+
 # ------------------------------------------------------- existence conditions
 
 def test_existence_residual_small_at_consistent_reference_values():
@@ -267,6 +294,11 @@ def test_existence_residual_continuous_where_b_crosses_chart_centre(
     for delta in (1e-9, 1e-6):
         below, above = residual(z_center - delta), residual(z_center + delta)
         assert np.max(np.abs(above - below)) / (2.0 * delta) < 50.0, delta
+    # no step at the centre itself: both one-sided differences agree
+    delta = 1e-9
+    centre = residual(z_center)
+    step = (residual(z_center + delta) - centre) - (centre - residual(z_center - delta))
+    assert np.max(np.abs(step)) < 1e-12
 
 
 def test_existence_residual_vanishes_on_converged_pair(reference_pairs):
