@@ -46,7 +46,7 @@ _DEFAULTS = {
     "r": 0.5, "m": 0.4, "eps": 0.025, "t_end": 50.0,
     "rel_tol": 1e-10, "abs_tol": 1e-10,
     "state": "1.18,0.87,1.5,0.99", "seed": "hybrid",
-    "schedule": "default", "threshold": 0.5,
+    "schedule": "default",
 }
 
 

@@ -52,13 +52,23 @@ class InconsistentEndpointsError(RelaxorError):
 
 
 class NonConvergenceError(RelaxorError):
-    """Iterative solver failed to converge; carries last-iterate diagnostics."""
+    """Iterative solver failed to converge; carries last-iterate diagnostics.
+
+    The diagnostics that are set are appended to the message.
+    """
 
     def __init__(self, message, residual=None, iterations=None, x=None):
         self.residual = residual
         self.iterations = iterations
         self.x = x
-        super().__init__(message)
+        details = []
+        if residual is not None:
+            details.append(f"residual {residual:.3e}")
+        if iterations is not None:
+            details.append(f"iterations {iterations}")
+        if x is not None:
+            details.append(f"x {[float(v) for v in x]}")
+        super().__init__(f"{message} ({', '.join(details)})" if details else message)
 
 
 class InadmissibleOrbitError(RelaxorError):

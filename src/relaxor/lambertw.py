@@ -24,7 +24,7 @@ from scipy import special
 
 from .errors import BranchDomainError
 
-__all__ = ["Branch", "lambert_w", "branch_of", "w_plus_one"]
+__all__ = ["Branch", "lambert_w", "w_plus_one"]
 
 _E = math.e
 # Arguments whose offset from the branch point is below this are snapped onto
@@ -43,11 +43,6 @@ class Branch(enum.Enum):
 
     def __str__(self):
         return "W0" if self is Branch.PRINCIPAL else "W-1"
-
-
-def branch_of(w) -> Branch:
-    """Branch on which a real value ``w`` of the W function lives."""
-    return Branch.PRINCIPAL if w >= -1.0 else Branch.LOWER
 
 
 def _series_plus_one(branch: Branch, s: np.ndarray) -> np.ndarray:

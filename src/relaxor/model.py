@@ -219,16 +219,22 @@ def full_rhs(s, p: Params, eps: float) -> np.ndarray:
     return np.array(vector_field(p, eps)(0.0, _as_state4(s)))
 
 
+_SLOW_TRAIT = {ManifoldTag.M0: 0.0, ManifoldTag.M1: 1.0}
+
+
 def slow_rhs(s3, p: Params, man: ManifoldTag) -> np.ndarray:
-    """Reduced slow vector field for (p1, p2, z) on M0 or M1."""
+    """Reduced slow vector field for (p1, p2, z) on M0 or M1.
+
+    The first three components of ``vector_field`` at q = 0 or q = 1,
+    where the trait equation vanishes for any eps.
+    """
+    q = _SLOW_TRAIT.get(man)
+    if q is None:
+        raise UnsupportedManifoldError(
+            "the slow flow is only defined on M0 and M1; the switching plane "
+            "carries no reduced dynamics")
     p1, p2, z = (float(v) for v in s3)
-    if man is ManifoldTag.M0:
-        return np.array([p1, (p.r - z) * p2, (p2 - 1.0) * p.m * z])
-    if man is ManifoldTag.M1:
-        return np.array([(1.0 - z) * p1, p.r * p2, (p1 - 1.0) * p.m * z])
-    raise UnsupportedManifoldError(
-        "the slow flow is only defined on M0 and M1; the switching plane "
-        "carries no reduced dynamics")
+    return np.array(vector_field(p, 1.0)(0.0, np.array([p1, p2, z, q]))[:3])
 
 
 def fast_heteroclinic(tau, p1: float, p2: float):

@@ -40,7 +40,7 @@ from .model import ManifoldTag, Params, h0, h1, slow_rhs
 from .quadrature import sine_gauss
 
 __all__ = [
-    "Anchor", "BranchChoice", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
+    "Anchor", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
     "lv_branch", "extrema", "eliminate", "travel_time_M1", "travel_time_M0",
     "existence_residual", "solve_jump_points", "scan_family",
     "trait_pressure_balance", "solve_balanced_orbit",
@@ -51,6 +51,8 @@ UNKNOWN_NAMES = ("p1A", "p2A", "zA", "zB")
 
 _LEVEL_TOL = 1e-8        # conserved-level agreement required of segment endpoints
 _DEGENERATE_TOL = 1e-12  # branch-point offset below which the level orbit is a point
+_SOLVE_TOL = 1e-10       # sup norm of the travel-time residuals at convergence
+_MAX_ITER = 60           # Newton steps before the solver gives up
 
 
 class Side(enum.Enum):
@@ -73,19 +75,6 @@ class Anchor:
     def __post_init__(self):
         if self.p <= 0.0 or self.z <= 0.0:
             raise ParameterDomainError("anchor densities must be positive")
-
-
-@dataclass(frozen=True)
-class BranchChoice:
-    """Lambert branches used to eliminate the B coordinates.
-
-    The default (W0 for p1B, W-1 for p2B) places B left of the predator
-    nullcline on q = 1 and right of it on q = 0, which is the geometry of
-    a downward jump (p1B < p2B).
-    """
-
-    p1b: Branch = Branch.PRINCIPAL
-    p2b: Branch = Branch.LOWER
 
 
 def _phi(p):
@@ -115,10 +104,11 @@ class _LvChart:
         ya = anchor.z / self.sigma
         return 1.0 + math.log(ya) - ya + self.mu * (_phi(anchor.p) - _phi(p))
 
-    def g_extremum(self, anchor: Anchor) -> float:
-        """Same quantity for the prey-extremum inversion (z at the center level)."""
+    def g_conjugate(self, anchor: Anchor, z_target: float) -> float:
+        """Same quantity for the prey inversion at predator level ``z_target``."""
         ya = anchor.z / self.sigma
-        return 1.0 + _phi(anchor.p) + (1.0 + math.log(ya) - ya) / self.mu
+        yb = z_target / self.sigma
+        return 1.0 + _phi(anchor.p) + (math.log(ya / yb) + yb - ya) / self.mu
 
     # -- closed-form inversions ------------------------------------------------
 
@@ -132,7 +122,7 @@ class _LvChart:
         return self.sigma * (1.0 - w_plus_one(_SIDE_BRANCH[side], s))
 
     def extrema(self, anchor: Anchor) -> tuple[float, float]:
-        s = -math.expm1(min(self.g_extremum(anchor), 0.0))
+        s = -math.expm1(min(self.g_conjugate(anchor, self.sigma), 0.0))
         if s <= _DEGENERATE_TOL:
             raise DegenerateOrbitError(
                 f"anchor ({anchor.p}, {anchor.z}) sits at the center of the "
@@ -143,9 +133,7 @@ class _LvChart:
 
     def conjugate_p(self, anchor: Anchor, z_target: float, branch: Branch) -> float:
         """Prey coordinate on the anchor level at predator level ``z_target``."""
-        ya = anchor.z / self.sigma
-        yb = z_target / self.sigma
-        g = 1.0 + _phi(anchor.p) + (math.log(ya / yb) + yb - ya) / self.mu
+        g = self.g_conjugate(anchor, z_target)
         if g > 1e-12:
             raise NoSolutionError(
                 f"predator level z={z_target} is not reached on the level "
@@ -288,14 +276,16 @@ def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def _eliminations(p1A: float, p2A: float, zA: float, zB: float,
-                  branches: BranchChoice, p: Params) -> tuple[float, float]:
-    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, branches.p2b)
-    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, branches.p1b)
+                  p: Params) -> tuple[float, float]:
+    # W0 puts p1B left of the predator nullcline on q = 1 and W-1 puts p2B
+    # right of it on q = 0: the geometry of a downward jump (p1B < p2B)
+    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, Branch.LOWER)
+    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, Branch.PRINCIPAL)
     return p1B, p2B
 
 
 def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
-                       branches: BranchChoice, p: Params) -> tuple[float, float]:
+                       p: Params) -> tuple[float, float]:
     """Residuals of the two travel-time conditions after eliminating B.
 
     The conserved-quantity conditions are satisfied identically by the
@@ -308,7 +298,7 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     """
     if min(p1A, p2A, zA, zB) <= 0.0:
         raise ParameterDomainError("jump coordinates must be positive")
-    p1B, p2B = _eliminations(p1A, p2A, zA, zB, branches, p)
+    p1B, p2B = _eliminations(p1A, p2A, zA, zB, p)
     t1 = _chart(ManifoldTag.M1, p).route_time((p1A, zA), (p1B, zB), Anchor(p1A, zA))
     t0 = _chart(ManifoldTag.M0, p).route_time((p2B, zB), (p2A, zA), Anchor(p2A, zA))
     res1 = math.log(p2B / p2A) / p.r - t1
@@ -349,7 +339,7 @@ class JumpPair:
         return cls(d["p1A"], d["p2A"], d["zA"], d["p1B"], d["p2B"], d["zB"],
                    d["T0"], d["T1"])
 
-    def check(self, p: Params, tol: float = 1e-8) -> None:
+    def check(self, p: Params) -> None:
         """Raise unless the jump-pair invariants hold."""
         if not (self.p1a > self.p2a and self.p1b < self.p2b):
             raise InadmissibleOrbitError(
@@ -358,27 +348,25 @@ class JumpPair:
             raise InadmissibleOrbitError("slow travel times must be positive")
         dh0 = abs(h0(self.p2a, self.za, p) - h0(self.p2b, self.zb, p))
         dh1 = abs(h1(self.p1a, self.za, p) - h1(self.p1b, self.zb, p))
-        if dh0 > tol or dh1 > tol:
+        if dh0 > _LEVEL_TOL or dh1 > _LEVEL_TOL:
             raise InconsistentEndpointsError(
                 f"conserved quantities differ across the jumps "
                 f"(dH0={dh0:.3e}, dH1={dh1:.3e})")
 
 
-def _pair_from_unknowns(p1A, p2A, zA, zB, branches, p) -> JumpPair:
-    p1B, p2B = _eliminations(p1A, p2A, zA, zB, branches, p)
+def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
+    p1B, p2B = _eliminations(p1A, p2A, zA, zB, p)
     t1 = math.log(p2B / p2A) / p.r
     t0 = math.log(p1A / p1B)
     return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0, t1)
 
 
-def solve_jump_points(pinned: dict, guess: dict, p: Params,
-                      branches: BranchChoice = BranchChoice(),
-                      tol: float = 1e-10, max_iter: int = 60) -> JumpPair:
+def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     """Solve the existence conditions for the two free jump coordinates.
 
     ``pinned`` fixes two of {p1A, p2A, zA, zB}; ``guess`` seeds the other
     two.  A damped Newton iteration with a forward-difference Jacobian
-    drives the travel-time residuals below ``tol`` (sup norm).
+    drives the travel-time residuals below 1e-10 (sup norm) within 60 steps.
 
     Raises NonConvergenceError with the last iterate's diagnostics if the
     iteration fails; InadmissibleOrbitError if it converges to a point
@@ -391,18 +379,16 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params,
             f"pin exactly two of {UNKNOWN_NAMES} and guess the remaining two; "
             f"got pinned={sorted(pinned)}, guess={sorted(guess)}")
 
-    def unpack(x: np.ndarray) -> dict:
+    def unknowns(x: np.ndarray) -> list:
         vals = dict(pinned)
-        vals.update(dict(zip(free_names, x)))
-        return vals
+        vals.update(zip(free_names, x))
+        return [vals[n] for n in UNKNOWN_NAMES]
 
     def residual(x: np.ndarray):
         if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
             return None
-        vals = unpack(x)
         try:
-            return np.array(existence_residual(
-                vals["p1A"], vals["p2A"], vals["zA"], vals["zB"], branches, p))
+            return np.array(existence_residual(*unknowns(x), p))
         except (NoSolutionError, OffOrbitError, DegenerateOrbitError):
             return None
 
@@ -411,12 +397,10 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params,
     if r is None:
         raise NonConvergenceError("initial guess is outside the solvable domain", x=x)
 
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_ITER):
         norm = np.max(np.abs(r))
-        if norm < tol:
-            vals = unpack(x)
-            pair = _pair_from_unknowns(vals["p1A"], vals["p2A"], vals["zA"],
-                                       vals["zB"], branches, p)
+        if norm < _SOLVE_TOL:
+            pair = _pair_from_unknowns(*unknowns(x), p)
             pair.check(p)
             return pair
 
@@ -454,7 +438,7 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params,
 
     raise NonConvergenceError("no convergence within the iteration budget",
                               residual=float(np.max(np.abs(r))),
-                              iterations=max_iter, x=x)
+                              iterations=_MAX_ITER, x=x)
 
 
 def trait_pressure_balance(j: JumpPair, p: Params) -> tuple[float, float]:
@@ -465,23 +449,18 @@ def trait_pressure_balance(j: JumpPair, p: Params) -> tuple[float, float]:
     ends where the net integral since touch-down returns to zero.  A
     family member with both integrals zero is therefore the orbit an
     actual small-eps solution hovers near; the constructed family at
-    large carries no such guarantee.  Both integrals have closed forms:
-    the prey-1 area comes from the predator equation and the prey-2 area
-    from the exponential growth law (and vice versa on q = 0).
+    large carries no such guarantee.
 
-    Both integrals vanish identically on the symmetric sub-family
-    zA = zB: equal predator levels make each B prey coordinate the exact
-    mirror conjugate of its A counterpart (same value of log(p) - p), and
-    each area reduces to the difference of log(p) - p across the segment.
+    Along the slow flow H_0 = (p1 - ln p1) + (p2 - ln p2) + (z - (1+r) ln z)/m
+    has dH_0/dt = -r (p1 - p2) on q = 1 and p1 - p2 on q = 0.  Adding h0 and
+    h1 gives m H_0 = -(h0 + h1) - z, and h0 and h1 each match at A and B, so
+    H_0(A) - H_0(B) = (zB - zA)/m: the orbit is balanced iff zA = zB.
     """
-    on_m1 = math.log(j.zb / j.za) / p.m + j.t1 - (j.p2b - j.p2a) / p.r
-    on_m0 = (j.p1a - j.p1b) - math.log(j.za / j.zb) / p.m - j.t0
-    return on_m1, on_m0
+    dh = (j.zb - j.za) / p.m  # H_0(A) - H_0(B)
+    return dh / p.r, dh
 
 
-def solve_balanced_orbit(guess: dict, p: Params,
-                         branches: BranchChoice = BranchChoice(),
-                         tol: float = 1e-10, max_iter: int = 60) -> JumpPair:
+def solve_balanced_orbit(guess: dict, p: Params) -> JumpPair:
     """Solve for a family member with zero net trait pressure.
 
     The balanced orbits form the one-parameter symmetric sub-family with
@@ -497,14 +476,8 @@ def solve_balanced_orbit(guess: dict, p: Params,
     if set(guess) != set(UNKNOWN_NAMES):
         raise ParameterDomainError(f"guess must supply exactly {UNKNOWN_NAMES}")
     z_level = 0.5 * (guess["zA"] + guess["zB"])
-    pair = solve_jump_points({"zA": z_level, "zB": z_level},
-                             {"p1A": guess["p1A"], "p2A": guess["p2A"]},
-                             p, branches, tol=tol, max_iter=max_iter)
-    g1, g0 = trait_pressure_balance(pair, p)
-    if max(abs(g1), abs(g0)) > 1e-8:
-        raise NonConvergenceError(
-            f"net trait pressure did not vanish (got {g1:.2e}, {g0:.2e})")
-    return pair
+    return solve_jump_points({"zA": z_level, "zB": z_level},
+                             {"p1A": guess["p1A"], "p2A": guess["p2A"]}, p)
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +527,7 @@ class FamilyTable:
 
 
 def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict,
-                pin_names: tuple[str, str] = ("p1A", "zA"),
-                branches: BranchChoice = BranchChoice(),
-                tol: float = 1e-10) -> FamilyTable:
+                pin_names: tuple[str, str] = ("p1A", "zA")) -> FamilyTable:
     """Continuation scan of the orbit family over a grid of pinned values.
 
     Grid points are visited in a serpentine order; each solve is seeded
@@ -585,7 +556,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             pinned = {pin_names[0]: float(v1), pin_names[1]: float(v2)}
             for guess in seeds:
                 try:
-                    pair = solve_jump_points(pinned, guess, p, branches, tol=tol)
+                    pair = solve_jump_points(pinned, guess, p)
                 except (NonConvergenceError, InadmissibleOrbitError,
                         InconsistentEndpointsError, NoSolutionError,
                         DegenerateOrbitError):
@@ -599,8 +570,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             pair = solutions.get((i, j))
             if pair is None:
                 continue
-            d = pair.as_dict()
-            res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], branches, p)
+            res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb, p)
             table.rows.append(FamilyRow(
                 r=p.r, m=p.m,
                 pinned={pin_names[0]: float(values1[i]), pin_names[1]: float(values2[j])},

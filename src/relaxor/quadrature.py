@@ -24,6 +24,7 @@ __all__ = ["sine_gauss"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 _HALF_PI = 0.5 * math.pi
+_SNAP_ULPS = 8  # in ulps of lo or hi
 
 # f(x, d_lo, d_hi) -> values; all three arguments are ndarrays, where
 # x = lo + d_lo = hi - d_hi are points strictly inside (lo, hi).
@@ -31,19 +32,27 @@ Integrand = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _angle(x: float, lo: float, hi: float) -> float:
-    # theta of x, from its offset to the nearer end and clamped to [lo, hi];
-    # asin((x - c) / h) would place an end 1.5e-8 inside -pi/2 or pi/2
+    # theta of x, from its offset to the nearer end; asin((x - c) / h) would
+    # place an end 1.5e-8 inside -pi/2 or pi/2.  An end beyond lo or hi, or
+    # within _SNAP_ULPS inside, lies on it: it is the same extremum computed
+    # from another point of the level, and its few ulps of offset would
+    # enter the integral through their square root.
     two_h = hi - lo
-    if x - lo <= hi - x:
-        return 2.0 * math.asin(math.sqrt(max(x - lo, 0.0) / two_h)) - _HALF_PI
-    return _HALF_PI - 2.0 * math.asin(math.sqrt(max(hi - x, 0.0) / two_h))
+    d_lo, d_hi = x - lo, hi - x
+    if d_lo <= d_hi:
+        if d_lo <= _SNAP_ULPS * math.ulp(lo):
+            return -_HALF_PI
+        return 2.0 * math.asin(math.sqrt(d_lo / two_h)) - _HALF_PI
+    if d_hi <= _SNAP_ULPS * math.ulp(hi):
+        return _HALF_PI
+    return _HALF_PI - 2.0 * math.asin(math.sqrt(d_hi / two_h))
 
 
 def sine_gauss(f: Integrand, lo: float, hi: float, a: float, b: float) -> float:
     """Integral of ``f`` from ``a`` to ``b``, both taken inside [lo, hi].
 
-    The result is signed: it is negative for a > b.  Ends beyond [lo, hi]
-    are clamped onto it.
+    The result is signed: it is negative for a > b.  Ends beyond [lo, hi],
+    or within 8 ulps inside it, are snapped onto the nearer end.
     """
     theta_a, theta_b = _angle(a, lo, hi), _angle(b, lo, hi)
     if theta_a == theta_b:

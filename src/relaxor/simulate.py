@@ -181,7 +181,7 @@ def continue_in_eps(s0, p: Params, schedule: list[tuple[float, float]] | None = 
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """Crossing of the trait through the jump threshold."""
+    """Crossing of the trait through q = 1/2."""
 
     time: float
     state: np.ndarray
@@ -191,15 +191,15 @@ class JumpEvent:
         return self.state[:3]
 
 
-def detect_jump_events(tr, threshold: float = 0.5) -> list[JumpEvent]:
-    """Locate threshold crossings of q, refined by linear interpolation.
+def detect_jump_events(tr) -> list[JumpEvent]:
+    """Locate crossings of q through 1/2, refined by linear interpolation.
 
     Accepts anything with ``times`` and ``states`` arrays (trajectories
     and sampled singular orbits alike).  An empty list is a valid result.
     """
     times = np.asarray(tr.times)
     q = np.asarray(tr.states)[:, 3]
-    delta = q - threshold
+    delta = q - 0.5
     events = []
     crossings = np.flatnonzero(delta[:-1] * delta[1:] < 0.0)
     for i in crossings:

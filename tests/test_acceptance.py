@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from relaxor import (
-    Anchor, Branch, BranchChoice, Params, SimConfig, State, SyncLabel, Orientation,
+    Anchor, Branch, Params, SimConfig, State, SyncLabel, Orientation,
     assemble_singular_orbit, characteristic_roots, classify_orientation,
     classify_synchronization, closeness_check, coexistence_equilibrium,
     continue_in_eps, detect_jump_events, effective_jump_pair,
@@ -96,8 +96,7 @@ def test_criterion_4_reference_jump_points(name):
         p = Params(r, m)
         pair = solve_jump_points({"p1A": a[0], "zA": a[2]},
                                  {"p2A": a[1], "zB": b[2]}, p)
-        res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb,
-                                 BranchChoice(), p)
+        res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb, p)
         assert max(abs(res[0]), abs(res[1])) < 1e-10
         got = pair.as_dict()
         quoted = dict(zip(("p1A", "p2A", "zA", "p1B", "p2B", "zB"), a + b))

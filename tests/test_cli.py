@@ -1,9 +1,12 @@
+import ast
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaxor
 from relaxor.cli import main
 
 
@@ -45,6 +48,17 @@ def test_construct_numerical_failure_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "fail"))
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_construct_solver_failure_reports_diagnostics(tmp_path, capsys):
+    # the hybrid seed does not converge at (r, m) = (0.8, 0.7); the message
+    # names the last iterate's residual and iteration count
+    code = run("construct", "--r", "0.8", "--m", "0.7", "--seed", "hybrid",
+               "--out", str(tmp_path / "fail"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "residual " in err and "iterations " in err
 
 
 def test_construct_refuses_overwrite_without_force(tmp_path, capsys):
@@ -222,3 +236,17 @@ def test_classify_trajectory_document(tmp_path, capsys):
                "--out", str(out)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["label"] == "PredatorPreyPrey"
+
+
+def test_only_the_cli_prints():
+    # the library reports through return values, exceptions and logging
+    package = Path(relaxor.__file__).parent
+    printing = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                printing.append(f"{path.name}:{node.lineno}")
+    assert printing == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxor import Branch, BranchDomainError, lambert_w
-from relaxor.lambertw import branch_of, w_plus_one
+from relaxor.lambertw import w_plus_one
 
 
 def bisect_w(x, lo, hi, iterations=200):
@@ -86,12 +86,6 @@ def test_domain_errors_carry_branch_and_argument():
     assert err.value.branch is Branch.LOWER
     with pytest.raises(BranchDomainError):
         w_plus_one(Branch.PRINCIPAL, float("nan"))
-
-
-def test_branch_of():
-    assert branch_of(-0.3) is Branch.PRINCIPAL
-    assert branch_of(-1.0) is Branch.PRINCIPAL
-    assert branch_of(-2.5) is Branch.LOWER
 
 
 def test_w_plus_one_matches_high_precision_oracle():

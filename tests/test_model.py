@@ -124,6 +124,17 @@ def test_vector_field_bitwise_equals_numpy_scalar_formula():
             assert np.array(fast(0.0, y)).tobytes() == np.array(reference(0.0, y)).tobytes()
 
 
+def test_slow_rhs_bitwise_equals_numpy_scalar_formula_on_slow_planes():
+    rng = np.random.default_rng(20261019)
+    slow = rng.uniform(0.0, 5.0, (1000, 3))
+    for p in (Params(0.5, 0.4), Params(0.8, 1.0)):
+        reference = numpy_scalar_field(p, 1.0)
+        for man, q in ((ManifoldTag.M0, 0.0), (ManifoldTag.M1, 1.0)):
+            for y3 in slow:
+                expected = np.array(reference(0.0, np.append(y3, q))[:3])
+                assert slow_rhs(y3, p, man).tobytes() == expected.tobytes()
+
+
 def test_full_rhs_accepts_state_list_and_tuple():
     p = Params(0.5, 0.4)
     values = (1.3, 0.7, 1.1, 0.6)

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from relaxor import (
-    Anchor, Branch, BranchChoice, DegenerateOrbitError, InadmissibleOrbitError,
+    Anchor, Branch, DegenerateOrbitError, InadmissibleOrbitError,
     InconsistentEndpointsError, InconsistentJumpPairError, JumpPair, ManifoldTag,
     NoSolutionError, OffOrbitError, Params, SingularOrbit, assemble_singular_orbit,
     ParameterDomainError, eliminate, existence_residual, extrema, lv_branch,
@@ -14,6 +14,7 @@ from relaxor import (
     UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
 from relaxor.model import h0, h1
+import relaxor.orbit as orbit_module
 from relaxor.orbit import _chart
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
 
@@ -249,14 +250,17 @@ def test_travel_time_cross_formula_consistency(reference_pairs, name):
 ])
 def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
     # the lower half of the level orbit, pmin -> pmax, against DOP853 run to
-    # the next crossing of the centre level z = sigma.  The route keeps the
-    # anchor's level: re-deriving the extrema from (pmin, sigma) would move
-    # pmax by an ulp, and the time to an end near an extremum changes like
-    # the square root of such a shift.
+    # the next crossing of the centre level z = sigma.  The private route
+    # keeps the anchor's level.  The public travel time re-derives the
+    # extrema from (pmin, sigma), which moves pmax by a few ulps, and must
+    # snap the end back onto the extremum: the time to an end near an
+    # extremum changes like the square root of such a shift.
     p = Params(0.5, 0.4)
     sigma = 1.0 if man is M1 else p.r
     pmin, pmax = extrema(man, Anchor(*anchor), p)
-    t_quad = _chart(man, p).route_time((pmin, sigma), (pmax, sigma), Anchor(*anchor))
+    t_route = _chart(man, p).route_time((pmin, sigma), (pmax, sigma), Anchor(*anchor))
+    travel_time = travel_time_M1 if man is M1 else travel_time_M0
+    t_public = travel_time((pmin, sigma), (pmax, sigma), p)
 
     def centre_level(t, y):
         return y[1] - sigma
@@ -266,7 +270,8 @@ def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
                     (0.0, 100.0), [pmin, sigma], method="DOP853",
                     rtol=1e-13, atol=1e-14, events=centre_level)
     t_ode = min(t for t in sol.t_events[0] if t > 1e-6)
-    assert t_quad == pytest.approx(t_ode, rel=1e-11)
+    assert t_route == pytest.approx(t_ode, rel=1e-11)
+    assert t_public == pytest.approx(t_ode, rel=1e-11)
 
 
 # ------------------------------------------------------- existence conditions
@@ -275,7 +280,7 @@ def test_existence_residual_small_at_consistent_reference_values():
     # the reference tuples are consistent with the conserved quantities;
     # their residuals sit inside the rounding budget
     for name, ((r, m), a, b) in REFERENCE_ORBITS.items():
-        res = existence_residual(a[0], a[1], a[2], b[2], BranchChoice(), Params(r, m))
+        res = existence_residual(a[0], a[1], a[2], b[2], Params(r, m))
         assert max(abs(res[0]), abs(res[1])) < 5e-2, name
 
 
@@ -288,8 +293,7 @@ def test_existence_residual_continuous_where_b_crosses_chart_centre(
     # B sits on a prey extremum at the centre level; the travel-time route
     # switches sides there, and the residual must not jump
     def residual(zb):
-        return np.array(existence_residual(p1a, p2a, za, zb, BranchChoice(),
-                                           params_default))
+        return np.array(existence_residual(p1a, p2a, za, zb, params_default))
 
     for delta in (1e-9, 1e-6):
         below, above = residual(z_center - delta), residual(z_center + delta)
@@ -303,17 +307,25 @@ def test_existence_residual_continuous_where_b_crosses_chart_centre(
 
 def test_existence_residual_vanishes_on_converged_pair(reference_pairs):
     for name, (p, pair) in reference_pairs.items():
-        res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb,
-                                 BranchChoice(), p)
+        res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb, p)
         assert max(abs(res[0]), abs(res[1])) < 1e-10, name
 
 
 # ---------------------------------------------------------------- the solver
 
-def test_solver_at_converged_point_returns_immediately(reference_pairs):
+def test_solver_at_converged_point_returns_immediately(reference_pairs, monkeypatch):
+    # a converged seed costs one residual evaluation and no Newton step
     p, pair = reference_pairs["hybrid"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return existence_residual(*args)
+
+    monkeypatch.setattr(orbit_module, "existence_residual", counted)
     again = solve_jump_points({"p1A": pair.p1a, "zA": pair.za},
-                              {"p2A": pair.p2a, "zB": pair.zb}, p, max_iter=2)
+                              {"p2A": pair.p2a, "zB": pair.zb}, p)
+    assert len(calls) == 1
     assert again.p2b == pytest.approx(pair.p2b, rel=1e-10)
 
 
@@ -372,8 +384,7 @@ def test_scan_rows_pass_residual_recheck(params_default):
     assert len(table) == 9
     for row in table.rows:
         d = row.jump.as_dict()
-        res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"],
-                                 BranchChoice(), params_default)
+        res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
         assert max(abs(res[0]), abs(res[1])) < 1e-10
         assert d["p1A"] > d["p2A"] and d["p1B"] < d["p2B"]
 
@@ -450,8 +461,7 @@ def test_balanced_orbit_solution(params_default):
     pair = solve_balanced_orbit(BALANCED_GUESS, params_default)
     g1, g0 = trait_pressure_balance(pair, params_default)
     assert abs(g1) < 1e-12 and abs(g0) < 1e-12
-    res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb,
-                             BranchChoice(), params_default)
+    res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb, params_default)
     assert max(abs(res[0]), abs(res[1])) < 1e-10
     assert pair.za == pair.zb  # pinned symmetric level
     assert pair.p1a == pytest.approx(1.21759144, abs=1e-6)

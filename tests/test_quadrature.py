@@ -46,6 +46,15 @@ def test_endpoint_beyond_interval_is_clamped():
     assert sine_gauss(f, lo, hi, lo, past_hi) == sine_gauss(f, lo, hi, lo, hi)
 
 
+def test_endpoint_within_eight_ulps_is_snapped():
+    # an end a few ulps inside is the same extremum computed elsewhere
+    lo, hi = 0.2, 3.7
+    assert _angle(hi - 8 * math.ulp(hi), lo, hi) == math.pi / 2.0
+    assert _angle(lo + 8 * math.ulp(lo), lo, hi) == -math.pi / 2.0
+    assert _angle(hi - 9 * math.ulp(hi), lo, hi) < math.pi / 2.0
+    assert _angle(lo + 9 * math.ulp(lo), lo, hi) > -math.pi / 2.0
+
+
 def test_offsets_are_consistent_with_coordinates():
     def f(x, dl, dh):
         assert np.all((dl > 0.0) & (dh > 0.0))
