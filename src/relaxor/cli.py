@@ -86,7 +86,11 @@ def _parse_state(text: str) -> State:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 4:
         raise InvalidInputError(f"state must be 'p1,p2,z,q', got {text!r}")
-    return State(*(float(v) for v in parts))
+    try:
+        values = [float(v) for v in parts]
+    except ValueError as err:
+        raise InvalidInputError(f"state must be 'p1,p2,z,q', got {text!r}") from err
+    return State(*values)
 
 
 def _parse_assignments(pairs, what: str) -> dict:
@@ -95,7 +99,10 @@ def _parse_assignments(pairs, what: str) -> dict:
         if "=" not in item:
             raise InvalidInputError(f"{what} expects name=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        try:
+            out[name.strip()] = float(value)
+        except ValueError as err:
+            raise InvalidInputError(f"{what} expects name=value, got {item!r}") from err
     return out
 
 
@@ -103,10 +110,13 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     try:
         name, rng = spec.split("=", 1)
         lo, hi, n = rng.split(":")
-        return name.strip(), np.linspace(float(lo), float(hi), int(n))
+        lo, hi, count = float(lo), float(hi), int(n)
     except ValueError as err:
         raise InvalidInputError(
             f"grid spec must read name=lo:hi:count, got {spec!r}") from err
+    if count < 1:
+        raise InvalidInputError(f"grid count must be at least 1, got {spec!r}")
+    return name.strip(), np.linspace(lo, hi, count)
 
 
 def _parse_schedule(text: str) -> list[tuple[float, float]]:
@@ -131,7 +141,12 @@ class _Manifest:
         self.force = force
         self.doc = {"runs": []}
         if self.path.exists():
-            self.doc = json.loads(self.path.read_text())
+            try:
+                self.doc = json.loads(self.path.read_text())
+            except ValueError as err:  # undecodable bytes or malformed JSON
+                raise InvalidInputError(f"corrupt manifest {self.path}: {err}") from err
+            if not isinstance(self.doc, dict) or not isinstance(self.doc.get("runs"), list):
+                raise InvalidInputError(f"corrupt manifest {self.path}: no run list")
         self.entry = None
 
     def start(self, command: str, parameters: dict) -> None:
@@ -251,8 +266,8 @@ def cmd_scan(args, config) -> int:
     csv_path = manifest.claim(outdir / "scan.family.csv")
     table.to_csv(csv_path)
     outputs = [str(json_path), str(csv_path)]
-    coords = {key: [row.jump.as_dict()[key] for row in table.rows]
-              for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
+    jumps = [row.jump.as_dict() for row in table.rows]
+    coords = {key: [d[key] for d in jumps] for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
     for xk, yk in _PROJECTIONS:
         path = manifest.claim(outdir / f"scan.{xk}_{yk}.svg")
         path.write_text(scatter_plot(coords[xk], coords[yk], xk, yk,
@@ -332,22 +347,26 @@ def cmd_classify(args, config) -> int:
         doc = json.loads(Path(args.input).read_text())
     except OSError as err:
         raise InvalidInputError(f"cannot read {args.input}: {err}") from err
-    kind = doc.get("kind")
-    align_tol = args.align_tol
-    if kind == "singular_orbit":
-        orbit = SingularOrbit.from_dict(doc)
-        params = orbit.params
-        ex = find_extrema(orbit, align_tol=align_tol)
-        sync = classify_synchronization(ex, orbit.jumps, params)
-    elif kind == "trajectory":
-        tr = Trajectory.from_dict(doc)
-        params = tr.params
-        events = detect_jump_events(tr)
-        ex = find_extrema(tr, events, align_tol=align_tol)
-        sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
-    else:
+    except ValueError as err:  # undecodable bytes or malformed JSON
+        raise InvalidInputError(f"{args.input} is not JSON: {err}") from err
+    readers = {"singular_orbit": SingularOrbit.from_dict, "trajectory": Trajectory.from_dict}
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in readers:
         raise InvalidInputError(
             f"{args.input}: expected a trajectory or singular_orbit JSON document")
+    try:
+        data = readers[kind](doc)
+    except KeyError as err:
+        raise InvalidInputError(f"{args.input}: {kind} document lacks {err}") from err
+    align_tol = args.align_tol
+    params = data.params
+    if kind == "singular_orbit":
+        ex = find_extrema(data, align_tol=align_tol)
+        sync = classify_synchronization(ex, data.jumps, params)
+    else:
+        events = detect_jump_events(data)
+        ex = find_extrema(data, events, align_tol=align_tol)
+        sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
 
     outdir, manifest = _prepare(args, "classify", {
         "input": str(args.input), "align_tol": align_tol})

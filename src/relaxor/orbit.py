@@ -22,7 +22,6 @@ under the sine map that cancels those singularities.
 from __future__ import annotations
 
 import csv
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
-from .quadrature import sine_gauss
+from .quadrature import _angle, sine_gauss
 
 __all__ = [
     "Anchor", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
@@ -53,16 +52,8 @@ _LEVEL_TOL = 1e-8        # conserved-level agreement required of segment endpoin
 _DEGENERATE_TOL = 1e-12  # branch-point offset below which the level orbit is a point
 _SOLVE_TOL = 1e-10       # sup norm of the travel-time residuals at convergence
 _MAX_ITER = 60           # Newton steps before the solver gives up
-
-
-class Side(enum.Enum):
-    """Half of a Lotka-Volterra level curve, split at the prey extrema."""
-
-    LOWER = "lower"  # z < center level; prey increases along the flow
-    UPPER = "upper"  # z > center level; prey decreases along the flow
-
-
-_SIDE_BRANCH = {Side.LOWER: Branch.PRINCIPAL, Side.UPPER: Branch.LOWER}
+_HALF_PI, _TWO_PI = 0.5 * math.pi, 2.0 * math.pi
+_HALF_BRANCH = (Branch.PRINCIPAL, Branch.LOWER)  # W0 on even halves, W-1 on odd ones
 
 
 @dataclass(frozen=True)
@@ -112,14 +103,14 @@ class _LvChart:
 
     # -- closed-form inversions ------------------------------------------------
 
-    def z_on_level(self, p, anchor: Anchor, side: Side):
+    def z_on_level(self, p, anchor: Anchor, branch: Branch):
         g = self.g_of(p, anchor)
         if np.any(np.asarray(g) > 1e-9):
             raise OffOrbitError(
                 f"p={p} lies outside the extremal range of the level orbit "
                 f"through ({anchor.p}, {anchor.z})")
         s = -np.expm1(np.minimum(g, 0.0))
-        return self.sigma * (1.0 - w_plus_one(_SIDE_BRANCH[side], s))
+        return self.sigma * (1.0 - w_plus_one(branch, s))
 
     def extrema(self, anchor: Anchor) -> tuple[float, float]:
         s = -math.expm1(min(self.g_conjugate(anchor, self.sigma), 0.0))
@@ -147,14 +138,14 @@ class _LvChart:
 
     # -- travel-time integrals ---------------------------------------------
 
-    def piece_time(self, pa: float, pb: float, side: Side,
+    def piece_time(self, pa: float, pb: float, branch: Branch,
                    ext: tuple[float, float]) -> float:
-        """Signed time integral along one side between prey values pa and pb.
+        """Signed time integral along one half between prey values pa and pb.
 
-        ``ext`` holds the extrema (pmin, pmax) of the level orbit.
+        ``branch`` selects the half (W0 lower, W-1 upper) and ``ext`` holds
+        the extrema (pmin, pmax) of the level orbit.
         """
         pmin, pmax = ext
-        branch = _SIDE_BRANCH[side]
         sigma, mu = self.sigma, self.mu
 
         def integrand(x, d_lo, d_hi):
@@ -165,51 +156,41 @@ class _LvChart:
 
         return sine_gauss(integrand, pmin, pmax, pa, pb)
 
-    # -- path construction ---------------------------------------------------
+    # -- route along the flow ------------------------------------------------
 
-    def side_of(self, p: float, z: float, pmin: float, pmax: float, role: str) -> Side:
-        if z > self.sigma * (1.0 + 1e-9):
-            return Side.UPPER
-        if z < self.sigma * (1.0 - 1e-9):
-            return Side.LOWER
-        # at an extremum: starts launch onto the next side, ends arrive
-        # from the previous one (the flow runs lower -> pmax -> upper -> pmin)
-        at_max = abs(p - pmax) < abs(p - pmin)
-        if role == "start":
-            return Side.UPPER if at_max else Side.LOWER
-        return Side.LOWER if at_max else Side.UPPER
+    def phase(self, point: tuple[float, float], ext: tuple[float, float]) -> float:
+        """Flow phase of ``point`` in [0, 2 pi]: p = c - h cos(phase).
 
-    def path_pieces(self, start: tuple[float, float], end: tuple[float, float],
-                    ext: tuple[float, float]) -> list[tuple[float, float, Side]]:
-        """First-arrival route from start to end along the flow direction."""
-        p_s, z_s = start
-        p_e, z_e = end
-        pmin, pmax = ext
-        side_s = self.side_of(p_s, z_s, pmin, pmax, "start")
-        side_e = self.side_of(p_e, z_e, pmin, pmax, "end")
-
-        def downstream(side: Side, a: float, b: float) -> bool:
-            slack = 1e-12 * max(abs(a), abs(b))
-            return b >= a - slack if side is Side.LOWER else b <= a + slack
-
-        if side_s is side_e and downstream(side_s, p_s, p_e):
-            return [(p_s, p_e, side_s)]
-        if side_s is Side.LOWER and side_e is Side.UPPER:
-            return [(p_s, pmax, Side.LOWER), (pmax, p_e, Side.UPPER)]
-        if side_s is Side.UPPER and side_e is Side.LOWER:
-            return [(p_s, pmin, Side.UPPER), (pmin, p_e, Side.LOWER)]
-        if side_s is Side.LOWER:  # same side, upstream: wrap once
-            return [(p_s, pmax, Side.LOWER), (pmax, pmin, Side.UPPER),
-                    (pmin, p_e, Side.LOWER)]
-        return [(p_s, pmin, Side.UPPER), (pmin, pmax, Side.LOWER),
-                (pmax, p_e, Side.UPPER)]
+        The phase is 0 at pmin and pi at pmax; the lower half (z < sigma)
+        runs over [0, pi] and the upper half over [pi, 2 pi], so an end at
+        an extremum has one phase whichever half it is filed under.
+        """
+        p, z = point
+        phi = _angle(p, *ext) + _HALF_PI
+        return phi if z < self.sigma else _TWO_PI - phi
 
     def route_time(self, start: tuple[float, float], end: tuple[float, float],
                    anchor: Anchor) -> float:
-        """Time along the first-arrival route on the level orbit through ``anchor``."""
+        """Time along the first-arrival route on the level orbit through ``anchor``.
+
+        The route runs from the start's phase a up to the first phase b of
+        the end; an end less than 1e-12 upstream of the start counts as
+        reached.  It is split at the extrema it passes, the multiples of pi,
+        into one piece per half [k pi, (k+1) pi], integrated with W0 for
+        even k and W-1 for odd k.
+        """
         ext = self.extrema(anchor)
-        return sum(self.piece_time(a, b, side, ext)
-                   for a, b, side in self.path_pieces(start, end, ext))
+        a = self.phase(start, ext) % _TWO_PI
+        b = a + (self.phase(end, ext) - a) % _TWO_PI
+        if b - a > _TWO_PI - 1e-12:
+            b -= _TWO_PI
+        half = math.floor(min(a, b) / math.pi)
+        time, pa = 0.0, start[0]
+        while (half + 1) * math.pi < b:  # the route passes the extremum ending this half
+            pb = ext[(half + 1) % 2]
+            time += self.piece_time(pa, pb, _HALF_BRANCH[half % 2], ext)
+            half, pa = half + 1, pb
+        return time + self.piece_time(pa, end[0], _HALF_BRANCH[half % 2], ext)
 
     def travel_time(self, start: tuple[float, float], end: tuple[float, float]) -> float:
         p_s, z_s = start
@@ -242,8 +223,7 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
     ``b`` selects the Lotka-Volterra branch: W-1 gives the upper half of
     the closed orbit through the anchor, W0 the lower half.
     """
-    side = Side.UPPER if b is Branch.LOWER else Side.LOWER
-    return _chart(man, p).z_on_level(prey, a, side)
+    return _chart(man, p).z_on_level(prey, a, b)
 
 
 def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
@@ -508,7 +488,7 @@ class FamilyTable:
     def _row_dict(self, row: FamilyRow) -> dict:
         out = {"r": row.r, "m": row.m}
         out.update({f"pin_{k}": row.pinned[k] for k in self.pin_names})
-        out.update({k: row.jump.as_dict()[k] for k in self._COORDS})
+        out.update(row.jump.as_dict())  # keyed in _COORDS order
         out["residual"] = row.residual
         return out
 

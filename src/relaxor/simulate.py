@@ -9,7 +9,7 @@ coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -148,8 +148,8 @@ def default_continuation_schedule() -> list[tuple[float, float]]:
     return schedule
 
 
-def continue_in_eps(s0, p: Params, schedule: list[tuple[float, float]] | None = None,
-                    base_config: SimConfig | None = None) -> list[Trajectory]:
+def continue_in_eps(s0, p: Params,
+                    schedule: list[tuple[float, float]] | None = None) -> list[Trajectory]:
     """Chain integrations along an increasing eps schedule.
 
     ``schedule`` is a list of (eps, duration) pairs with positive,
@@ -166,12 +166,8 @@ def continue_in_eps(s0, p: Params, schedule: list[tuple[float, float]] | None = 
     trajectories = []
     current = s0
     for index, (eps, duration) in enumerate(schedule):
-        if base_config is None:
-            cfg = SimConfig(eps=eps, t_end=duration)
-        else:
-            cfg = replace(base_config, eps=eps, t_end=duration)
         try:
-            tr = integrate(current, p, cfg)
+            tr = integrate(current, p, SimConfig(eps=eps, t_end=duration))
         except StiffnessError as err:
             raise StiffnessError(f"schedule entry {index} (eps={eps:g}): {err}") from err
         trajectories.append(tr)

@@ -65,10 +65,10 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return _TRAILING_ZEROS.sub("", text)[:-1]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5.0
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
@@ -169,33 +169,26 @@ def _document(body: str, width: float, height: float) -> str:
             f"{body}\n</svg>\n")
 
 
-def line_plot(series: list[Series], xlabel: str, ylabel: str, title: str = "",
-              width: float = 640.0, height: float = 420.0) -> str:
+def line_plot(series: list[Series], xlabel: str, ylabel: str, title: str = "") -> str:
     panel = _Panel(series=series, xlabel=xlabel, ylabel=ylabel, title=title)
-    body = _panel_svg(panel, 0.0, 0.0, width, height)
+    body = _panel_svg(panel, 0.0, 0.0, 640.0, 420.0)
     body += "\n" + _legend_svg(series, 64.0, 34.0)
-    return _document(body, width, height)
+    return _document(body, 640.0, 420.0)
 
 
-def scatter_plot(x, y, xlabel: str, ylabel: str, title: str = "",
-                 width: float = 460.0, height: float = 420.0) -> str:
+def scatter_plot(x, y, xlabel: str, ylabel: str, title: str = "") -> str:
     s = Series(np.asarray(x), np.asarray(y), label="", marker=True)
     panel = _Panel(series=[s], xlabel=xlabel, ylabel=ylabel, title=title)
-    return _document(_panel_svg(panel, 0.0, 0.0, width, height), width, height)
+    return _document(_panel_svg(panel, 0.0, 0.0, 460.0, 420.0), 460.0, 420.0)
 
 
 def time_series_svg(times, states, title: str = "") -> str:
     """Standard four-variable time-series figure."""
     times = np.asarray(times)
     states = np.asarray(states)
-    series = [Series(times, states[:, i], label, *_style(label))
+    series = [Series(times, states[:, i], label, *VARIABLE_STYLES[label])
               for i, label in enumerate(("p1", "p2", "z", "q"))]
     return line_plot(series, xlabel="t", ylabel="rescaled abundance", title=title)
-
-
-def _style(label: str):
-    color, style = VARIABLE_STYLES[label]
-    return color, style
 
 
 def dual_phase_plane_svg(orbit) -> str:

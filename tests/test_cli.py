@@ -213,6 +213,29 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,files", [
+    (["construct", "--pin", "p1A=abc", "--pin", "zA=1.35",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["simulate", "--state", "1,2,x,0.5"], {}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": "not json"}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": "[1, 2]"}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": '{"kind": "trajectory"}'}),
+    (["scan", "--pin1", "p1A=1.4:2.6:0"], {}),
+    (["construct", "--seed", "hybrid"], {"out/manifest.json": '{"runs": ['}),
+], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
+        "empty-grid", "corrupt-manifest"])
+def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
+    # bad input is reported as such, not as a numerical failure or a crash
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_svg_outputs_are_well_formed_and_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

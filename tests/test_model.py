@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from relaxor import (
-    ManifoldTag, Params, ParameterDomainError, SingularScalingError, State,
+    ManifoldTag, Params, ParameterDomainError, SimConfig, SingularScalingError, State,
     UnscaledParams, UnsupportedManifoldError, characteristic_roots,
     coexistence_equilibrium, conserved_quantity, fast_heteroclinic, full_rhs,
-    rescale, slow_rhs, vector_field,
+    integrate, rescale, slow_rhs, vector_field,
 )
 from relaxor.model import h0, h1
 
@@ -155,6 +155,43 @@ def test_invariant_planes(p1, p2, z, q):
         assert deriv[1] == 0.0
     if z == 0.0:
         assert deriv[2] == 0.0
+
+
+# ---------------------------------------------------------- first integral
+
+def _full_integral(y, p, eps):
+    """H_eps, conserved by the four equations for every eps > 0.
+
+    H_eps = (p1 - ln p1) + (p2 - ln p2) + (z - (1+r) ln z)/m
+            - eps (ln q + r ln(1-q)),
+    returned with its gradient; ``y`` holds states along its last axis.
+    """
+    p1, p2, z, q = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
+    r, m = p.r, p.m
+    value = ((p1 - np.log(p1)) + (p2 - np.log(p2)) + (z - (1.0 + r) * np.log(z)) / m
+             - eps * (np.log(q) + r * np.log1p(-q)))
+    grad = np.stack([1.0 - 1.0 / p1, 1.0 - 1.0 / p2, (1.0 - (1.0 + r) / z) / m,
+                     -eps * (1.0 / q - r / (1.0 - q))], axis=-1)
+    return value, grad
+
+
+def test_vector_field_is_tangent_to_the_full_integral():
+    rng = np.random.default_rng(5)
+    for q in [1e-12, 1.0 - 1e-12, *rng.uniform(0.0, 1.0, 200)]:
+        p = Params(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 2.0)))
+        eps = float(rng.choice([0.01, 0.025, 0.3, 1.0]))
+        y = np.array([*rng.uniform(0.05, 5.0, 3), q])
+        _, grad = _full_integral(y, p, eps)
+        terms = grad * np.array(vector_field(p, eps)(0.0, y))
+        assert abs(terms.sum()) <= 1e-12 * np.max(np.abs(terms))
+
+
+@pytest.mark.parametrize("eps", [0.025, 0.01])
+def test_full_integral_drift_along_integrate(eps):
+    p = Params(0.5, 0.4)
+    tr = integrate(State(1.18, 0.87, 1.5, 0.99), p, SimConfig(eps=eps, t_end=50.0))
+    value, _ = _full_integral(tr.states, p, eps)
+    assert np.max(np.abs(value - value[0])) < 1e-11
 
 
 # ---------------------------------------------------------------- slow flows

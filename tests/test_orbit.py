@@ -274,6 +274,60 @@ def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
     assert t_public == pytest.approx(t_ode, rel=1e-11)
 
 
+def _random_level(rng, p):
+    """A chart and a non-degenerate anchor on it, with the anchor's extrema."""
+    man = M1 if rng.random() < 0.5 else M0
+    chart = _chart(man, p)
+    while True:
+        a = Anchor(float(rng.uniform(0.1, 4.0)), float(chart.sigma * rng.uniform(0.3, 2.5)))
+        if abs(a.p - 1.0) > 0.05 or abs(a.z / chart.sigma - 1.0) > 0.05:
+            return chart, a, chart.extrema(a)
+
+
+def _level_point(chart, a, prey, branch):
+    return prey, float(chart.z_on_level(prey, a, branch))
+
+
+def test_route_there_and_back_takes_one_period():
+    rng = np.random.default_rng(11)
+    p = Params(0.5, 0.4)
+    for _ in range(500):
+        chart, a, (pmin, pmax) = _random_level(rng, p)
+        lo, hi = (pmin, chart.sigma), (pmax, chart.sigma)
+        period = chart.route_time(lo, hi, a) + chart.route_time(hi, lo, a)
+        s, e = (_level_point(chart, a, float(rng.uniform(pmin, pmax)),
+                             (Branch.PRINCIPAL, Branch.LOWER)[int(rng.integers(2))])
+                for _ in range(2))
+        there_and_back = chart.route_time(s, e, a) + chart.route_time(e, s, a)
+        assert there_and_back == pytest.approx(period, rel=1e-9)
+
+
+@pytest.mark.parametrize("man", [M1, M0])
+def test_route_from_extremum_to_itself_takes_no_time(man):
+    p = Params(0.5, 0.4)
+    chart = _chart(man, p)
+    a = Anchor(1.8, chart.sigma)
+    for prey in chart.extrema(a):
+        assert chart.route_time((prey, chart.sigma), (prey, chart.sigma), a) == 0.0
+
+
+def test_route_to_an_end_just_upstream_takes_no_time():
+    # an end a few ulps behind the start along the flow counts as reached,
+    # not as a full lap away
+    rng = np.random.default_rng(12)
+    p = Params(0.5, 0.4)
+    for _ in range(200):
+        chart, a, ext = _random_level(rng, p)
+        branch = (Branch.PRINCIPAL, Branch.LOWER)[int(rng.integers(2))]
+        prey = float(rng.uniform(*ext))
+        # prey grows along the lower half (W0) and shrinks along the upper one
+        upstream = -1.0 if branch is Branch.PRINCIPAL else 1.0
+        behind = prey + upstream * int(rng.integers(1, 41)) * np.spacing(prey)
+        t = chart.route_time(_level_point(chart, a, prey, branch),
+                             _level_point(chart, a, behind, branch), a)
+        assert abs(t) < 1e-12
+
+
 # ------------------------------------------------------- existence conditions
 
 def test_existence_residual_small_at_consistent_reference_values():
