@@ -44,7 +44,6 @@ SEEDS = {
 
 _DEFAULTS = {
     "r": 0.5, "m": 0.4, "eps": 0.025, "t_end": 50.0,
-    "rel_tol": 1e-10, "abs_tol": 1e-10,
     "state": "1.18,0.87,1.5,0.99", "seed": "hybrid",
     "schedule": "default",
 }
@@ -297,9 +296,9 @@ def cmd_simulate(args, config) -> int:
     cfg = SimConfig(
         eps=_resolve(args, config, "eps"),
         t_end=_resolve(args, config, "t_end"),
-        rel_tol=_resolve(args, config, "rel_tol"),
-        abs_tol=_resolve(args, config, "abs_tol"),
-        max_step=args.max_step,
+        rel_tol=_resolve(args, config, "rel_tol", default=SimConfig.rel_tol),
+        abs_tol=_resolve(args, config, "abs_tol", default=SimConfig.abs_tol),
+        max_step=_resolve(args, config, "max_step"),
         n_samples=int(_resolve(args, config, "samples", int, default=2000)),
     )
     outdir, manifest = _prepare(args, "simulate", {

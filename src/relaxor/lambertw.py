@@ -45,14 +45,13 @@ class Branch(enum.Enum):
         return "W0" if self is Branch.PRINCIPAL else "W-1"
 
 
-def _series_plus_one(branch: Branch, s: np.ndarray) -> np.ndarray:
+def _series_plus_one(lower, s: np.ndarray) -> np.ndarray:
     """Branch-point series for ``W(-(1-s)/e) + 1``, exact to ~1e-15 for s < 1e-4."""
     # W(-1/e + p^2/(2e)) + 1 = p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
-    # with p signed: positive for W0, negative for W-1.  Clipping keeps the
-    # values finite where the caller selects scipy's instead.
+    # with p signed: positive for W0, negative for W-1 (``lower``).  Clipping
+    # keeps the values finite where the caller selects scipy's instead.
     p = np.sqrt(2.0 * np.minimum(s, _SERIES_CUTOFF))
-    if branch is Branch.LOWER:
-        p = -p
+    p = np.where(lower, -p, p)
     return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
                 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0
                 + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0)))))))
@@ -96,13 +95,13 @@ def lambert_w(branch: Branch, x):
     if bad.any():
         raise BranchDomainError(branch, float(arr[bad].flat[0]), need)
     s = np.maximum(s, 0.0)
-    w = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch, s) - 1.0,
+    w = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch is Branch.LOWER, s) - 1.0,
                  special.lambertw(arr, branch.value).real)
     w = np.maximum(w, -1.0) if branch is Branch.PRINCIPAL else np.minimum(w, -1.0)
     return float(w[0]) if scalar else w
 
 
-def w_plus_one(branch: Branch, s):
+def w_plus_one(branch, s):
     """``W(-(1-s)/e) + 1`` for ``s >= 0``, accurate for tiny ``s``.
 
     ``s`` is the scaled offset of the W argument from the branch point
@@ -112,19 +111,23 @@ def w_plus_one(branch: Branch, s):
     analytically (conserved-level inversions near the orbit extrema) get
     full relative precision for the distance from the branch value -1.
 
-    Positive for the principal branch, negative for the lower branch.
+    ``branch`` is a ``Branch`` or an array of scipy branch indices
+    (0 for W0, -1 for W-1) broadcast against ``s``.  Positive on the
+    principal branch, negative on the lower branch.
     """
+    k = np.asarray(branch.value if isinstance(branch, Branch) else branch)
     s = np.maximum(np.asarray(s, dtype=float), 0.0)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
+    lower = k == Branch.LOWER.value
     # Negative s is clipped above, so only the far end of the domain can be
     # violated: x = (s - 1)/e must stay finite, and below 0 for W-1.
-    top = s.max()
-    if not top < (1.0 if branch is Branch.LOWER else math.inf):
-        raise BranchDomainError(branch, float((top - 1.0) / _E),
-                                f"{branch} requires s = e*x + 1 in its domain")
+    bad = ~(s < np.where(lower, 1.0, math.inf))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        b = Branch(int(np.broadcast_to(k, bad.shape).flat[first]))
+        x = (np.broadcast_to(s, bad.shape).flat[first] - 1.0) / _E
+        raise BranchDomainError(b, float(x), f"{b} requires s = e*x + 1 in its domain")
     # Above the cutoff, forming x and adding 1 back costs at most
     # ~1e-16/sqrt(2s) relative.
-    out = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch, s),
-                   special.lambertw((s - 1.0) / _E, branch.value).real + 1.0)
-    return float(out[0]) if scalar else out
+    out = np.where(s < _SERIES_CUTOFF, _series_plus_one(lower, s),
+                   special.lambertw((s - 1.0) / _E, k).real + 1.0)
+    return float(out) if out.ndim == 0 else out

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ParameterDomainError, SingularScalingError, UnsupportedManifoldError
 
@@ -33,8 +34,6 @@ __all__ = [
     "conserved_quantity", "h0", "h1",
     "coexistence_equilibrium", "characteristic_roots",
 ]
-
-_EXP_CLAMP = 700.0  # exp argument bound; the logistic saturates long before
 
 
 class ManifoldTag(enum.Enum):
@@ -243,10 +242,7 @@ def fast_heteroclinic(tau, p1: float, p2: float):
     Solves q' = q (1 - q) (p1 - p2) at frozen slow coordinates, gauged so
     that q(0) = 1/2.  Monotone in tau; for p1 != p2 the limits are 0 and 1.
     """
-    tau = np.asarray(tau, dtype=float)
-    x = np.clip((p1 - p2) * tau, -_EXP_CLAMP, _EXP_CLAMP)
-    ex = np.exp(x)
-    out = ex / (ex + 1.0)
+    out = special.expit((p1 - p2) * np.asarray(tau, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -15,8 +15,8 @@ around (1, r) on q = 0 -- are handled by one engine parameterized by the
 center level ``sigma`` of the predator.  Level curves are inverted in
 closed form with the Lambert W function; travel times are integrals with
 inverse-square-root singularities at the extremal prey values, evaluated
-piece by piece between the extrema with one fixed Gauss-Legendre rule
-under the sine map that cancels those singularities.
+in the flow phase of the level orbit with one fixed Gauss-Legendre rule
+per half orbit under the sine map that cancels those singularities.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
-from .quadrature import _angle, sine_gauss
+from .quadrature import phase, sine_gauss
 
 __all__ = [
     "Anchor", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
@@ -52,8 +52,8 @@ _LEVEL_TOL = 1e-8        # conserved-level agreement required of segment endpoin
 _DEGENERATE_TOL = 1e-12  # branch-point offset below which the level orbit is a point
 _SOLVE_TOL = 1e-10       # sup norm of the travel-time residuals at convergence
 _MAX_ITER = 60           # Newton steps before the solver gives up
-_HALF_PI, _TWO_PI = 0.5 * math.pi, 2.0 * math.pi
-_HALF_BRANCH = (Branch.PRINCIPAL, Branch.LOWER)  # W0 on even halves, W-1 on odd ones
+_TWO_PI = 2.0 * math.pi
+_EXTREMA_BRANCHES = np.array([Branch.PRINCIPAL.value, Branch.LOWER.value])  # pmin, pmax
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ class _LvChart:
             raise DegenerateOrbitError(
                 f"anchor ({anchor.p}, {anchor.z}) sits at the center of the "
                 "chart; the level orbit degenerates to a point")
-        pmin = 1.0 - w_plus_one(Branch.PRINCIPAL, s)
-        pmax = 1.0 - w_plus_one(Branch.LOWER, s)
+        pmin, pmax = 1.0 - w_plus_one(_EXTREMA_BRANCHES, s)
         return float(pmin), float(pmax)
 
     def conjugate_p(self, anchor: Anchor, z_target: float, branch: Branch) -> float:
@@ -136,61 +135,42 @@ class _LvChart:
                 f"level orbit through ({anchor.p}, {anchor.z})")
         return float(1.0 - w_plus_one(branch, s))
 
-    # -- travel-time integrals ---------------------------------------------
-
-    def piece_time(self, pa: float, pb: float, branch: Branch,
-                   ext: tuple[float, float]) -> float:
-        """Signed time integral along one half between prey values pa and pb.
-
-        ``branch`` selects the half (W0 lower, W-1 upper) and ``ext`` holds
-        the extrema (pmin, pmax) of the level orbit.
-        """
-        pmin, pmax = ext
-        sigma, mu = self.sigma, self.mu
-
-        def integrand(x, d_lo, d_hi):
-            # g vanishes at both extrema; take it from the nearer one
-            g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
-            s = -np.expm1(np.minimum(g, 0.0))
-            return 1.0 / (sigma * w_plus_one(branch, s) * x)
-
-        return sine_gauss(integrand, pmin, pmax, pa, pb)
-
-    # -- route along the flow ------------------------------------------------
-
-    def phase(self, point: tuple[float, float], ext: tuple[float, float]) -> float:
-        """Flow phase of ``point`` in [0, 2 pi]: p = c - h cos(phase).
-
-        The phase is 0 at pmin and pi at pmax; the lower half (z < sigma)
-        runs over [0, pi] and the upper half over [pi, 2 pi], so an end at
-        an extremum has one phase whichever half it is filed under.
-        """
-        p, z = point
-        phi = _angle(p, *ext) + _HALF_PI
-        return phi if z < self.sigma else _TWO_PI - phi
+    # -- travel time along the flow -------------------------------------------
 
     def route_time(self, start: tuple[float, float], end: tuple[float, float],
                    anchor: Anchor) -> float:
         """Time along the first-arrival route on the level orbit through ``anchor``.
 
-        The route runs from the start's phase a up to the first phase b of
-        the end; an end less than 1e-12 upstream of the start counts as
-        reached.  It is split at the extrema it passes, the multiples of pi,
-        into one piece per half [k pi, (k+1) pi], integrated with W0 for
-        even k and W-1 for odd k.
+        A point's flow phase phi in [0, 2 pi) grows along the flow, with
+        p = c - h cos(phi) over the extrema [pmin, pmax]: the lower half
+        (z < sigma, W0) runs over [0, pi] and the upper half (W-1) over
+        [pi, 2 pi], so an end at an extremum has one phase whichever half
+        it is filed under.  The route runs from the start's phase a up to
+        the first phase b of the end; an end less than 1e-12 upstream of
+        the start counts as reached.  The time is one integral of
+        dp / (sigma w p) over [a, b], with w = 1 - z/sigma taken on W0
+        where sin(phi) > 0 and on W-1 where sin(phi) < 0.
         """
-        ext = self.extrema(anchor)
-        a = self.phase(start, ext) % _TWO_PI
-        b = a + (self.phase(end, ext) - a) % _TWO_PI
+        pmin, pmax = self.extrema(anchor)
+        sigma, mu = self.sigma, self.mu
+
+        def flow_phase(point: tuple[float, float]) -> float:
+            p, z = point
+            phi = phase(p, pmin, pmax)
+            return phi if z < sigma else _TWO_PI - phi
+
+        a = flow_phase(start) % _TWO_PI
+        b = a + (flow_phase(end) - a) % _TWO_PI
         if b - a > _TWO_PI - 1e-12:
             b -= _TWO_PI
-        half = math.floor(min(a, b) / math.pi)
-        time, pa = 0.0, start[0]
-        while (half + 1) * math.pi < b:  # the route passes the extremum ending this half
-            pb = ext[(half + 1) % 2]
-            time += self.piece_time(pa, pb, _HALF_BRANCH[half % 2], ext)
-            half, pa = half + 1, pb
-        return time + self.piece_time(pa, end[0], _HALF_BRANCH[half % 2], ext)
+
+        def integrand(x, d_lo, d_hi, half):
+            # g vanishes at both extrema; take it from the nearer one
+            g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
+            s = -np.expm1(np.minimum(g, 0.0))
+            return 1.0 / (sigma * w_plus_one(-(half % 2), s) * x)
+
+        return sine_gauss(integrand, pmin, pmax, a, b)
 
     def travel_time(self, start: tuple[float, float], end: tuple[float, float]) -> float:
         p_s, z_s = start
@@ -577,6 +557,12 @@ class SingularOrbit:
     y_m1: np.ndarray  # (n, 3) slow coordinates on q = 1
     t_m0: np.ndarray
     y_m0: np.ndarray  # (n, 3) slow coordinates on q = 0
+
+    def __post_init__(self):
+        for t, y in ((self.t_m1, self.y_m1), (self.t_m0, self.y_m0)):
+            if np.ndim(t) != 1 or len(t) == 0 or np.shape(y) != (len(t), 3):
+                raise ParameterDomainError(
+                    "each slow segment needs (n, 3) states at its n >= 1 times")
 
     @property
     def period(self) -> float:

@@ -104,7 +104,10 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        cfg = SimConfig(**d["config"])
+        try:
+            cfg = SimConfig(**d["config"])
+        except TypeError as err:  # missing, unknown or non-numeric settings
+            raise ParameterDomainError(f"malformed trajectory config: {err}") from err
         return cls(times=np.asarray(d["times"]), states=np.asarray(d["states"]),
                    params=Params(d["r"], d["m"]), config=cfg)
 

@@ -144,6 +144,20 @@ def test_simulate_honours_samples(tmp_path, capsys):
     assert "sample" in capsys.readouterr().err
 
 
+def test_simulate_config_file_sets_max_step(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\nmax_step = 0.001\n")
+    out = tmp_path / "capped"
+    assert run("simulate", "--config", str(cfg), "--eps", "0.1",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"][0]["parameters"]["max_step"] == 0.001
+    doc = json.loads((out / "simulate.trajectory.json").read_text())
+    assert doc["config"]["max_step"] == 0.001
+    assert doc["config"]["t_end"] == 1.0
+
+
 def test_continue_single_entry(tmp_path, capsys):
     out = tmp_path / "cont"
     assert run("continue", "--r", "0.5", "--m", "0.4",
@@ -222,8 +236,17 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
     (["classify", "--input", "{tmp}/in.json"], {"in.json": '{"kind": "trajectory"}'}),
     (["scan", "--pin1", "p1A=1.4:2.6:0"], {}),
     (["construct", "--seed", "hybrid"], {"out/manifest.json": '{"runs": ['}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": json.dumps(
+        {"kind": "trajectory", "config": {}, "times": [], "states": [],
+         "r": 0.5, "m": 0.4})}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": json.dumps(
+        {"kind": "singular_orbit", "r": 0.5, "m": 0.4,
+         "jumps": {"p1A": 1.81, "p2A": 0.49, "zA": 1.35, "p1B": 0.6,
+                   "p2B": 1.9, "zB": 1.4, "T0": 1.1, "T1": 2.7},
+         "t_m1": [0.0, 2.7], "y_m1": [], "t_m0": [3.8], "y_m0": []})}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
-        "empty-grid", "corrupt-manifest"])
+        "empty-grid", "corrupt-manifest", "trajectory-empty-config",
+        "orbit-empty-segments"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():
@@ -273,3 +296,17 @@ def test_only_the_cli_prints():
                     and node.func.id == "print"):
                 printing.append(f"{path.name}:{node.lineno}")
     assert printing == []
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a module's underscore names are its own; a shared name is made public
+    package = Path(relaxor.__file__).parent
+    crossing = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "relaxor"):
+                crossing += [f"{path.name}:{node.lineno} {alias.name}"
+                             for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert crossing == []

@@ -88,6 +88,28 @@ def test_domain_errors_carry_branch_and_argument():
         w_plus_one(Branch.PRINCIPAL, float("nan"))
 
 
+def test_w_plus_one_on_mixed_branches_matches_single_branch_calls():
+    # s = 0, both sides of the 1e-4 switch to scipy, and s near 1 on W0
+    s = np.array([0.0, 1e-12, 9.999e-5, 1e-4, 1.0001e-4, 0.3, 0.999, 1.0, 1.5])
+    k = np.array([0, -1, 0, -1, -1, 0, -1, 0, 0])
+    mixed = w_plus_one(k, s)
+    for branch in Branch:
+        on = k == branch.value
+        assert np.array_equal(mixed[on], w_plus_one(branch, s[on]))
+    # one branch index broadcasts against many offsets, and one offset against both branches
+    assert np.array_equal(w_plus_one(np.array(-1), s[:7]), w_plus_one(Branch.LOWER, s[:7]))
+    assert w_plus_one(np.array([0, -1]), 0.25).tolist() == [
+        w_plus_one(Branch.PRINCIPAL, 0.25), w_plus_one(Branch.LOWER, 0.25)]
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, float("nan")])
+def test_w_plus_one_names_the_lower_branch_of_a_bad_mixed_element(bad):
+    with pytest.raises(BranchDomainError) as err:
+        w_plus_one(np.array([0, -1, 0]), np.array([2.0, bad, 0.5]))
+    assert err.value.branch is Branch.LOWER
+    assert "W-1" in str(err.value)
+
+
 def test_w_plus_one_matches_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50

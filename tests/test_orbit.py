@@ -13,6 +13,7 @@ from relaxor import (
     scan_family, solve_balanced_orbit, solve_jump_points, trait_pressure_balance,
     UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
+from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1
 import relaxor.orbit as orbit_module
 from relaxor.orbit import _chart
@@ -300,6 +301,30 @@ def test_route_there_and_back_takes_one_period():
                 for _ in range(2))
         there_and_back = chart.route_time(s, e, a) + chart.route_time(e, s, a)
         assert there_and_back == pytest.approx(period, rel=1e-9)
+
+
+def test_route_over_both_extrema_evaluates_lambert_w_once(monkeypatch):
+    # the extrema come from one call and the whole route from one more
+    p = Params(0.5, 0.4)
+    chart = _chart(M1, p)
+    a = Anchor(1.8, 1.0)
+    pmin, pmax = chart.extrema(a)
+    # from the lower half up to pmax, down the upper half to pmin and up again
+    start = _level_point(chart, a, 0.5 * (pmin + pmax) + 0.1, Branch.PRINCIPAL)
+    end = _level_point(chart, a, 0.5 * (pmin + pmax), Branch.PRINCIPAL)
+    expected = chart.route_time(start, end, a)
+    calls = []
+
+    def counted(branch, s):
+        calls.append(np.unique(branch).tolist())
+        return w_plus_one(branch, s)
+
+    monkeypatch.setattr(orbit_module, "w_plus_one", counted)
+    assert chart.extrema(a) == (pmin, pmax)
+    assert calls == [[-1, 0]]
+    calls.clear()
+    assert chart.route_time(start, end, a) == expected
+    assert calls == [[-1, 0], [-1, 0]]
 
 
 @pytest.mark.parametrize("man", [M1, M0])
