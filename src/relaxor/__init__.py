@@ -17,7 +17,7 @@ from .lambertw import Branch, lambert_w
 from .model import (
     UnscaledParams, Params, State, ManifoldTag, ScalingMap, rescale,
     vector_field, full_rhs, slow_rhs, fast_heteroclinic, conserved_quantity,
-    h0, h1, coexistence_equilibrium, characteristic_roots,
+    h0, h1, full_integral, coexistence_equilibrium, characteristic_roots,
 )
 from .orbit import (
     Anchor, JumpPair, SingularOrbit, FamilyRow, FamilyTable,

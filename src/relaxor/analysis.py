@@ -135,11 +135,18 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
     and five times eps for trajectories (jump sharpness scales with eps).
 
     Raises InsufficientDataError when the input does not cover at least
-    one full period (two jump events).
+    one full period (two jump events), or when a slow segment of a
+    singular orbit has fewer than the two samples its seam slopes need.
     """
     times = np.asarray(source.times, dtype=float)
     states = np.asarray(source.states, dtype=float)
     periodic = isinstance(source, SingularOrbit)
+    if periodic:
+        for segment, t in (("q = 1", source.t_m1), ("q = 0", source.t_m0)):
+            if len(t) < 2:
+                raise InsufficientDataError(
+                    f"the {segment} segment has {len(t)} sample; the slopes at "
+                    "the jump seams need at least two on each slow segment")
 
     explicit = jump_times is not None
     if not explicit:

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import (classify_synchronization, classification_report,
@@ -153,6 +154,8 @@ class _Manifest:
             "command": command,
             "parameters": parameters,
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": [],
         }
@@ -213,18 +216,21 @@ def cmd_construct(args, config) -> int:
     outdir, manifest = _prepare(args, "construct", {
         "r": r, "m": m, "seed": seed_name, "pin": pin, "guess": guess,
         "samples": samples})
-    if pin:
-        pair = solve_jump_points(pin, guess, params)
-    else:
-        pair = solve_balanced_orbit(guess, params)
-    orbit = assemble_singular_orbit(pair, params, samples_per_segment=samples)
+    with manifest.phase("solve"):
+        if pin:
+            pair = solve_jump_points(pin, guess, params)
+        else:
+            pair = solve_balanced_orbit(guess, params)
+    with manifest.phase("assemble"):
+        orbit = assemble_singular_orbit(pair, params, samples_per_segment=samples)
 
-    orbit_path = manifest.claim(outdir / "construct.orbit.json")
-    orbit.to_json(orbit_path)
-    svg_path = manifest.claim(outdir / "construct.phase.svg")
-    svg_path.write_text(dual_phase_plane_svg(orbit))
-    ts_path = manifest.claim(outdir / "construct.timeseries.svg")
-    ts_path.write_text(time_series_svg(orbit.times, orbit.states))
+    with manifest.phase("write"):
+        orbit_path = manifest.claim(outdir / "construct.orbit.json")
+        orbit.to_json(orbit_path)
+        svg_path = manifest.claim(outdir / "construct.phase.svg")
+        svg_path.write_text(dual_phase_plane_svg(orbit))
+        ts_path = manifest.claim(outdir / "construct.timeseries.svg")
+        ts_path.write_text(time_series_svg(orbit.times, orbit.states))
     manifest.finish()
     print(json.dumps({"jumps": pair.as_dict(), "period": pair.period,
                       "outputs": [str(orbit_path), str(svg_path), str(ts_path)]},
@@ -258,20 +264,23 @@ def cmd_scan(args, config) -> int:
         "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
         "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
         "guess": guess})
-    table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
+    with manifest.phase("scan"):
+        table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
 
-    json_path = manifest.claim(outdir / "scan.family.json")
-    table.to_json(json_path)
-    csv_path = manifest.claim(outdir / "scan.family.csv")
-    table.to_csv(csv_path)
-    outputs = [str(json_path), str(csv_path)]
-    jumps = [row.jump.as_dict() for row in table.rows]
-    coords = {key: [d[key] for d in jumps] for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
-    for xk, yk in _PROJECTIONS:
-        path = manifest.claim(outdir / f"scan.{xk}_{yk}.svg")
-        path.write_text(scatter_plot(coords[xk], coords[yk], xk, yk,
-                                     title=f"family projection ({xk}, {yk})"))
-        outputs.append(str(path))
+    with manifest.phase("write"):
+        json_path = manifest.claim(outdir / "scan.family.json")
+        table.to_json(json_path)
+        csv_path = manifest.claim(outdir / "scan.family.csv")
+        table.to_csv(csv_path)
+        outputs = [str(json_path), str(csv_path)]
+        jumps = [row.jump.as_dict() for row in table.rows]
+        coords = {key: [d[key] for d in jumps]
+                  for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
+        for xk, yk in _PROJECTIONS:
+            path = manifest.claim(outdir / f"scan.{xk}_{yk}.svg")
+            path.write_text(scatter_plot(coords[xk], coords[yk], xk, yk,
+                                         title=f"family projection ({xk}, {yk})"))
+            outputs.append(str(path))
     manifest.finish()
     print(json.dumps({"rows": len(table), "outputs": outputs}, indent=1))
     return 0
@@ -307,6 +316,7 @@ def cmd_simulate(args, config) -> int:
         "max_step": cfg.max_step, "state": state.to_array().tolist()})
     with manifest.phase("integrate"):
         tr = integrate(state, params, cfg)
+    manifest.entry["integral_drift"] = tr.integral_drift()
     with manifest.phase("write"):
         outputs = _write_trajectory(outdir, manifest, "simulate.trajectory", tr)
     manifest.finish()
@@ -326,6 +336,7 @@ def cmd_continue(args, config) -> int:
         "schedule": [[e, d] for e, d in schedule]})
     with manifest.phase("integrate"):
         trajectories = continue_in_eps(state, params, schedule)
+    manifest.entry["integral_drift"] = [tr.integral_drift() for tr in trajectories]
     outputs = []
     with manifest.phase("write"):
         for i, tr in enumerate(trajectories):
@@ -342,36 +353,40 @@ def cmd_continue(args, config) -> int:
 def cmd_classify(args, config) -> int:
     if args.input is None:
         raise InvalidInputError("classify requires --input FILE")
-    try:
-        doc = json.loads(Path(args.input).read_text())
-    except OSError as err:
-        raise InvalidInputError(f"cannot read {args.input}: {err}") from err
-    except ValueError as err:  # undecodable bytes or malformed JSON
-        raise InvalidInputError(f"{args.input} is not JSON: {err}") from err
-    readers = {"singular_orbit": SingularOrbit.from_dict, "trajectory": Trajectory.from_dict}
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in readers:
-        raise InvalidInputError(
-            f"{args.input}: expected a trajectory or singular_orbit JSON document")
-    try:
-        data = readers[kind](doc)
-    except KeyError as err:
-        raise InvalidInputError(f"{args.input}: {kind} document lacks {err}") from err
     align_tol = args.align_tol
-    params = data.params
-    if kind == "singular_orbit":
-        ex = find_extrema(data, align_tol=align_tol)
-        sync = classify_synchronization(ex, data.jumps, params)
-    else:
-        events = detect_jump_events(data)
-        ex = find_extrema(data, events, align_tol=align_tol)
-        sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
-
     outdir, manifest = _prepare(args, "classify", {
         "input": str(args.input), "align_tol": align_tol})
-    report = classification_report(sync, ex)
-    path = manifest.claim(outdir / "classify.report.json")
-    path.write_text(json.dumps(report, indent=1))
+    with manifest.phase("read"):
+        try:
+            doc = json.loads(Path(args.input).read_text())
+        except OSError as err:
+            raise InvalidInputError(f"cannot read {args.input}: {err}") from err
+        except ValueError as err:  # undecodable bytes or malformed JSON
+            raise InvalidInputError(f"{args.input} is not JSON: {err}") from err
+        readers = {"singular_orbit": SingularOrbit.from_dict,
+                   "trajectory": Trajectory.from_dict}
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind not in readers:
+            raise InvalidInputError(
+                f"{args.input}: expected a trajectory or singular_orbit JSON document")
+        try:
+            data = readers[kind](doc)
+        except KeyError as err:
+            raise InvalidInputError(f"{args.input}: {kind} document lacks {err}") from err
+    with manifest.phase("classify"):
+        params = data.params
+        if kind == "singular_orbit":
+            ex = find_extrema(data, align_tol=align_tol)
+            sync = classify_synchronization(ex, data.jumps, params)
+        else:
+            events = detect_jump_events(data)
+            ex = find_extrema(data, events, align_tol=align_tol)
+            sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
+        report = classification_report(sync, ex)
+
+    with manifest.phase("write"):
+        path = manifest.claim(outdir / "classify.report.json")
+        path.write_text(json.dumps(report, indent=1))
     manifest.finish()
     print(json.dumps({"label": sync.label.value,
                       "orientation": sync.orientation.value,

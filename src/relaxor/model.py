@@ -31,7 +31,7 @@ from .errors import ParameterDomainError, SingularScalingError, UnsupportedManif
 __all__ = [
     "UnscaledParams", "Params", "State", "ManifoldTag", "ScalingMap",
     "rescale", "vector_field", "full_rhs", "slow_rhs", "fast_heteroclinic",
-    "conserved_quantity", "h0", "h1",
+    "conserved_quantity", "h0", "h1", "full_integral",
     "coexistence_equilibrium", "characteristic_roots",
 ]
 
@@ -254,6 +254,25 @@ def h0(p2, z, p: Params):
 def h1(p1, z, p: Params):
     """First integral of the (p1, z) oscillation on M1."""
     return p.m * np.log(p1) - p.m * p1 + np.log(z) - z
+
+
+def full_integral(s, p: Params, eps: float):
+    """First integral H_eps of the full system, conserved for every eps > 0.
+
+        H_eps = (p1 - ln p1) + (p2 - ln p2) + (z - (1+r) ln z)/m
+                - eps (ln q + r ln(1 - q))
+
+    Along ``vector_field`` the z, p1, p2 and constant terms of dH/dt
+    cancel separately.  ``s`` is a State or an array with states along
+    its last axis; H_eps is infinite on the invariant planes q = 0, 1.
+    """
+    y = s.to_array() if isinstance(s, State) else np.asarray(s, dtype=float)
+    if y.shape[-1:] != (4,):
+        raise ParameterDomainError(f"expected states along a last axis of 4, got shape {y.shape}")
+    p1, p2, z, q = np.moveaxis(y, -1, 0)
+    r, m = p.r, p.m
+    return ((p1 - np.log(p1)) + (p2 - np.log(p2)) + (z - (1.0 + r) * np.log(z)) / m
+            - eps * (np.log(q) + r * np.log1p(-q)))
 
 
 def conserved_quantity(man: ManifoldTag, s3, p: Params) -> float:

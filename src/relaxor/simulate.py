@@ -9,14 +9,15 @@ coordinates.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 from scipy.spatial import cKDTree
 
 from .errors import ParameterDomainError, StiffnessError
-from .model import Params, State, vector_field
+from .model import Params, State, full_integral, vector_field
 from .orbit import SingularOrbit
 
 __all__ = [
@@ -76,6 +77,19 @@ class Trajectory:
         p1, p2, z, q = self.states[-1]
         return State(p1, p2, float(z), float(min(max(q, 0.0), 1.0)))
 
+    def integral_drift(self) -> float | None:
+        """Largest |H_eps(t) - H_eps(0)| over the samples.
+
+        A machine-independent gauge of the integration error.  None when a
+        sample lies on (or rounds onto) q = 0 or q = 1, where H_eps is
+        infinite.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = full_integral(self.states, self.params, self.config.eps)
+        if not np.all(np.isfinite(h)):
+            return None
+        return float(np.max(np.abs(h - h[0])))
+
     def to_csv(self, path) -> None:
         # one %-format over all rows; the same bytes as np.savetxt(fmt="%.17g")
         rows = np.column_stack([self.times, self.states])
@@ -117,25 +131,46 @@ class Trajectory:
             return cls.from_dict(json.load(fh))
 
 
+# the largest step budget the stepper takes (an int32): a run has no step limit
+_MAX_STEPS = np.iinfo(np.int32).max
+
+
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
-    Uses an explicit embedded Runge-Kutta pair of order 8(5,3); the fast
-    layer is one-dimensional and non-oscillatory, so no implicit solver
-    is needed down to the eps values of interest.
+    Uses Hairer's compiled DOP853, an explicit embedded Runge-Kutta pair
+    of order 8(5,3), which calls back into Python only for the right-hand
+    side; the fast layer is one-dimensional and non-oscillatory, so no
+    implicit solver is needed down to the eps values of interest.  Each
+    of the ``n_samples`` equally spaced times is reached by its own call,
+    so every sample is the end of a step, not an interpolated value.
+
+    The compiled stepper behind ``scipy.integrate.ode`` is not
+    re-entrant: a dop853 integration started inside the right-hand side
+    corrupts the outer one, and two threads must not integrate at once.
+    Separate calls in sequence, each with its own ``ode`` object, are safe.
     """
     y0 = s0.to_array() if isinstance(s0, State) else np.asarray(s0, dtype=float)
     State.from_array(y0)  # validates positivity and q-range
-    t_eval = np.linspace(0.0, c.t_end, c.n_samples)
-    sol = solve_ivp(vector_field(p, c.eps), (0.0, c.t_end), y0, method="DOP853",
-                    rtol=c.rel_tol, atol=c.abs_tol,
-                    max_step=c.resolved_max_step(), t_eval=t_eval)
-    if not sol.success:
-        raise StiffnessError(
-            f"integration stalled at t={sol.t[-1] if len(sol.t) else 0.0:g} "
-            f"(eps={c.eps:g}): {sol.message}; lower the eps floor or tighten "
-            "max_step")
-    return Trajectory(times=sol.t, states=sol.y.T, params=p, config=c)
+    times = np.linspace(0.0, c.t_end, c.n_samples)
+    states = np.empty((c.n_samples, 4))
+    states[0] = y0
+    stepper = ode(vector_field(p, c.eps)).set_integrator(
+        "dop853", rtol=c.rel_tol, atol=c.abs_tol, max_step=c.resolved_max_step(),
+        nsteps=_MAX_STEPS)
+    stepper.set_initial_value(y0, 0.0)
+    # the stepper reports a failed call through a UserWarning and its return code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        for k in range(1, c.n_samples):
+            states[k] = stepper.integrate(times[k])
+            if not stepper.successful():
+                reason = (caught[-1].message if caught
+                          else f"return code {stepper.get_return_code()}")
+                raise StiffnessError(
+                    f"integration stalled at t={stepper.t:g} (eps={c.eps:g}): "
+                    f"{reason}; lower the eps floor or tighten max_step")
+    return Trajectory(times=times, states=states, params=p, config=c)
 
 
 def default_continuation_schedule() -> list[tuple[float, float]]:

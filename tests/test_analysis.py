@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_insufficient_data_errors():
     source = SimpleNamespace(times=t, states=states)
     with pytest.raises(InsufficientDataError):
         find_extrema(source, jump_times=[(0.5, "up")], align_tol=0.01)
+
+
+@pytest.mark.parametrize("keep_m1,keep_m0,segment", [
+    (1, 1, "q = 1"), (1, 5, "q = 1"), (5, 1, "q = 0"), (2, 1, "q = 0")])
+def test_short_orbit_segment_is_insufficient_data(reference_orbits, keep_m1, keep_m0,
+                                                  segment):
+    # the seam slopes take two samples on each side of a jump
+    _, _, orbit = reference_orbits["hybrid"]
+    cut = dataclasses.replace(orbit, t_m1=orbit.t_m1[-keep_m1:], y_m1=orbit.y_m1[-keep_m1:],
+                              t_m0=orbit.t_m0[-keep_m0:], y_m0=orbit.y_m0[-keep_m0:])
+    with pytest.raises(InsufficientDataError, match=f"the {segment} segment has 1 sample"):
+        find_extrema(cut)
 
 
 def test_classify_predator_prey_prey(reference_orbits):

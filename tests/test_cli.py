@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import relaxor
 from relaxor.cli import main
@@ -122,6 +123,19 @@ def test_classify_round_trips_construct_labels(tmp_path, capsys, seed):
     assert report["classification"]["label"] == label
 
 
+def test_classify_orbit_with_one_sample_segment_exits_1(tmp_path, capsys):
+    # two samples per segment leave one on q = 0 after the seam sample is
+    # dropped; classify names that segment instead of crashing
+    out = tmp_path / "coarse"
+    assert run("construct", "--seed", "hybrid", "--samples", "2", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("classify", "--input", str(out / "construct.orbit.json"),
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the q = 0 segment has 1 sample")
+    assert "Traceback" not in err
+
+
 def test_simulate_equilibrium_flat_lines(tmp_path, capsys):
     out = tmp_path / "eq"
     assert run("simulate", "--r", "0.5", "--m", "0.4", "--eps", "0.1",
@@ -169,17 +183,38 @@ def test_continue_single_entry(tmp_path, capsys):
     assert (out / "continue.00.eps0.1.csv").exists()
 
 
-def test_simulate_and_continue_record_phase_timings(tmp_path):
-    for command, extra in (("simulate", ("--eps", "0.1", "--t-end", "2")),
-                           ("continue", ("--schedule", "0.1:1.0,0.2:1.0"))):
-        out = tmp_path / command
-        assert run(command, "--state", "1.18,0.87,1.5,0.99", *extra,
-                   "--out", str(out)) == 0
-        entry = json.loads((out / "manifest.json").read_text())["runs"][0]
-        assert sorted(entry["elapsed_s"]) == ["integrate", "write"]
+def test_every_command_records_versions_and_phase_timings(tmp_path, capsys):
+    out = tmp_path / "runs"
+    argvs = {
+        "construct": ("construct", "--seed", "hybrid", "--samples", "50"),
+        "classify": ("classify", "--input", str(out / "construct.orbit.json")),
+        "scan": ("scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
+                 "--guess", "p2A=0.49", "--guess", "zB=1.4"),
+        "simulate": ("simulate", "--eps", "0.1", "--t-end", "2"),
+        "continue": ("continue", "--schedule", "0.1:1.0,0.2:1.0"),
+    }
+    phases = {"construct": ["assemble", "solve", "write"],
+              "classify": ["classify", "read", "write"],
+              "scan": ["scan", "write"],
+              "simulate": ["integrate", "write"],
+              "continue": ["integrate", "write"]}
+    for argv in argvs.values():
+        assert run(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    entries = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [e["command"] for e in entries] == list(argvs)
+    for entry in entries:
+        assert entry["numpy_version"] == np.__version__
+        assert entry["scipy_version"] == scipy.__version__
+        assert sorted(entry["elapsed_s"]) == phases[entry["command"]]
         for v in entry["elapsed_s"].values():
             assert v >= 0.0
             assert round(v * 1e7) % 10 == 5  # microsecond midpoint: fixed printed width
+    drift = {e["command"]: e.get("integral_drift") for e in entries}
+    assert isinstance(drift["simulate"], float) and 0.0 <= drift["simulate"] < 1e-10
+    assert len(drift["continue"]) == 2
+    assert all(isinstance(d, float) and 0.0 <= d < 1e-10 for d in drift["continue"])
+    assert drift["construct"] is None and drift["scan"] is None
 
 
 def test_scan_single_point(tmp_path, capsys):

@@ -7,8 +7,8 @@ from scipy.integrate import solve_ivp
 from relaxor import (
     ManifoldTag, Params, ParameterDomainError, SimConfig, SingularScalingError, State,
     UnscaledParams, UnsupportedManifoldError, characteristic_roots,
-    coexistence_equilibrium, conserved_quantity, fast_heteroclinic, full_rhs,
-    integrate, rescale, slow_rhs, vector_field,
+    coexistence_equilibrium, conserved_quantity, fast_heteroclinic, full_integral,
+    full_rhs, integrate, rescale, slow_rhs, vector_field,
 )
 from relaxor.model import h0, h1
 
@@ -159,20 +159,36 @@ def test_invariant_planes(p1, p2, z, q):
 
 # ---------------------------------------------------------- first integral
 
-def _full_integral(y, p, eps):
-    """H_eps, conserved by the four equations for every eps > 0.
-
-    H_eps = (p1 - ln p1) + (p2 - ln p2) + (z - (1+r) ln z)/m
-            - eps (ln q + r ln(1-q)),
-    returned with its gradient; ``y`` holds states along its last axis.
-    """
+def _full_integral_gradient(y, p, eps):
+    """Gradient of H_eps written out by hand; ``y`` holds states along its last axis."""
     p1, p2, z, q = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
     r, m = p.r, p.m
-    value = ((p1 - np.log(p1)) + (p2 - np.log(p2)) + (z - (1.0 + r) * np.log(z)) / m
-             - eps * (np.log(q) + r * np.log1p(-q)))
-    grad = np.stack([1.0 - 1.0 / p1, 1.0 - 1.0 / p2, (1.0 - (1.0 + r) / z) / m,
+    return np.stack([1.0 - 1.0 / p1, 1.0 - 1.0 / p2, (1.0 - (1.0 + r) / z) / m,
                      -eps * (1.0 / q - r / (1.0 - q))], axis=-1)
-    return value, grad
+
+
+def test_full_integral_gradient_matches_central_differences():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = Params(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 2.0)))
+        eps = float(rng.choice([0.01, 0.3, 1.0]))
+        y = np.array([*rng.uniform(0.2, 4.0, 3), rng.uniform(0.05, 0.95)])
+        step = 1e-6 * np.eye(4)
+        central = [(full_integral(y + e, p, eps) - full_integral(y - e, p, eps)) / 2e-6
+                   for e in step]
+        assert np.allclose(central, _full_integral_gradient(y, p, eps), rtol=1e-6, atol=1e-8)
+
+
+def test_full_integral_takes_a_state_or_stacked_states():
+    p, eps = Params(0.5, 0.4), 0.1
+    s = State(1.2, 0.9, 1.4, 0.3)
+    rows = np.array([s.to_array(), [0.8, 1.1, 1.6, 0.7]])
+    values = full_integral(rows, p, eps)
+    assert values.shape == (2,)
+    assert full_integral(s, p, eps) == values[0]
+    assert full_integral(rows[1], p, eps) == values[1]
+    with pytest.raises(ParameterDomainError):
+        full_integral(np.ones(3), p, eps)
 
 
 def test_vector_field_is_tangent_to_the_full_integral():
@@ -181,7 +197,7 @@ def test_vector_field_is_tangent_to_the_full_integral():
         p = Params(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 2.0)))
         eps = float(rng.choice([0.01, 0.025, 0.3, 1.0]))
         y = np.array([*rng.uniform(0.05, 5.0, 3), q])
-        _, grad = _full_integral(y, p, eps)
+        grad = _full_integral_gradient(y, p, eps)
         terms = grad * np.array(vector_field(p, eps)(0.0, y))
         assert abs(terms.sum()) <= 1e-12 * np.max(np.abs(terms))
 
@@ -190,8 +206,16 @@ def test_vector_field_is_tangent_to_the_full_integral():
 def test_full_integral_drift_along_integrate(eps):
     p = Params(0.5, 0.4)
     tr = integrate(State(1.18, 0.87, 1.5, 0.99), p, SimConfig(eps=eps, t_end=50.0))
-    value, _ = _full_integral(tr.states, p, eps)
+    value = full_integral(tr.states, p, eps)
     assert np.max(np.abs(value - value[0])) < 1e-11
+    assert tr.integral_drift() == np.max(np.abs(value - value[0]))
+
+
+def test_integral_drift_is_none_on_an_invariant_trait_plane():
+    # H_eps is infinite at q = 1, so no drift can be measured there
+    p = Params(0.5, 0.4)
+    tr = integrate(State(1.2, 0.9, 1.4, 1.0), p, SimConfig(eps=0.1, t_end=1.0, n_samples=10))
+    assert tr.integral_drift() is None
 
 
 # ---------------------------------------------------------------- slow flows

@@ -1,15 +1,18 @@
 import json
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 import relaxor.simulate
 from relaxor import (
-    Params, ParameterDomainError, SimConfig, State, Trajectory,
+    Params, ParameterDomainError, SimConfig, State, StiffnessError, Trajectory,
     closeness_check, coexistence_equilibrium, continue_in_eps,
     default_continuation_schedule, detect_jump_events, full_rhs, integrate,
+    vector_field,
 )
 
 from conftest import numpy_scalar_field
@@ -149,23 +152,107 @@ def test_to_json_bytes_equal_json_dump(tmp_path, params_default, reference_orbit
 
 
 def test_integrate_matches_numpy_scalar_field_bitwise(monkeypatch, params_default):
-    solutions = []
-
-    def recording_solve_ivp(*args, **kwargs):
-        solutions.append(solve_ivp(*args, **kwargs))
-        return solutions[-1]
-
-    monkeypatch.setattr(relaxor.simulate, "solve_ivp", recording_solve_ivp)
+    # the compiled stepper takes the same steps and returns the same bits
+    # whether the four equations are evaluated on Python floats or numpy scalars
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.1, t_end=20.0)
+    runs = []
+    for field in (vector_field, numpy_scalar_field):
+        calls = []
+
+        def counted_field(p, eps, field=field, calls=calls):
+            rhs = field(p, eps)
+
+            def counted(t, y):
+                calls.append(t)
+                return rhs(t, y)
+
+            return counted
+
+        monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
+        runs.append((integrate(s0, params_default, cfg), calls))
+    (tr, calls), (reference, reference_calls) = runs
+    assert len(calls) == len(reference_calls) > 0
+    assert tr.states.tobytes() == reference.states.tobytes()
+    assert tr.times.tobytes() == reference.times.tobytes()
+
+
+def test_samples_are_the_linspace_grid_from_the_start_state(params_default):
+    s0 = State(1.18, 0.87, 1.50, 0.99)
+    cfg = SimConfig(eps=0.05, t_end=7.0, n_samples=301)
     tr = integrate(s0, params_default, cfg)
-    reference = solve_ivp(numpy_scalar_field(params_default, cfg.eps), (0.0, cfg.t_end),
-                          s0.to_array(), method="DOP853", rtol=cfg.rel_tol,
-                          atol=cfg.abs_tol, max_step=cfg.resolved_max_step(),
-                          t_eval=np.linspace(0.0, cfg.t_end, cfg.n_samples))
-    assert solutions[0].nfev == reference.nfev
-    assert tr.states.tobytes() == np.ascontiguousarray(reference.y.T).tobytes()
-    assert tr.times.tobytes() == reference.t.tobytes()
+    assert tr.times.tobytes() == np.linspace(0.0, 7.0, 301).tobytes()
+    assert tr.states[0].tobytes() == s0.to_array().tobytes()
+
+
+def test_two_samples_take_the_whole_run_in_one_call(params_default):
+    # 4,000 capped steps between the two samples; the stepper's budget
+    # must not end the run
+    s0 = State(1.18, 0.87, 1.50, 0.99)
+    two = integrate(s0, params_default, SimConfig(eps=0.025, t_end=50.0, n_samples=2))
+    full = integrate(s0, params_default, SimConfig(eps=0.025, t_end=50.0))
+    assert two.times.tolist() == [0.0, 50.0]
+    assert np.max(np.abs(two.states[-1] - full.states[-1])) < 1e-9
+
+
+def test_stepper_failure_raises_stiffness_error_and_no_warning(params_default):
+    # at eps = 1e-300 no step passes the error test; a warning that escaped
+    # integrate would be raised here in place of the StiffnessError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError, match=r"t=0 \(eps=1e-300\): dop853: "):
+            integrate(State(1.18, 0.87, 1.5, 0.5), params_default,
+                      SimConfig(eps=1e-300, t_end=1.0))
+
+
+def _logit_reference(y0, p, eps, times):
+    """Slow coordinates at ``times`` from DOP853 in (ln p1, ln p2, ln z, logit q).
+
+    rtol 1e-13, atol 1e-14, steps capped at eps/20.  Each call of the
+    compiled stepper runs to the next point of a grid of spacing at most
+    eps/20: the stepper keeps its clock as t += h, and over many steps in
+    one call the rounding of that sum shifts the phase by about 1e-11 at
+    t = 50.  Agrees with the same system under ``solve_ivp`` to 1.4e-13
+    at eps = 0.025.
+    """
+    r, m = p.r, p.m
+
+    def rhs(t, w):
+        p1, p2, z = (math.exp(v) for v in w[:3].tolist())
+        q = 0.5 + 0.5 * math.tanh(0.5 * w[3])
+        return (1.0 - q * z, r - (1.0 - q) * z,
+                (q * p1 + (1.0 - q) * p2 - 1.0) * m, (p1 - p2) / eps)
+
+    sub = math.ceil((times[1] - times[0]) / (eps / 20.0))
+    grid = np.linspace(times[0], times[-1], (len(times) - 1) * sub + 1)
+    stepper = ode(rhs).set_integrator("dop853", rtol=1e-13, atol=1e-14,
+                                      max_step=eps / 20.0, nsteps=10**6)
+    stepper.set_initial_value([*np.log(y0[:3]), math.log(y0[3] / (1.0 - y0[3]))])
+    out = [y0[:3]]
+    for k in range(1, len(grid)):
+        w = stepper.integrate(grid[k])
+        assert stepper.successful()
+        if k % sub == 0:
+            out.append(np.exp(w[:3]))
+    return np.array(out)
+
+
+# twice the slow-coordinate error against this reference of the solve_ivp
+# stepper that integrate used before (3.70e-12 and 2.69e-11)
+ORACLE_BOUNDS = {0.025: 7.39e-12, 0.01: 5.37e-11}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("eps", sorted(ORACLE_BOUNDS))
+def test_integrate_matches_tight_logit_reference(params_default, eps):
+    s0 = State(1.18, 0.87, 1.5, 0.99)
+    cfg = SimConfig(eps=eps, t_end=50.0)
+    tr = integrate(s0, params_default, cfg)
+    reference = _logit_reference(s0.to_array(), params_default, eps, tr.times)
+    error = np.max(np.abs(tr.states[:, :3] - reference))
+    assert error <= ORACLE_BOUNDS[eps]
+    assert error < cfg.rel_tol
+    assert tr.integral_drift() < 1e-12
 
 
 def test_single_entry_schedule_equals_plain_integrate(params_default):
