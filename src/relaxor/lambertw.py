@@ -115,19 +115,24 @@ def w_plus_one(branch, s):
     (0 for W0, -1 for W-1) broadcast against ``s``.  Positive on the
     principal branch, negative on the lower branch.
     """
-    k = np.asarray(branch.value if isinstance(branch, Branch) else branch)
+    k = branch.value if isinstance(branch, Branch) else np.asarray(branch)
     s = np.maximum(np.asarray(s, dtype=float), 0.0)
-    lower = k == Branch.LOWER.value
     # Negative s is clipped above, so only the far end of the domain can be
-    # violated: x = (s - 1)/e must stay finite, and below 0 for W-1.
-    bad = ~(s < np.where(lower, 1.0, math.inf))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        b = Branch(int(np.broadcast_to(k, bad.shape).flat[first]))
-        x = (np.broadcast_to(s, bad.shape).flat[first] - 1.0) / _E
-        raise BranchDomainError(b, float(x), f"{b} requires s = e*x + 1 in its domain")
+    # violated: x = (s - 1)/e must stay finite, and below 0 for W-1.  Offsets
+    # below 1 (and no NaN) are in the domain of both branches.
+    if not s.max(initial=0.0) < 1.0:
+        bad = ~(s < np.where(k == Branch.LOWER.value, 1.0, math.inf))
+        if bad.any():
+            first = np.flatnonzero(bad)[0]
+            b = Branch(int(np.broadcast_to(k, bad.shape).flat[first]))
+            x = (np.broadcast_to(s, bad.shape).flat[first] - 1.0) / _E
+            raise BranchDomainError(b, float(x), f"{b} requires s = e*x + 1 in its domain")
     # Above the cutoff, forming x and adding 1 back costs at most
-    # ~1e-16/sqrt(2s) relative.
-    out = np.where(s < _SERIES_CUTOFF, _series_plus_one(lower, s),
-                   special.lambertw((s - 1.0) / _E, k).real + 1.0)
-    return float(out) if out.ndim == 0 else out
+    # ~1e-16/sqrt(2s) relative.  The series is paid for only when some
+    # element needs it; elementwise arithmetic keeps every value bitwise
+    # that of a call on the element alone.
+    out = special.lambertw((s - 1.0) / _E, k).real + 1.0
+    near = s < _SERIES_CUTOFF
+    if near.any():
+        out = np.where(near, _series_plus_one(k == Branch.LOWER.value, s), out)
+    return float(out) if np.ndim(out) == 0 else out

@@ -30,9 +30,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    DegenerateOrbitError, InadmissibleOrbitError, InconsistentEndpointsError,
-    InconsistentJumpPairError, NoSolutionError, NonConvergenceError,
-    OffOrbitError, ParameterDomainError, UnsupportedManifoldError,
+    BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
+    InconsistentEndpointsError, InconsistentJumpPairError, NoSolutionError,
+    NonConvergenceError, OffOrbitError, ParameterDomainError,
+    UnsupportedManifoldError,
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
@@ -52,6 +53,7 @@ _LEVEL_TOL = 1e-8        # conserved-level agreement required of segment endpoin
 _DEGENERATE_TOL = 1e-12  # branch-point offset below which the level orbit is a point
 _SOLVE_TOL = 1e-10       # sup norm of the travel-time residuals at convergence
 _MAX_ITER = 60           # Newton steps before the solver gives up
+_MAX_TRIALS = 8          # damped trial steps per Newton step (lambda >= 2**-7)
 _TWO_PI = 2.0 * math.pi
 _EXTREMA_BRANCHES = np.array([Branch.PRINCIPAL.value, Branch.LOWER.value])  # pmin, pmax
 
@@ -119,6 +121,10 @@ class _LvChart:
                 f"anchor ({anchor.p}, {anchor.z}) sits at the center of the "
                 "chart; the level orbit degenerates to a point")
         pmin, pmax = 1.0 - w_plus_one(_EXTREMA_BRANCHES, s)
+        if pmin <= 0.0:
+            raise NoSolutionError(
+                f"the prey minimum of the level orbit through ({anchor.p}, "
+                f"{anchor.z}) underflows to 0")
         return float(pmin), float(pmax)
 
     def conjugate_p(self, anchor: Anchor, z_target: float, branch: Branch) -> float:
@@ -278,6 +284,9 @@ class JumpPair:
     zb: float
     t0: float
     t1: float
+    # sup norm of the travel-time residuals at which solve_jump_points
+    # accepted the pair; NaN for a pair built any other way
+    residual: float = field(default=math.nan, init=False, repr=False, compare=False)
 
     @property
     def period(self) -> float:
@@ -326,11 +335,18 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
 
     ``pinned`` fixes two of {p1A, p2A, zA, zB}; ``guess`` seeds the other
     two.  A damped Newton iteration with a forward-difference Jacobian
-    drives the travel-time residuals below 1e-10 (sup norm) within 60 steps.
+    drives the travel-time residuals below 1e-10 (sup norm) within 60 steps;
+    the returned pair carries that sup norm as ``residual``.  Each step
+    backtracks over at most 8 step lengths (down to 2**-7 of the Newton
+    step): near a fold of the eliminations the iteration creeps, and it
+    gives up there instead of paying for ever shorter steps.  An iterate
+    outside the domain of the eliminations, the level orbits or the Lambert
+    W branches counts as a failed trial step.
 
     Raises NonConvergenceError with the last iterate's diagnostics if the
     iteration fails; InadmissibleOrbitError if it converges to a point
-    violating the jump directions.
+    violating the jump directions; ParameterDomainError for a nonpositive
+    pin.
     """
     pinned_names = tuple(pinned)
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pinned_names)
@@ -349,7 +365,7 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
             return None
         try:
             return np.array(existence_residual(*unknowns(x), p))
-        except (NoSolutionError, OffOrbitError, DegenerateOrbitError):
+        except (NoSolutionError, OffOrbitError, DegenerateOrbitError, BranchDomainError):
             return None
 
     x = np.array([guess[n] for n in free_names], dtype=float)
@@ -362,6 +378,7 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
         if norm < _SOLVE_TOL:
             pair = _pair_from_unknowns(*unknowns(x), p)
             pair.check(p)
+            object.__setattr__(pair, "residual", float(norm))
             return pair
 
         jac = np.empty((2, 2))
@@ -385,7 +402,7 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
                                       iterations=iteration, x=x) from None
 
         lam = 1.0
-        for _ in range(20):
+        for _ in range(_MAX_TRIALS):
             x_new = x + lam * delta
             r_new = residual(x_new)
             if r_new is not None and np.max(np.abs(r_new)) < norm * (1.0 - 1e-4 * lam):
@@ -530,11 +547,10 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             pair = solutions.get((i, j))
             if pair is None:
                 continue
-            res = existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb, p)
             table.rows.append(FamilyRow(
                 r=p.r, m=p.m,
                 pinned={pin_names[0]: float(values1[i]), pin_names[1]: float(values2[j])},
-                jump=pair, residual=float(np.max(np.abs(res)))))
+                jump=pair, residual=pair.residual))
     return table
 
 

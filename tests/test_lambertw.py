@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relaxor import Branch, BranchDomainError, lambert_w
 from relaxor.lambertw import w_plus_one
+import relaxor.lambertw as lambertw_module
 
 
 def bisect_w(x, lo, hi, iterations=200):
@@ -100,6 +101,33 @@ def test_w_plus_one_on_mixed_branches_matches_single_branch_calls():
     assert np.array_equal(w_plus_one(np.array(-1), s[:7]), w_plus_one(Branch.LOWER, s[:7]))
     assert w_plus_one(np.array([0, -1]), 0.25).tolist() == [
         w_plus_one(Branch.PRINCIPAL, 0.25), w_plus_one(Branch.LOWER, 0.25)]
+
+
+def test_w_plus_one_mixed_call_equals_scalar_calls_bitwise():
+    # elements on both sides of the 1e-4 series cutoff, on both branches
+    s = np.array([0.0, 3e-13, 2e-9, 5e-5, 9.999e-5, 1e-4, 2e-4, 0.01, 0.4, 0.97])
+    k = np.array([-1, 0, -1, 0, -1, 0, -1, 0, -1, 0])
+    mixed = w_plus_one(k, s)
+    for got, index, offset in zip(mixed, k, s):
+        assert got == w_plus_one(Branch(int(index)), float(offset))
+
+
+def test_w_plus_one_skips_the_series_at_and_above_the_cutoff(monkeypatch):
+    calls = []
+    series = lambertw_module._series_plus_one
+
+    def counted(lower, s):
+        calls.append(np.size(s))
+        return series(lower, s)
+
+    monkeypatch.setattr(lambertw_module, "_series_plus_one", counted)
+    w_plus_one(Branch.PRINCIPAL, 1e-4)
+    w_plus_one(Branch.LOWER, 0.5)
+    w_plus_one(np.array([0, -1]), np.array([1e-4, 0.3]))
+    w_plus_one(np.array([[0], [-1]]), np.geomspace(1e-4, 0.99, 64))
+    assert calls == []
+    w_plus_one(np.array([0, -1]), np.array([9.999e-5, 0.3]))
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("bad", [1.0, 1.5, float("nan")])

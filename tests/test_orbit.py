@@ -6,12 +6,12 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from relaxor import (
-    Anchor, Branch, DegenerateOrbitError, InadmissibleOrbitError,
+    Anchor, Branch, BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
     InconsistentEndpointsError, InconsistentJumpPairError, JumpPair, ManifoldTag,
-    NoSolutionError, OffOrbitError, Params, SingularOrbit, assemble_singular_orbit,
-    ParameterDomainError, eliminate, existence_residual, extrema, lv_branch,
-    scan_family, solve_balanced_orbit, solve_jump_points, trait_pressure_balance,
-    UnsupportedManifoldError, travel_time_M0, travel_time_M1,
+    NoSolutionError, NonConvergenceError, OffOrbitError, Params, SingularOrbit,
+    assemble_singular_orbit, ParameterDomainError, eliminate, existence_residual,
+    extrema, lv_branch, scan_family, solve_balanced_orbit, solve_jump_points,
+    trait_pressure_balance, UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
 from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1
@@ -433,6 +433,47 @@ def test_solver_validates_pinning():
         solve_jump_points({"p1A": 1.8}, {"p2A": 0.5, "zB": 1.4, "zA": 1.3}, p)
 
 
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Arguments of every existence_residual call made through the orbit module."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return existence_residual(*args)
+
+    monkeypatch.setattr(orbit_module, "existence_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p2a,miss", [
+    (1e-16, NoSolutionError),    # the prey minimum of the level through A underflows to 0
+    (3e-17, BranchDomainError),  # the W-1 extremum of that level is out of reach
+])
+def test_solver_counts_a_domain_miss_as_a_miss(p2a, miss):
+    p = Params(0.5, 0.4)
+    with pytest.raises(miss):
+        existence_residual(1.85, p2a, 1.47, 1.4, p)
+    with pytest.raises(NonConvergenceError, match="outside the solvable domain"):
+        solve_jump_points({"p1A": 1.85, "zA": 1.47}, {"p2A": p2a, "zB": 1.4}, p)
+    # a nonpositive pin is still bad input
+    with pytest.raises(ParameterDomainError):
+        solve_jump_points({"p1A": -1.85, "zA": 1.47}, {"p2A": p2a, "zB": 1.4}, p)
+
+
+def test_solver_gives_up_at_the_fold_within_its_line_search_budget(residual_calls):
+    # from the hybrid guess the iteration creeps toward the fold of the W-1
+    # elimination; bounded backtracking stops it after a few Newton steps
+    with pytest.raises(NonConvergenceError, match="line search stalled") as err:
+        solve_jump_points({"p1A": 1.55, "zA": 1.33}, {"p2A": 0.49, "zB": 1.40},
+                          Params(0.5, 0.4))
+    assert len(residual_calls) <= 45
+    assert err.value.residual > 1e-10 and err.value.iterations >= 1
+    assert len(err.value.x) == 2
+    for item in ("residual ", "iterations ", "x ["):
+        assert item in str(err.value)
+
+
 def test_jump_pair_check_and_serialization(reference_pairs):
     p, pair = reference_pairs["hybrid"]
     pair.check(p)
@@ -466,6 +507,21 @@ def test_scan_rows_pass_residual_recheck(params_default):
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
         assert max(abs(res[0]), abs(res[1])) < 1e-10
         assert d["p1A"] > d["p2A"] and d["p1B"] < d["p2B"]
+
+
+def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
+    # a machine-independent work guard: the 4x4 grid of the scan benchmark,
+    # with its 4 give-ups, in at most 220 residual evaluations
+    table = scan_family(params_default,
+                        (np.linspace(1.55, 2.45, 4), np.linspace(1.19, 1.61, 4)),
+                        {"p2A": 0.49, "zB": 1.40})
+    assert len(table) == 12
+    assert len(residual_calls) <= 220
+    # the residual column is the one the solver converged on
+    for row in table.rows:
+        d = row.jump.as_dict()
+        res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
+        assert row.residual == float(np.max(np.abs(res)))
 
 
 def test_scan_raises_on_nonpositive_pin(params_default):
