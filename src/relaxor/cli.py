@@ -317,6 +317,8 @@ def cmd_simulate(args, config) -> int:
     with manifest.phase("integrate"):
         tr = integrate(state, params, cfg)
     manifest.entry["integral_drift"] = tr.integral_drift()
+    manifest.entry["steps"] = tr.steps
+    manifest.entry["rhs_evals"] = tr.rhs_evals
     with manifest.phase("write"):
         outputs = _write_trajectory(outdir, manifest, "simulate.trajectory", tr)
     manifest.finish()
@@ -337,6 +339,8 @@ def cmd_continue(args, config) -> int:
     with manifest.phase("integrate"):
         trajectories = continue_in_eps(state, params, schedule)
     manifest.entry["integral_drift"] = [tr.integral_drift() for tr in trajectories]
+    manifest.entry["steps"] = [tr.steps for tr in trajectories]
+    manifest.entry["rhs_evals"] = [tr.rhs_evals for tr in trajectories]
     outputs = []
     with manifest.phase("write"):
         for i, tr in enumerate(trajectories):

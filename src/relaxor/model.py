@@ -190,15 +190,17 @@ def vector_field(p: Params, eps: float):
     """The full system as ``f(t, y) -> (p1', p2', z', q')`` in slow time.
 
     This is the one definition of the four equations; ``full_rhs`` checks
-    its arguments and evaluates it, and ``solve_ivp`` calls it unchecked.
-    ``y`` is a float ndarray of shape (4,).  It is unpacked to Python
-    floats, whose arithmetic is the same IEEE arithmetic as on numpy
-    scalars but runs at about half the cost per call.
+    its arguments and evaluates it, and the integrators call it unchecked.
+    ``y`` is a float ndarray of shape (4,) or (4, n).  A (4,) state is
+    unpacked to Python floats, whose arithmetic is the same IEEE
+    arithmetic as on numpy scalars but runs at about half the cost per
+    call; a (4, n) array of n states gives four length-n arrays, bitwise
+    equal to n stacked (4,) calls.
     """
     r, m = p.r, p.m
 
     def rhs(t, y):
-        p1, p2, z, q = y.tolist()
+        p1, p2, z, q = y.tolist() if y.ndim == 1 else y
         return ((1.0 - q * z) * p1,
                 (r - (1.0 - q) * z) * p2,
                 (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,

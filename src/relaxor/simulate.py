@@ -8,12 +8,13 @@ coordinates.
 
 from __future__ import annotations
 
+import array
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
+from scipy.integrate import DOP853, ode, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 from scipy.spatial import cKDTree
 
 from .errors import ParameterDomainError, StiffnessError
@@ -64,6 +65,9 @@ class Trajectory:
     states: np.ndarray  # (n, 4): p1, p2, z, q
     params: Params
     config: SimConfig
+    # the stepper's accepted steps and right-hand-side calls; None when read from a file
+    steps: int | None = None
+    rhs_evals: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -141,9 +145,15 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     Uses Hairer's compiled DOP853, an explicit embedded Runge-Kutta pair
     of order 8(5,3), which calls back into Python only for the right-hand
     side; the fast layer is one-dimensional and non-oscillatory, so no
-    implicit solver is needed down to the eps values of interest.  Each
-    of the ``n_samples`` equally spaced times is reached by its own call,
-    so every sample is the end of a step, not an interpolated value.
+    implicit solver is needed down to the eps values of interest.  One
+    call steps from 0 to ``t_end`` and records the point (t, y) of every
+    accepted step.  The ``n_samples`` equally spaced times are then taken
+    together: each sample starts from the last step point at or before
+    its time and takes one 12-stage step of the stepper's own 8th-order
+    tableau up to it, with ``vector_field`` evaluated on the (4, n) array
+    of all samples at once.  A sample on a step point, such as t = 0 or
+    ``t_end``, is that step point.  The trajectory carries the number of
+    accepted steps and of right-hand-side calls the stepper made.
 
     The compiled stepper behind ``scipy.integrate.ode`` is not
     re-entrant: a dop853 integration started inside the right-hand side
@@ -152,25 +162,51 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """
     y0 = s0.to_array() if isinstance(s0, State) else np.asarray(s0, dtype=float)
     State.from_array(y0)  # validates positivity and q-range
-    times = np.linspace(0.0, c.t_end, c.n_samples)
-    states = np.empty((c.n_samples, 4))
-    states[0] = y0
-    stepper = ode(vector_field(p, c.eps)).set_integrator(
+    field = vector_field(p, c.eps)
+    record = array.array("d")  # t, p1, p2, z, q of every accepted step
+
+    def keep(t, y):
+        record.append(t)
+        record.extend(y)
+
+    stepper = ode(field).set_integrator(
         "dop853", rtol=c.rel_tol, atol=c.abs_tol, max_step=c.resolved_max_step(),
         nsteps=_MAX_STEPS)
+    stepper.set_solout(keep)
     stepper.set_initial_value(y0, 0.0)
-    # the stepper reports a failed call through a UserWarning and its return code
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        for k in range(1, c.n_samples):
-            states[k] = stepper.integrate(times[k])
-            if not stepper.successful():
-                reason = (caught[-1].message if caught
-                          else f"return code {stepper.get_return_code()}")
-                raise StiffnessError(
-                    f"integration stalled at t={stepper.t:g} (eps={c.eps:g}): "
-                    f"{reason}; lower the eps floor or tighten max_step")
-    return Trajectory(times=times, states=states, params=p, config=c)
+    try:
+        # the stepper reports a failed call through a UserWarning and its return code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            stepper.integrate(c.t_end)
+        if not stepper.successful():
+            reason = (caught[-1].message if caught
+                      else f"return code {stepper.get_return_code()}")
+            raise StiffnessError(
+                f"integration stalled at t={stepper.t:g} (eps={c.eps:g}): "
+                f"{reason}; lower the eps floor or tighten max_step")
+        points = np.array(record).reshape(-1, 5)
+    finally:
+        # the dop853 integrator sits in a reference cycle that keeps ``keep``,
+        # and with it the step record, alive until the next full collection
+        del record[:]
+    times = np.linspace(0.0, c.t_end, c.n_samples)
+    states = _sample(field, points[:, 0], points[:, 1:], times)
+    # Hairer's IWORK(17): the number of right-hand-side calls
+    rhs_evals = int(stepper._integrator.iwork[16])
+    return Trajectory(times=times, states=states, params=p, config=c,
+                      steps=len(points) - 1, rhs_evals=rhs_evals)
+
+
+def _sample(field, step_t, step_y, times):
+    """States at ``times``, each one partial DOP853 step from the last step point at or before."""
+    i = np.searchsorted(step_t, times, side="right") - 1
+    t, y = step_t[i], step_y[i].T
+    h = times - t
+    k = np.empty((len(DOP853.B), *y.shape))
+    for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)):
+        k[s] = field(t + c * h, y + h * np.tensordot(a[:s], k[:s], axes=1))
+    return (y + h * np.tensordot(DOP853.B, k, axes=1)).T
 
 
 def default_continuation_schedule() -> list[tuple[float, float]]:

@@ -217,6 +217,38 @@ def test_every_command_records_versions_and_phase_timings(tmp_path, capsys):
     assert drift["construct"] is None and drift["scan"] is None
 
 
+def test_manifest_records_solver_statistics_of_each_run(tmp_path, capsys, monkeypatch):
+    # right-hand-side calls counted by a wrapper on the field each run steps with
+    runs = []
+
+    def counted_field(p, eps):
+        rhs = relaxor.model.vector_field(p, eps)
+        calls = []
+        runs.append(calls)
+
+        def counted(t, y):
+            if y.ndim == 1:
+                calls.append(t)
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
+    out = tmp_path / "runs"
+    assert run("simulate", "--eps", "0.1", "--t-end", "2", "--out", str(out)) == 0
+    assert run("continue", "--schedule", "0.1:1.0,0.2:1.0", "--out", str(out)) == 0
+    capsys.readouterr()
+    simulate, cont = json.loads((out / "manifest.json").read_text())["runs"]
+    assert simulate["rhs_evals"] == len(runs[0]) > 0
+    assert cont["rhs_evals"] == [len(runs[1]), len(runs[2])]
+    direct = relaxor.integrate(relaxor.State(1.18, 0.87, 1.5, 0.99), relaxor.Params(0.5, 0.4),
+                               relaxor.SimConfig(eps=0.1, t_end=2.0))
+    assert simulate["steps"] == direct.steps and direct.rhs_evals == len(runs[3])
+    for steps, rhs_evals in zip([simulate["steps"], *cont["steps"]],
+                                [simulate["rhs_evals"], *cont["rhs_evals"]]):
+        assert isinstance(steps, int) and 12 * steps + 2 <= rhs_evals
+
+
 def test_scan_single_point(tmp_path, capsys):
     out = tmp_path / "scan"
     assert run("scan", "--r", "0.5", "--m", "0.4",

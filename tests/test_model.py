@@ -124,6 +124,20 @@ def test_vector_field_bitwise_equals_numpy_scalar_formula():
             assert np.array(fast(0.0, y)).tobytes() == np.array(reference(0.0, y)).tobytes()
 
 
+def test_vector_field_on_many_states_bitwise_equals_stacked_single_calls():
+    # the (4, n) form that samples a trajectory in one pass
+    rng = np.random.default_rng(20261020)
+    states = np.column_stack([rng.uniform(0.0, 5.0, (1000, 3)), rng.uniform(0.0, 1.0, 1000)])
+    states[:100, 3] = 0.0
+    states[100:200, 3] = 1.0
+    for p, eps in ((Params(0.5, 0.4), 0.025), (Params(0.8, 1.0), 0.3)):
+        field = vector_field(p, eps)
+        many = np.array(field(0.0, states.T))
+        assert many.shape == (4, len(states))
+        stacked = np.array([field(0.0, y) for y in states]).T
+        assert many.tobytes() == stacked.tobytes()
+
+
 def test_slow_rhs_bitwise_equals_numpy_scalar_formula_on_slow_planes():
     rng = np.random.default_rng(20261019)
     slow = rng.uniform(0.0, 5.0, (1000, 3))

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -151,30 +153,75 @@ def test_to_json_bytes_equal_json_dump(tmp_path, params_default, reference_orbit
         assert (tmp_path / f"{i}.json").read_bytes() == (tmp_path / f"{i}.ref.json").read_bytes()
 
 
-def test_integrate_matches_numpy_scalar_field_bitwise(monkeypatch, params_default):
-    # the compiled stepper takes the same steps and returns the same bits
-    # whether the four equations are evaluated on Python floats or numpy scalars
+def _count_field_calls(monkeypatch, field):
+    """Route ``integrate`` through ``field``; returns the ndim of each call's state."""
+    ndims = []
+
+    def counted_field(p, eps):
+        rhs = field(p, eps)
+
+        def counted(t, y):
+            ndims.append(y.ndim)
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
+    return ndims
+
+
+def test_integrate_steps_and_samples_bitwise_with_the_numpy_scalar_field(monkeypatch,
+                                                                          params_default):
+    # the compiled stepper takes the same steps, and the sampler's one pass
+    # over the (4, n) array returns the same bits, whether the four equations
+    # are evaluated on Python floats or on numpy scalars and arrays
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.1, t_end=20.0)
     runs = []
     for field in (vector_field, numpy_scalar_field):
-        calls = []
-
-        def counted_field(p, eps, field=field, calls=calls):
-            rhs = field(p, eps)
-
-            def counted(t, y):
-                calls.append(t)
-                return rhs(t, y)
-
-            return counted
-
-        monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
-        runs.append((integrate(s0, params_default, cfg), calls))
-    (tr, calls), (reference, reference_calls) = runs
-    assert len(calls) == len(reference_calls) > 0
+        ndims = _count_field_calls(monkeypatch, field)
+        runs.append((integrate(s0, params_default, cfg), ndims))
+    (tr, ndims), (reference, reference_ndims) = runs
+    assert ndims == reference_ndims
+    assert ndims.count(1) == tr.rhs_evals > 0
+    assert ndims.count(2) == 12  # one per stage of the sampling step
     assert tr.states.tobytes() == reference.states.tobytes()
     assert tr.times.tobytes() == reference.times.tobytes()
+
+
+def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_default):
+    # a machine-independent work guard: one run steps from 0 to t_end, so
+    # at eps = 0.5 the 2,000 samples no longer end a step each (27,986
+    # right-hand-side calls when they did; 3,070 in 219 accepted steps now)
+    ndims = _count_field_calls(monkeypatch, vector_field)
+    tr = integrate(State(1.18, 0.87, 1.50, 0.99), params_default,
+                   SimConfig(eps=0.5, t_end=30.0))
+    assert ndims.count(1) == tr.rhs_evals <= 3100
+    assert ndims.count(2) == 12
+    # 12 calls per accepted step, 11 per rejected one, 2 for the first step size
+    assert 12 * tr.steps + 2 <= tr.rhs_evals
+
+
+def test_integrate_keeps_no_step_record_alive(params_default):
+    # the dop853 integrator sits in a reference cycle with the step recorder;
+    # with the collector off, a step record left filled would stay alive
+    # (2,000 steps of 40 bytes per run here), a cleared one leaves a few kB
+    s0 = State(1.18, 0.87, 1.50, 0.99)
+    cfg = SimConfig(eps=0.01, t_end=10.0)
+    integrate(s0, params_default, cfg)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        integrate(s0, params_default, cfg)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            integrate(s0, params_default, cfg)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown / 4 < 20_000
 
 
 def test_samples_are_the_linspace_grid_from_the_start_state(params_default):
@@ -253,6 +300,24 @@ def test_integrate_matches_tight_logit_reference(params_default, eps):
     assert error <= ORACLE_BOUNDS[eps]
     assert error < cfg.rel_tol
     assert tr.integral_drift() < 1e-12
+
+
+# eps values whose cap eps/2 exceeds the 0.025 sample spacing, so samples
+# fall inside steps: twice the error of the one-run stepper with its
+# partial-step samples (3.71e-10 and 1.63e-8).  When every sample ended a
+# step of at most 0.025 the errors were 5.98e-13 and 7.31e-14; the longer
+# steps the tolerance allows now set the error, which falls with rel_tol
+# (2.8e-10 at eps 0.5 with rel_tol 1e-12).
+INSIDE_STEP_BOUNDS = {0.1: 7.42e-10, 0.5: 3.26e-8}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("eps", sorted(INSIDE_STEP_BOUNDS))
+def test_samples_inside_steps_match_tight_logit_reference(params_default, eps):
+    s0 = State(1.18, 0.87, 1.5, 0.99)
+    tr = integrate(s0, params_default, SimConfig(eps=eps, t_end=50.0))
+    reference = _logit_reference(s0.to_array(), params_default, eps, tr.times)
+    assert np.max(np.abs(tr.states[:, :3] - reference)) <= INSIDE_STEP_BOUNDS[eps]
 
 
 def test_single_entry_schedule_equals_plain_integrate(params_default):
