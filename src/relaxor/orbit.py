@@ -22,7 +22,6 @@ per half orbit under the sine map that cancels those singularities.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -191,8 +190,6 @@ class _LvChart:
         return self.route_time(start, end, Anchor(p_s, z_s))
 
 
-# a chart holds only (sigma, mu); the bound keeps a sweep over (r, m) from growing it
-@functools.lru_cache(maxsize=16)
 def _chart(man: ManifoldTag, p: Params) -> _LvChart:
     if man is ManifoldTag.M1:
         return _LvChart(sigma=1.0, m=p.m)

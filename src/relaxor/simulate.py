@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import array
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -138,6 +139,9 @@ class Trajectory:
 # the largest step budget the stepper takes (an int32): a run has no step limit
 _MAX_STEPS = np.iinfo(np.int32).max
 
+# samples taken per sampling pass; bounds its stage array at 1.5 MB
+_SAMPLE_BLOCK = 4096
+
 
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
@@ -146,14 +150,21 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     of order 8(5,3), which calls back into Python only for the right-hand
     side; the fast layer is one-dimensional and non-oscillatory, so no
     implicit solver is needed down to the eps values of interest.  One
-    call steps from 0 to ``t_end`` and records the point (t, y) of every
-    accepted step.  The ``n_samples`` equally spaced times are then taken
-    together: each sample starts from the last step point at or before
-    its time and takes one 12-stage step of the stepper's own 8th-order
-    tableau up to it, with ``vector_field`` evaluated on the (4, n) array
-    of all samples at once.  A sample on a step point, such as t = 0 or
-    ``t_end``, is that step point.  The trajectory carries the number of
-    accepted steps and of right-hand-side calls the stepper made.
+    call steps from 0 to ``t_end``.  The ``n_samples`` equally spaced
+    times are then taken together: each sample starts from the last
+    accepted step point at or before its time and takes one 12-stage step
+    of the stepper's own 8th-order tableau up to it, with ``vector_field``
+    evaluated on the (4, n) array of many samples at once.  A sample on a
+    step point, such as t = 0 or ``t_end``, is that step point.  Only the
+    step points some sample starts from are kept, so memory grows with
+    ``n_samples``, not with the number of steps.  The trajectory carries
+    the number of accepted steps and of right-hand-side calls the stepper
+    made.
+
+    The samples are not step ends, so they carry the stepper's global
+    error at ``rel_tol``.  Where eps/2 is longer than the sample spacing
+    that error is far above ``rel_tol``: 3.7e-10 at eps = 0.1 and 1.6e-8
+    at eps = 0.5 from the default state over t = 50.
 
     The compiled stepper behind ``scipy.integrate.ode`` is not
     re-entrant: a dop853 integration started inside the right-hand side
@@ -163,11 +174,19 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     y0 = s0.to_array() if isinstance(s0, State) else np.asarray(s0, dtype=float)
     State.from_array(y0)  # validates positivity and q-range
     field = vector_field(p, c.eps)
-    record = array.array("d")  # t, p1, p2, z, q of every accepted step
+    times = np.linspace(0.0, c.t_end, c.n_samples)
+    due = [*times.tolist(), math.inf]  # the sample times, then a sentinel
+    k = 0  # the first sample at or after the last kept step point
+    record = array.array("d")  # t, p1, p2, z, q of each kept step point
 
     def keep(t, y):
+        nonlocal k
+        if due[k] >= t:
+            del record[-5:]  # no sample starts from the last kept point, if any
+        while due[k] < t:
+            k += 1
         record.append(t)
-        record.extend(y)
+        record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
 
     stepper = ode(field).set_integrator(
         "dop853", rtol=c.rel_tol, atol=c.abs_tol, max_step=c.resolved_max_step(),
@@ -189,13 +208,16 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     finally:
         # the dop853 integrator sits in a reference cycle that keeps ``keep``,
         # and with it the step record, alive until the next full collection
-        del record[:]
-    times = np.linspace(0.0, c.t_end, c.n_samples)
-    states = _sample(field, points[:, 0], points[:, 1:], times)
-    # Hairer's IWORK(17): the number of right-hand-side calls
-    rhs_evals = int(stepper._integrator.iwork[16])
+        del record[:], due[:]
+    states = np.empty((c.n_samples, 4))
+    for lo in range(0, c.n_samples, _SAMPLE_BLOCK):
+        block = slice(lo, lo + _SAMPLE_BLOCK)
+        states[block] = _sample(field, points[:, 0], points[:, 1:], times[block])
+    # Hairer's IWORK(17) and IWORK(19), the right-hand-side calls and the
+    # accepted steps, at these places in scipy 1.17.1's dop853 work array
+    rhs_evals, steps = (int(n) for n in stepper._integrator.iwork[[16, 18]])
     return Trajectory(times=times, states=states, params=p, config=c,
-                      steps=len(points) - 1, rhs_evals=rhs_evals)
+                      steps=steps, rhs_evals=rhs_evals)
 
 
 def _sample(field, step_t, step_y, times):

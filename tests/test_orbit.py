@@ -524,25 +524,6 @@ def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
         assert row.residual == float(np.max(np.abs(res)))
 
 
-def test_scan_builds_one_chart_per_manifold(monkeypatch, params_default):
-    # the 4x4 grid of the scan benchmark once built a chart per chart call
-    built = []
-
-    class CountedChart(orbit_module._LvChart):
-        def __init__(self, sigma, m):
-            built.append(sigma)
-            super().__init__(sigma, m)
-
-    monkeypatch.setattr(orbit_module, "_LvChart", CountedChart)
-    _chart.cache_clear()
-    try:
-        scan_family(params_default, (np.linspace(1.55, 2.45, 4), np.linspace(1.19, 1.61, 4)),
-                    {"p2A": 0.49, "zB": 1.40})
-    finally:
-        _chart.cache_clear()
-    assert sorted(built) == [params_default.r, 1.0]
-
-
 def test_scan_raises_on_nonpositive_pin(params_default):
     # bad input fails loudly instead of silently dropping the grid point
     with pytest.raises(ParameterDomainError):
