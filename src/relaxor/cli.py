@@ -5,7 +5,9 @@ Subcommands: construct, scan, simulate, continue, classify.  Exit codes:
 resolve as command-line flag > config file ("key = value" lines) >
 built-in default; every run appends an entry to the output directory's
 manifest, and an output path is never silently overwritten (pass --force
-to replace it, which also retires the old manifest entry).
+to replace it, which also retires the old manifest entry).  A run that
+fails numerically still appends its entry, with the error in place of
+outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy
 from . import __version__
 from .analysis import (classify_synchronization, classification_report,
                        effective_jump_pair, find_extrema)
-from .errors import InvalidInputError, RelaxorError
+from .errors import InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
 from .orbit import (SingularOrbit, assemble_singular_orbit, scan_family,
                     solve_balanced_orbit, solve_jump_points)
@@ -167,9 +169,21 @@ class _Manifest:
         The time is kept as the midpoint of the microsecond it falls in:
         the trailing 5 gives every value from 1e-4 s to 10 s the same
         printed width, so the manifest's size repeats from run to run.
+        A numerical failure inside the block is recorded under ``error``,
+        and the entry is written before the failure propagates.
         """
         start = time.perf_counter_ns()
-        yield
+        try:
+            yield
+        except RelaxorError as err:
+            if not isinstance(err, InvalidInputError):
+                self._record_time(name, start)
+                self.entry["error"] = _error_record(err)
+                self.finish()
+            raise
+        self._record_time(name, start)
+
+    def _record_time(self, name: str, start: int) -> None:
         micros = (time.perf_counter_ns() - start) // 1000
         self.entry.setdefault("elapsed_s", {})[name] = float(f"{micros}5e-7")
 
@@ -183,9 +197,20 @@ class _Manifest:
         return path
 
     def finish(self) -> None:
-        self.doc["runs"] = [r for r in self.doc["runs"] if r["outputs"]]
+        # an entry whose outputs were all replaced is retired; a failed run's stays
+        self.doc["runs"] = [r for r in self.doc["runs"] if r["outputs"] or "error" in r]
         self.doc["runs"].append(self.entry)
         self.path.write_text(json.dumps(self.doc, indent=1))
+
+
+def _error_record(err: RelaxorError) -> dict:
+    """Class and message of a numerical failure, and a solver's last-iterate diagnostics."""
+    record = {"class": type(err).__name__, "message": str(err)}
+    if isinstance(err, NonConvergenceError):
+        record["residual"] = err.residual
+        record["iterations"] = err.iterations
+        record["x"] = None if err.x is None else [float(v) for v in err.x]
+    return record
 
 
 def _prepare(args, command: str, parameters: dict) -> tuple[Path, _Manifest]:

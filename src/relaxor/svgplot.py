@@ -8,8 +8,8 @@ dotted predator, dash-dotted trait.
 
 from __future__ import annotations
 
+import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +55,34 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".")
 
 
-# the zeros that _fmt strips, for every number of a "%.4f" run ended by "," or " "
-_TRAILING_ZEROS = re.compile(r"\.?0+(?=[, ])")
+def _strip(text: str, end: str) -> str:
+    """Strip ``_fmt``'s zeros from every ``%.4f`` number of ``text`` that ``end`` closes.
+
+    An all-zero fraction first becomes a mark, so that the zeros of an
+    integer part such as 1000 survive the passes that trim one to three
+    zeros off a fraction.
+    """
+    text = text.replace(".0000" + end, "!" + end)
+    for zeros in ("000", "00", "0"):
+        text = text.replace(zeros + end, end)
+    return text.replace("!", "")
+
+
+@functools.lru_cache(maxsize=1)
+def _x_template(x_bytes: bytes) -> str:
+    """``_fmt(x),%.4f `` for each float64 x in ``x_bytes``, to be filled with the y values.
+
+    Keyed by the bytes of the x column, so the series of a figure that
+    share one x array (all four of ``time_series_svg``) format it once.
+    """
+    xs = np.frombuffer(x_bytes).tolist()
+    return _strip("%.4f,%%.4f " * len(xs) % tuple(xs), ",")
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """Polyline ``points`` text: ``_fmt(x),_fmt(y)`` pairs joined by spaces."""
-    text = "%.4f,%.4f " * len(xs) % tuple(np.column_stack([xs, ys]).ravel().tolist())
-    return _TRAILING_ZEROS.sub("", text)[:-1]
+    text = _x_template(np.asarray(xs, dtype=float).tobytes()) % tuple(ys.tolist())
+    return _strip(text, " ")[:-1]
 
 
 def _ticks(lo: float, hi: float) -> list[float]:

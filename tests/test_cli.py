@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 import relaxor
+from relaxor import svgplot
 from relaxor.cli import main
 
 
@@ -337,6 +338,62 @@ def test_svg_outputs_are_well_formed_and_deterministic(tmp_path, capsys):
     assert svg1 == svg2
     ET.fromstring(svg1)  # parses as XML
     ET.fromstring((out1 / "construct.timeseries.svg").read_text())
+
+
+def test_continue_svgs_equal_per_point_formatting(tmp_path, capsys, monkeypatch):
+    # every polyline point formatted on its own by _fmt, the scalar reference
+    def reference_points(xs, ys):
+        return " ".join(f"{svgplot._fmt(x)},{svgplot._fmt(y)}" for x, y in zip(xs, ys))
+
+    out_fast, out_slow = tmp_path / "fast", tmp_path / "slow"
+    argv = ("continue", "--schedule", "0.1:2,0.2:2")
+    assert run(*argv, "--out", str(out_fast)) == 0
+    monkeypatch.setattr(svgplot, "_points", reference_points)
+    assert run(*argv, "--out", str(out_slow)) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in out_fast.glob("*.svg"))
+    assert names == sorted(p.name for p in out_slow.glob("*.svg")) and len(names) == 2
+    for name in names:
+        fast = (out_fast / name).read_bytes()
+        assert fast == (out_slow / name).read_bytes()
+        ET.fromstring(fast)  # parses as XML
+
+
+def test_failed_runs_record_their_error_in_the_manifest(tmp_path, capsys):
+    out = tmp_path / "runs"
+    failing = {
+        "construct": ("construct", "--r", "0.8", "--m", "0.7", "--seed", "hybrid"),
+        "simulate": ("simulate", "--eps", "1e-300", "--t-end", "1",
+                     "--state", "1.18,0.87,1.5,0.5"),
+        "continue": ("continue", "--schedule", "1e-300:1", "--state", "1.18,0.87,1.5,0.5"),
+    }
+    messages = []
+    for argv in failing.values():
+        assert run(*argv, "--out", str(out)) == 1
+        messages.append(capsys.readouterr().err.removeprefix("numerical failure: ").strip())
+    # a user error leaves no entry, and a later success keeps the failed ones
+    assert run("construct", "--r", "1.2", "--m", "0.4", "--out", str(out)) == 2
+    assert run("construct", "--seed", "hybrid", "--samples", "50", "--out", str(out)) == 0
+    capsys.readouterr()
+    entries = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [e["command"] for e in entries] == [*failing, "construct"]
+    construct, simulate, cont, success = entries
+    assert "error" not in success and success["outputs"]
+    for entry, message in zip(entries, messages):
+        assert entry["outputs"] == [] and entry["error"]["message"] == message
+
+    error = construct["error"]
+    assert error["class"] == "NonConvergenceError"
+    assert isinstance(error["iterations"], int) and error["iterations"] > 0
+    assert len(error["x"]) == 2 and all(isinstance(v, float) for v in error["x"])
+    assert f"residual {error['residual']:.3e}" in error["message"]
+    assert f"iterations {error['iterations']}" in error["message"]
+    assert f"x {error['x']}" in error["message"]
+    assert simulate["error"].keys() == cont["error"].keys() == {"class", "message"}
+    assert simulate["error"]["class"] == cont["error"]["class"] == "StiffnessError"
+    assert cont["error"]["message"].startswith("schedule entry 0 (eps=1e-300): ")
+    assert list(construct["elapsed_s"]) == ["solve"]
+    assert list(simulate["elapsed_s"]) == list(cont["elapsed_s"]) == ["integrate"]
 
 
 def test_classify_trajectory_document(tmp_path, capsys):
