@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,8 @@ from .errors import (
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, slow_rhs
 from .quadrature import phase, sine_gauss
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Anchor", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
@@ -510,10 +513,12 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     Grid points are visited in a serpentine order; each solve is seeded
     with the free coordinates of the nearest previously converged
     neighbor (falling back to ``seed_guess``).  Only converged, admissible
-    jump pairs become rows; an empty table is a valid outcome.  Rows are
-    ordered by grid index regardless of the visit order.  Invalid input,
-    such as a nonpositive pin or a misnamed guess, raises
-    ParameterDomainError instead of dropping grid points.
+    jump pairs become rows; an empty table is a valid outcome.  Each point
+    without a row is logged at INFO with its pins, the number of seeds
+    tried and the last error.  Rows are ordered by grid index regardless
+    of the visit order.  Invalid input, such as a nonpositive pin or a
+    misnamed guess, raises ParameterDomainError instead of dropping grid
+    points.
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
@@ -536,10 +541,15 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
                     pair = solve_jump_points(pinned, guess, p)
                 except (NonConvergenceError, InadmissibleOrbitError,
                         InconsistentEndpointsError, NoSolutionError,
-                        DegenerateOrbitError):
+                        DegenerateOrbitError) as err:
+                    # text, not the error: its traceback would hold this frame
+                    last_error = f"{type(err).__name__}: {err}"
                     continue
                 solutions[(i, j)] = pair
                 break
+            else:
+                _log.info("scan point %s: no row after %d seeds; last error %s",
+                          pinned, len(seeds), last_error)
 
     table = FamilyTable(pin_names=pin_names)
     for i in range(len(values1)):

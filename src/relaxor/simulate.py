@@ -9,6 +9,8 @@ coordinates.
 from __future__ import annotations
 
 import array
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -58,6 +60,19 @@ class SimConfig:
         return 0.5 * self.eps if self.max_step is None else self.max_step
 
 
+@functools.lru_cache(maxsize=2)
+def _repr_lines(data: bytes, width: int) -> str:
+    """One line ``repr,repr,...`` for each row of ``width`` float64 numbers in ``data``.
+
+    The one number text of both trajectory writers.  Keyed by the bytes of
+    one array, so a trajectory's CSV and JSON format each number once, and
+    runs that share a time grid format it once; one string per array keeps
+    the memo small.
+    """
+    values = np.frombuffer(data).tolist()
+    return (",".join(["%r"] * width) + "\n") * (len(values) // width) % tuple(values)
+
+
 @dataclass
 class Trajectory:
     """Sampled solution of the full system."""
@@ -96,12 +111,12 @@ class Trajectory:
         return float(np.max(np.abs(h - h[0])))
 
     def to_csv(self, path) -> None:
-        # one %-format over all rows; the same bytes as np.savetxt(fmt="%.17g")
-        rows = np.column_stack([self.times, self.states])
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        # each number in its shortest repr, the text of to_json
+        times, states = self._number_lines()
+        lines = itertools.chain.from_iterable(zip(times.splitlines(), states.splitlines()))
         with open(path, "w") as fh:
             fh.write("t,p1,p2,z,q\n")
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            fh.write("%s,%s\n" * len(self.times) % tuple(lines))
 
     def to_dict(self) -> dict:
         return {
@@ -117,9 +132,21 @@ class Trajectory:
         }
 
     def to_json(self, path) -> None:
-        # json.dumps runs the C encoder; json.dump(obj, fh) never does
+        # the bytes of json.dump(self.to_dict()), whose last two keys are the
+        # numbers: json writes a finite float as its repr
+        head = self.to_dict()
+        del head["times"], head["states"]
+        times, states = self._number_lines()
+        rows = states.replace(",", ", ").replace("\n", "], [")  # "a, b], [c, d], ["
+        numbers = '"times": [%s], "states": [%s]}' % (
+            times.replace("\n", ", ")[:-2], ("[" + rows)[:-3])
+        if not (np.isfinite(self.times).all() and np.isfinite(self.states).all()):
+            numbers = numbers.replace("nan", "NaN").replace("inf", "Infinity")
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict()))
+            fh.write(json.dumps(head)[:-1] + ", " + numbers)
+
+    def _number_lines(self) -> tuple[str, str]:
+        return _repr_lines(self.times.tobytes(), 1), _repr_lines(self.states.tobytes(), 4)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":

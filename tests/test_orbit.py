@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -522,6 +523,21 @@ def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
         d = row.jump.as_dict()
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
         assert row.residual == float(np.max(np.abs(res)))
+
+
+def test_scan_logs_each_point_without_a_row(caplog, params_default):
+    # zA = 1.19 is visited second: the converged neighbour's seed and then
+    # the fallback guess both fail there
+    with caplog.at_level(logging.INFO, logger="relaxor.orbit"):
+        table = scan_family(params_default, (np.array([1.85]), np.array([1.33, 1.19])),
+                            {"p2A": 0.49, "zB": 1.40})
+    assert [row.pinned for row in table.rows] == [{"p1A": 1.85, "zA": 1.33}]
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("relaxor.orbit", logging.INFO)
+    message = record.getMessage()
+    assert message.startswith("scan point {'p1A': 1.85, 'zA': 1.19}: no row after 2 seeds; "
+                              "last error NonConvergenceError: ")
+    assert "outside the solvable domain" in message
 
 
 def test_scan_raises_on_nonpositive_pin(params_default):

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import ode, solve_ivp
 
 import relaxor.simulate
@@ -120,7 +122,7 @@ def test_trajectory_json_round_trip_is_bit_exact(tmp_path, params_default):
 
 
 def _edge_trajectory():
-    # values whose shortest repr and %.17g text take every form: signed zero,
+    # values whose shortest repr takes every form: signed zero,
     # subnormal, largest double, exponents, integers, non-finite
     states = np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308],
                        [1.0, 2.5, -1e-17, 123456789.125],
@@ -136,12 +138,58 @@ def _writer_cases(params):
     return integrated, _edge_trajectory()
 
 
-def test_to_csv_bytes_equal_savetxt(tmp_path, params_default):
-    for i, tr in enumerate(_writer_cases(params_default)):
-        tr.to_csv(tmp_path / f"{i}.csv")
-        np.savetxt(tmp_path / f"{i}.ref.csv", np.column_stack([tr.times, tr.states]),
-                   delimiter=",", header="t,p1,p2,z,q", comments="", fmt="%.17g")
-        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}.ref.csv").read_bytes()
+def _assert_writers_match_references(tr, directory):
+    """Both writers of ``tr`` against references written here, one number at a time."""
+    tr.to_csv(directory / "tr.csv")
+    tr.to_json(directory / "tr.json")
+    rows = np.column_stack([tr.times, tr.states])
+    csv_text = (directory / "tr.csv").read_text()
+    assert csv_text == "t,p1,p2,z,q\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    # every NaN, whatever its sign and payload, is written "nan"
+    back = [[float(v) for v in line.split(",")] for line in csv_text.splitlines()[1:]]
+    assert (np.array(back).reshape(rows.shape).tobytes()
+            == np.where(np.isnan(rows), np.nan, rows).tobytes())
+    with open(directory / "tr.ref.json", "w") as fh:
+        json.dump(tr.to_dict(), fh)
+    assert (directory / "tr.json").read_bytes() == (directory / "tr.ref.json").read_bytes()
+
+
+def test_to_csv_writes_each_number_as_its_repr(tmp_path, params_default):
+    # the CSV and the JSON share one number text, the shortest repr, and each
+    # CSV field parses back to the same double bit for bit
+    for tr in _writer_cases(params_default):
+        _assert_writers_match_references(tr, tmp_path)
+
+
+def test_writers_format_no_stale_numbers(tmp_path):
+    times = np.linspace(0.0, 3.0, 5)
+    config, params = SimConfig(eps=0.1, t_end=3.0), Params(0.5, 0.4)
+    states = np.arange(20.0).reshape(5, 4)
+    # two trajectories on one time grid, with different states
+    for scale in (1.0, 0.5):
+        _assert_writers_match_references(
+            Trajectory(times, scale * states, params, config), tmp_path)
+    # states edited in place between two writes
+    tr = Trajectory(times, states.copy(), params, config)
+    _assert_writers_match_references(tr, tmp_path)
+    tr.states[2, 1] = -np.inf
+    _assert_writers_match_references(tr, tmp_path)
+    # 0.0 and -0.0 compare equal but write differently
+    zeros = np.zeros((2, 4))
+    for sign in (1.0, -1.0):
+        _assert_writers_match_references(
+            Trajectory([sign * 0.0, 1.0], sign * zeros, params, config), tmp_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.floats(allow_nan=False), max_size=6, unique=True),
+       values=st.lists(st.floats(), min_size=24, max_size=24))
+def test_writers_match_references_on_any_doubles(tmp_path_factory, times, values):
+    times = np.sort(times)
+    states = np.resize(values, (len(times), 4))
+    tr = Trajectory(times, states, Params(0.5, 0.4), SimConfig(eps=0.1, t_end=3.0))
+    _assert_writers_match_references(tr, tmp_path_factory.mktemp("writers"))
 
 
 def test_to_json_bytes_equal_json_dump(tmp_path, params_default, reference_orbits):
@@ -202,6 +250,7 @@ def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_defau
     assert 12 * tr.steps + 2 <= tr.rhs_evals
 
 
+@pytest.mark.slow
 def test_integrate_keeps_no_step_record_alive(params_default):
     # the dop853 integrator sits in a reference cycle with the step recorder;
     # with the collector off, a record and sample list left filled would stay
@@ -225,6 +274,7 @@ def test_integrate_keeps_no_step_record_alive(params_default):
     assert grown / 4 < 20_000
 
 
+@pytest.mark.slow
 def test_integrate_memory_follows_the_samples_not_the_steps(params_default):
     # 20,000 steps for 50 samples: a record of every step point held 800 kB
     # and its array copy another 800 kB; the points samples start from, 2 kB
