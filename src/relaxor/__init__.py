@@ -26,7 +26,7 @@ from .orbit import (
     trait_pressure_balance, solve_balanced_orbit, assemble_singular_orbit,
 )
 from .simulate import (
-    SimConfig, Trajectory, JumpEvent, integrate, continue_in_eps,
+    SimConfig, Trajectory, JumpEvent, integrate, iter_continue_in_eps, continue_in_eps,
     default_continuation_schedule, detect_jump_events, closeness_check,
 )
 from .analysis import (

@@ -30,8 +30,8 @@ from .errors import InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
 from .orbit import (SingularOrbit, assemble_singular_orbit, scan_family,
                     solve_balanced_orbit, solve_jump_points)
-from .simulate import (SimConfig, Trajectory, continue_in_eps,
-                       default_continuation_schedule, detect_jump_events, integrate)
+from .simulate import (SimConfig, Trajectory, default_continuation_schedule,
+                       detect_jump_events, integrate, iter_continue_in_eps)
 from .svgplot import dual_phase_plane_svg, scatter_plot, time_series_svg
 
 # orbit presets: pinned coordinates and starting guesses for the solver;
@@ -311,15 +311,17 @@ def cmd_scan(args, config) -> int:
     return 0
 
 
-def _write_trajectory(outdir, manifest, stem: str, tr: Trajectory) -> list[str]:
-    csv_path = manifest.claim(outdir / f"{stem}.csv")
+def _claim_trajectory(outdir, manifest, stem: str) -> list[Path]:
+    return [manifest.claim(outdir / f"{stem}.{ext}") for ext in ("csv", "json", "svg")]
+
+
+def _write_trajectory(paths: list[Path], tr: Trajectory) -> None:
+    """Write ``tr`` as CSV, JSON and SVG to the three ``paths`` of ``_claim_trajectory``."""
+    csv_path, json_path, svg_path = paths
     tr.to_csv(csv_path)
-    json_path = manifest.claim(outdir / f"{stem}.json")
     tr.to_json(json_path)
-    svg_path = manifest.claim(outdir / f"{stem}.svg")
     svg_path.write_text(time_series_svg(tr.times, tr.states,
                                         title=f"eps = {tr.config.eps:g}"))
-    return [str(csv_path), str(json_path), str(svg_path)]
 
 
 def cmd_simulate(args, config) -> int:
@@ -345,14 +347,31 @@ def cmd_simulate(args, config) -> int:
     manifest.entry["steps"] = tr.steps
     manifest.entry["rhs_evals"] = tr.rhs_evals
     with manifest.phase("write"):
-        outputs = _write_trajectory(outdir, manifest, "simulate.trajectory", tr)
+        paths = _claim_trajectory(outdir, manifest, "simulate.trajectory")
+        _write_trajectory(paths, tr)
     manifest.finish()
-    print(json.dumps({"final_state": tr.states[-1].tolist(), "outputs": outputs},
-                     indent=1))
+    print(json.dumps({"final_state": tr.states[-1].tolist(),
+                      "outputs": [str(path) for path in paths]}, indent=1))
     return 0
 
 
+def _wait(writes: list) -> None:
+    for write in writes:
+        write.result()  # raises what the write raised
+
+
 def cmd_continue(args, config) -> int:
+    """Integrate the chain; one forked worker writes each run's files meanwhile.
+
+    Claims, solver statistics and the manifest stay in this process.  The
+    manifest is written only once the worker has finished every file
+    handed to it, so a chain that fails at entry k records, and keeps, the
+    files of the entries before k.
+    """
+    # imported here: ``import relaxor.cli`` loads no multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     r = _resolve(args, config, "r")
     m = _resolve(args, config, "m")
     params = Params(r, m)
@@ -361,20 +380,34 @@ def cmd_continue(args, config) -> int:
     outdir, manifest = _prepare(args, "continue", {
         "r": r, "m": m, "state": state.to_array().tolist(),
         "schedule": [[e, d] for e, d in schedule]})
-    with manifest.phase("integrate"):
-        trajectories = continue_in_eps(state, params, schedule)
-    manifest.entry["integral_drift"] = [tr.integral_drift() for tr in trajectories]
-    manifest.entry["steps"] = [tr.steps for tr in trajectories]
-    manifest.entry["rhs_evals"] = [tr.rhs_evals for tr in trajectories]
-    outputs = []
-    with manifest.phase("write"):
-        for i, tr in enumerate(trajectories):
-            outputs += _write_trajectory(outdir, manifest,
-                                         f"continue.{i:02d}.eps{tr.config.eps:g}", tr)
+    drift, steps, rhs_evals, outputs, writes = [], [], [], [], []
+    writer = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        with manifest.phase("integrate"):
+            try:
+                for i, tr in enumerate(iter_continue_in_eps(state, params, schedule)):
+                    paths = _claim_trajectory(outdir, manifest,
+                                              f"continue.{i:02d}.eps{tr.config.eps:g}")
+                    writes.append(writer.submit(_write_trajectory, paths, tr))
+                    outputs += map(str, paths)
+                    drift.append(tr.integral_drift())
+                    steps.append(tr.steps)
+                    rhs_evals.append(tr.rhs_evals)
+            except RelaxorError:
+                _wait(writes)  # the failed entry is recorded with its outputs on disk
+                raise
+        manifest.entry["integral_drift"] = drift
+        manifest.entry["steps"] = steps
+        manifest.entry["rhs_evals"] = rhs_evals
+        with manifest.phase("write"):
+            _wait(writes)
+    finally:
+        # waits for a write under way; after a failure the queued ones are dropped
+        writer.shutdown(cancel_futures=True)
     manifest.finish()
-    print(json.dumps({"runs": len(trajectories),
-                      "final_eps": trajectories[-1].config.eps,
-                      "final_state": trajectories[-1].states[-1].tolist(),
+    print(json.dumps({"runs": len(writes),
+                      "final_eps": tr.config.eps,
+                      "final_state": tr.states[-1].tolist(),
                       "outputs": outputs}, indent=1))
     return 0
 

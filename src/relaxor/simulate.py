@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ from .model import Params, State, full_integral, vector_field
 from .orbit import SingularOrbit
 
 __all__ = [
-    "SimConfig", "Trajectory", "JumpEvent", "integrate", "continue_in_eps",
-    "default_continuation_schedule", "detect_jump_events", "closeness_check",
+    "SimConfig", "Trajectory", "JumpEvent", "integrate", "iter_continue_in_eps",
+    "continue_in_eps", "default_continuation_schedule", "detect_jump_events",
+    "closeness_check",
 ]
 
 
@@ -88,7 +90,7 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if np.any(np.diff(self.times) <= 0.0):
+        if not np.all(np.diff(self.times) > 0.0):  # also refuses NaN times
             raise ParameterDomainError("trajectory times must increase strictly")
         if self.states.shape != (len(self.times), 4):
             raise ParameterDomainError("states must be (n, 4) matching times")
@@ -271,13 +273,16 @@ def default_continuation_schedule() -> list[tuple[float, float]]:
     return schedule
 
 
-def continue_in_eps(s0, p: Params,
-                    schedule: list[tuple[float, float]] | None = None) -> list[Trajectory]:
-    """Chain integrations along an increasing eps schedule.
+def iter_continue_in_eps(s0, p: Params,
+                         schedule: list[tuple[float, float]] | None = None
+                         ) -> Iterator[Trajectory]:
+    """Chain integrations along an increasing eps schedule, yielding each run as it ends.
 
     ``schedule`` is a list of (eps, duration) pairs with positive,
     non-decreasing eps values; each run is seeded with the final state of
-    the previous one.  Returns one Trajectory per schedule entry.
+    the previous one.  Yields one Trajectory per schedule entry, so a
+    caller can use a run while the next one integrates.  The schedule is
+    checked when the first run is asked for.
     """
     if schedule is None:
         schedule = default_continuation_schedule()
@@ -286,16 +291,20 @@ def continue_in_eps(s0, p: Params,
             b < a for a, b in zip(eps_values, eps_values[1:])):
         raise ParameterDomainError("schedule eps values must be positive and non-decreasing")
 
-    trajectories = []
     current = s0
     for index, (eps, duration) in enumerate(schedule):
         try:
             tr = integrate(current, p, SimConfig(eps=eps, t_end=duration))
         except StiffnessError as err:
             raise StiffnessError(f"schedule entry {index} (eps={eps:g}): {err}") from err
-        trajectories.append(tr)
+        yield tr
         current = tr.final_state()
-    return trajectories
+
+
+def continue_in_eps(s0, p: Params,
+                    schedule: list[tuple[float, float]] | None = None) -> list[Trajectory]:
+    """All runs of ``iter_continue_in_eps``: one Trajectory per schedule entry."""
+    return list(iter_continue_in_eps(s0, p, schedule))
 
 
 @dataclass(frozen=True)

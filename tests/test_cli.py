@@ -1,5 +1,6 @@
 import ast
 import json
+import multiprocessing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -394,6 +395,53 @@ def test_failed_runs_record_their_error_in_the_manifest(tmp_path, capsys):
     assert cont["error"]["message"].startswith("schedule entry 0 (eps=1e-300): ")
     assert list(construct["elapsed_s"]) == ["solve"]
     assert list(simulate["elapsed_s"]) == list(cont["elapsed_s"]) == ["integrate"]
+
+
+def test_continue_writes_the_bytes_simulate_writes(tmp_path, capsys):
+    assert run("continue", "--schedule", "0.1:2", "--out", str(tmp_path / "c")) == 0
+    assert run("simulate", "--eps", "0.1", "--t-end", "2", "--out", str(tmp_path / "s")) == 0
+    capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    for ext in ("csv", "json", "svg"):
+        written = (tmp_path / "c" / f"continue.00.eps0.1.{ext}").read_bytes()
+        assert written == (tmp_path / "s" / f"simulate.trajectory.{ext}").read_bytes()
+
+
+def test_continue_failing_at_a_later_entry_keeps_the_earlier_files(tmp_path, capsys,
+                                                                   monkeypatch):
+    integrate = relaxor.simulate.integrate
+    calls = []
+
+    def second_run_stalls(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise relaxor.StiffnessError("integration stalled")
+        return integrate(*args)
+
+    monkeypatch.setattr(relaxor.simulate, "integrate", second_run_stalls)
+    out = tmp_path / "runs"
+    assert run("continue", "--schedule", "0.1:1,0.2:1,0.3:1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: schedule entry 1 (eps=0.2)")
+    assert multiprocessing.active_children() == []
+    entry, = json.loads((out / "manifest.json").read_text())["runs"]
+    files = [f"continue.00.eps0.1.{ext}" for ext in ("csv", "json", "svg")]
+    assert entry["outputs"] == files
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+    assert relaxor.Trajectory.from_json(out / files[1]).config.eps == 0.1
+    assert entry["error"]["class"] == "StiffnessError"
+    assert list(entry["elapsed_s"]) == ["integrate"]
+
+
+def test_continue_write_error_in_the_worker_propagates(tmp_path, capsys, monkeypatch):
+    def disk_full(self, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(relaxor.Trajectory, "to_csv", disk_full)  # the fork inherits it
+    out = tmp_path / "runs"
+    with pytest.raises(OSError, match="No space left on device"):
+        run("continue", "--schedule", "0.1:1,0.2:1", "--out", str(out))
+    assert multiprocessing.active_children() == []
+    assert not (out / "manifest.json").exists()
 
 
 def test_classify_trajectory_document(tmp_path, capsys):

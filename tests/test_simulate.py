@@ -16,7 +16,7 @@ from relaxor import (
     Params, ParameterDomainError, SimConfig, State, StiffnessError, Trajectory,
     closeness_check, coexistence_equilibrium, continue_in_eps,
     default_continuation_schedule, detect_jump_events, full_rhs, integrate,
-    vector_field,
+    iter_continue_in_eps, vector_field,
 )
 
 from conftest import numpy_scalar_field
@@ -119,6 +119,16 @@ def test_trajectory_json_round_trip_is_bit_exact(tmp_path, params_default):
     csv_path = tmp_path / "run.csv"
     tr.to_csv(csv_path)
     assert csv_path.read_text().splitlines()[0] == "t,p1,p2,z,q"
+
+
+def test_trajectory_refuses_nan_times(params_default):
+    cfg = SimConfig(eps=0.1, t_end=1.0)
+    with pytest.raises(ParameterDomainError, match="increase strictly"):
+        Trajectory([0.0, math.nan, 1.0], np.ones((3, 4)), params_default, cfg)
+    doc = Trajectory([0.0, 0.5, 1.0], np.ones((3, 4)), params_default, cfg).to_dict()
+    doc["times"][1] = math.nan
+    with pytest.raises(ParameterDomainError, match="increase strictly"):
+        Trajectory.from_dict(doc)
 
 
 def _edge_trajectory():
@@ -386,6 +396,19 @@ def test_single_entry_schedule_equals_plain_integrate(params_default):
     direct = integrate(s0, params_default, SimConfig(eps=0.1, t_end=4.0))
     assert len(runs) == 1
     assert np.array_equal(runs[0].states, direct.states)
+
+
+def test_chain_yields_each_run_before_integrating_the_next(monkeypatch, params_default):
+    calls = []
+    monkeypatch.setattr(relaxor.simulate, "integrate",
+                        lambda *args: calls.append(args) or integrate(*args))
+    s0 = State(1.2, 0.9, 1.4, 0.8)
+    chain = iter_continue_in_eps(s0, params_default, [(0.1, 1.0), (0.2, 1.0)])
+    first = next(chain)
+    assert len(calls) == 1
+    second = next(chain)
+    assert calls[1][0] == first.final_state() and second.config.eps == 0.2
+    assert next(chain, None) is None
 
 
 def test_schedule_validation(params_default):
