@@ -64,7 +64,6 @@ class ExtremaList:
 
     entries: dict[str, list[Extremum]]
     jump_times: list[tuple[float, str]]
-    t_span: tuple[float, float]
     align_tol: float
     period: float | None = None  # set for periodic (singular-orbit) input
 
@@ -218,7 +217,6 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
         entries[var] = _alternation_cleanup(found)
 
     return ExtremaList(entries=entries, jump_times=jumps,
-                       t_span=(float(times[0]), float(times[-1])),
                        align_tol=float(align_tol), period=period)
 
 

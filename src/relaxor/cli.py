@@ -5,9 +5,9 @@ Subcommands: construct, scan, simulate, continue, classify.  Exit codes:
 resolve as command-line flag > config file ("key = value" lines) >
 built-in default; every run appends an entry to the output directory's
 manifest, and an output path is never silently overwritten (pass --force
-to replace it, which also retires the old manifest entry).  A run that
-fails numerically still appends its entry, with the error in place of
-outputs.
+to replace it, which also retires the old manifest entry); a refused
+overwrite is reported before any file is written.  A run that fails
+numerically still appends its entry, with the error in place of outputs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .analysis import (classify_synchronization, classification_report,
                        effective_jump_pair, find_extrema)
 from .errors import InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
-from .orbit import (SingularOrbit, assemble_singular_orbit, scan_family,
-                    solve_balanced_orbit, solve_jump_points)
+from .orbit import (UNKNOWN_NAMES, SingularOrbit, assemble_singular_orbit,
+                    scan_family, solve_balanced_orbit, solve_jump_points)
 from .simulate import (SimConfig, Trajectory, default_continuation_schedule,
                        detect_jump_events, integrate, iter_continue_in_eps)
 from .svgplot import dual_phase_plane_svg, scatter_plot, time_series_svg
@@ -82,6 +82,10 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, cast=float,
         except ValueError as err:
             raise InvalidInputError(f"config value for {key!r}: {err}") from err
     return _DEFAULTS.get(key, default)
+
+
+def _params(args: argparse.Namespace, config: dict) -> Params:
+    return Params(_resolve(args, config, "r"), _resolve(args, config, "m"))
 
 
 def _parse_state(text: str) -> State:
@@ -139,6 +143,7 @@ class _Manifest:
     """Per-directory record of runs and the files they produced."""
 
     def __init__(self, outdir: Path, force: bool):
+        self.outdir = outdir
         self.path = outdir / "manifest.json"
         self.force = force
         self.doc = {"runs": []}
@@ -187,20 +192,29 @@ class _Manifest:
         micros = (time.perf_counter_ns() - start) // 1000
         self.entry.setdefault("elapsed_s", {})[name] = float(f"{micros}5e-7")
 
-    def claim(self, path: Path) -> Path:
-        if path.exists() and not self.force:
-            raise InvalidInputError(
-                f"refusing to overwrite {path}; pass --force or use a fresh --out")
-        for run in self.doc["runs"]:
-            run["outputs"] = [o for o in run["outputs"] if o != path.name]
-        self.entry["outputs"].append(path.name)
-        return path
+    def check(self, *names: str) -> None:
+        """Refuse, without --force, if any of the output files ``names`` exists."""
+        for name in names:
+            path = self.outdir / name
+            if path.exists() and not self.force:
+                raise InvalidInputError(
+                    f"refusing to overwrite {path}; pass --force or use a fresh --out")
 
-    def finish(self) -> None:
+    def claim(self, *names: str) -> list[Path]:
+        """Record the files of one write step, all checked before any is recorded."""
+        self.check(*names)
+        for run in self.doc["runs"]:
+            run["outputs"] = [o for o in run["outputs"] if o not in names]
+        self.entry["outputs"] += names
+        return [self.outdir / name for name in names]
+
+    def finish(self) -> list[str]:
+        """Append the entry to the manifest; return the paths of its outputs."""
         # an entry whose outputs were all replaced is retired; a failed run's stays
         self.doc["runs"] = [r for r in self.doc["runs"] if r["outputs"] or "error" in r]
         self.doc["runs"].append(self.entry)
         self.path.write_text(json.dumps(self.doc, indent=1))
+        return [str(self.outdir / name) for name in self.entry["outputs"]]
 
 
 def _error_record(err: RelaxorError) -> dict:
@@ -213,18 +227,16 @@ def _error_record(err: RelaxorError) -> dict:
     return record
 
 
-def _prepare(args, command: str, parameters: dict) -> tuple[Path, _Manifest]:
+def _prepare(args, command: str, parameters: dict) -> _Manifest:
     outdir = Path(args.out if args.out is not None else ".")
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(outdir, force=bool(args.force))
     manifest.start(command, parameters)
-    return outdir, manifest
+    return manifest
 
 
-def cmd_construct(args, config) -> int:
-    r = _resolve(args, config, "r")
-    m = _resolve(args, config, "m")
-    params = Params(r, m)
+def cmd_construct(args, config) -> dict:
+    params = _params(args, config)
     samples = int(_resolve(args, config, "samples", int, default=400))
     pin = _parse_assignments(args.pin, "--pin")
     guess = _parse_assignments(args.guess, "--guess")
@@ -238,8 +250,8 @@ def cmd_construct(args, config) -> int:
         pin = dict(preset.get("pin", {}))
         guess = dict(preset["guess"])
 
-    outdir, manifest = _prepare(args, "construct", {
-        "r": r, "m": m, "seed": seed_name, "pin": pin, "guess": guess,
+    manifest = _prepare(args, "construct", {
+        "r": params.r, "m": params.m, "seed": seed_name, "pin": pin, "guess": guess,
         "samples": samples})
     with manifest.phase("solve"):
         if pin:
@@ -250,27 +262,20 @@ def cmd_construct(args, config) -> int:
         orbit = assemble_singular_orbit(pair, params, samples_per_segment=samples)
 
     with manifest.phase("write"):
-        orbit_path = manifest.claim(outdir / "construct.orbit.json")
+        orbit_path, svg_path, ts_path = manifest.claim(
+            "construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
         orbit.to_json(orbit_path)
-        svg_path = manifest.claim(outdir / "construct.phase.svg")
         svg_path.write_text(dual_phase_plane_svg(orbit))
-        ts_path = manifest.claim(outdir / "construct.timeseries.svg")
         ts_path.write_text(time_series_svg(orbit.times, orbit.states))
-    manifest.finish()
-    print(json.dumps({"jumps": pair.as_dict(), "period": pair.period,
-                      "outputs": [str(orbit_path), str(svg_path), str(ts_path)]},
-                     indent=1))
-    return 0
+    return {"jumps": pair.as_dict(), "period": pair.period, "outputs": manifest.finish()}
 
 
 _PROJECTIONS = (("p1A", "zA"), ("p2A", "zA"), ("p1B", "zB"), ("p2B", "zB"),
                 ("p1A", "p2A"), ("p1B", "p2B"))
 
 
-def cmd_scan(args, config) -> int:
-    r = _resolve(args, config, "r")
-    m = _resolve(args, config, "m")
-    params = Params(r, m)
+def cmd_scan(args, config) -> dict:
+    params = _params(args, config)
     name1, grid1 = _parse_grid(args.pin1 or config.get("pin1", "p1A=1.4:2.6:20"))
     name2, grid2 = _parse_grid(args.pin2 or config.get("pin2", "zA=1.1:1.7:20"))
     guess = _parse_assignments(args.guess, "--guess")
@@ -279,13 +284,13 @@ def cmd_scan(args, config) -> int:
         if seed_name not in SEEDS or "pin" not in SEEDS[seed_name]:
             raise InvalidInputError(f"seed {seed_name!r} has no scan guess")
         guess = dict(SEEDS[seed_name]["guess"])
-    free = [n for n in ("p1A", "p2A", "zA", "zB") if n not in (name1, name2)]
+    free = [n for n in UNKNOWN_NAMES if n not in (name1, name2)]
     if sorted(guess) != sorted(free):
         raise InvalidInputError(
             f"scan over ({name1}, {name2}) needs a guess for {free}")
 
-    outdir, manifest = _prepare(args, "scan", {
-        "r": r, "m": m, "pin1": f"{name1}", "pin2": f"{name2}",
+    manifest = _prepare(args, "scan", {
+        "r": params.r, "m": params.m, "pin1": f"{name1}", "pin2": f"{name2}",
         "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
         "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
         "guess": guess})
@@ -293,30 +298,26 @@ def cmd_scan(args, config) -> int:
         table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
 
     with manifest.phase("write"):
-        json_path = manifest.claim(outdir / "scan.family.json")
+        json_path, csv_path, *svg_paths = manifest.claim(
+            "scan.family.json", "scan.family.csv",
+            *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
         table.to_json(json_path)
-        csv_path = manifest.claim(outdir / "scan.family.csv")
         table.to_csv(csv_path)
-        outputs = [str(json_path), str(csv_path)]
         jumps = [row.jump.as_dict() for row in table.rows]
         coords = {key: [d[key] for d in jumps]
                   for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
-        for xk, yk in _PROJECTIONS:
-            path = manifest.claim(outdir / f"scan.{xk}_{yk}.svg")
+        for (xk, yk), path in zip(_PROJECTIONS, svg_paths):
             path.write_text(scatter_plot(coords[xk], coords[yk], xk, yk,
                                          title=f"family projection ({xk}, {yk})"))
-            outputs.append(str(path))
-    manifest.finish()
-    print(json.dumps({"rows": len(table), "outputs": outputs}, indent=1))
-    return 0
+    return {"rows": len(table), "outputs": manifest.finish()}
 
 
-def _claim_trajectory(outdir, manifest, stem: str) -> list[Path]:
-    return [manifest.claim(outdir / f"{stem}.{ext}") for ext in ("csv", "json", "svg")]
+def _trajectory_names(stem: str) -> list[str]:
+    return [f"{stem}.{ext}" for ext in ("csv", "json", "svg")]
 
 
 def _write_trajectory(paths: list[Path], tr: Trajectory) -> None:
-    """Write ``tr`` as CSV, JSON and SVG to the three ``paths`` of ``_claim_trajectory``."""
+    """Write ``tr`` as CSV, JSON and SVG to the three ``paths`` of ``_trajectory_names``."""
     csv_path, json_path, svg_path = paths
     tr.to_csv(csv_path)
     tr.to_json(json_path)
@@ -324,10 +325,8 @@ def _write_trajectory(paths: list[Path], tr: Trajectory) -> None:
                                         title=f"eps = {tr.config.eps:g}"))
 
 
-def cmd_simulate(args, config) -> int:
-    r = _resolve(args, config, "r")
-    m = _resolve(args, config, "m")
-    params = Params(r, m)
+def cmd_simulate(args, config) -> dict:
+    params = _params(args, config)
     state = _parse_state(_resolve(args, config, "state", str))
     cfg = SimConfig(
         eps=_resolve(args, config, "eps"),
@@ -337,8 +336,8 @@ def cmd_simulate(args, config) -> int:
         max_step=_resolve(args, config, "max_step"),
         n_samples=int(_resolve(args, config, "samples", int, default=2000)),
     )
-    outdir, manifest = _prepare(args, "simulate", {
-        "r": r, "m": m, "eps": cfg.eps, "t_end": cfg.t_end,
+    manifest = _prepare(args, "simulate", {
+        "r": params.r, "m": params.m, "eps": cfg.eps, "t_end": cfg.t_end,
         "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
         "max_step": cfg.max_step, "state": state.to_array().tolist()})
     with manifest.phase("integrate"):
@@ -347,12 +346,8 @@ def cmd_simulate(args, config) -> int:
     manifest.entry["steps"] = tr.steps
     manifest.entry["rhs_evals"] = tr.rhs_evals
     with manifest.phase("write"):
-        paths = _claim_trajectory(outdir, manifest, "simulate.trajectory")
-        _write_trajectory(paths, tr)
-    manifest.finish()
-    print(json.dumps({"final_state": tr.states[-1].tolist(),
-                      "outputs": [str(path) for path in paths]}, indent=1))
-    return 0
+        _write_trajectory(manifest.claim(*_trajectory_names("simulate.trajectory")), tr)
+    return {"final_state": tr.states[-1].tolist(), "outputs": manifest.finish()}
 
 
 def _wait(writes: list) -> None:
@@ -360,36 +355,37 @@ def _wait(writes: list) -> None:
         write.result()  # raises what the write raised
 
 
-def cmd_continue(args, config) -> int:
+def cmd_continue(args, config) -> dict:
     """Integrate the chain; one forked worker writes each run's files meanwhile.
 
-    Claims, solver statistics and the manifest stay in this process.  The
-    manifest is written only once the worker has finished every file
-    handed to it, so a chain that fails at entry k records, and keeps, the
-    files of the entries before k.
+    Every file name of the schedule is checked before the first run
+    integrates; each run's files are claimed as it ends.  Claims, solver
+    statistics and the manifest stay in this process.  The manifest is
+    written only once the worker has finished every file handed to it, so
+    a chain that fails at entry k records, and keeps, the files of the
+    entries before k.
     """
     # imported here: ``import relaxor.cli`` loads no multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    r = _resolve(args, config, "r")
-    m = _resolve(args, config, "m")
-    params = Params(r, m)
+    params = _params(args, config)
     state = _parse_state(_resolve(args, config, "state", str))
     schedule = _parse_schedule(_resolve(args, config, "schedule", str))
-    outdir, manifest = _prepare(args, "continue", {
-        "r": r, "m": m, "state": state.to_array().tolist(),
+    manifest = _prepare(args, "continue", {
+        "r": params.r, "m": params.m, "state": state.to_array().tolist(),
         "schedule": [[e, d] for e, d in schedule]})
-    drift, steps, rhs_evals, outputs, writes = [], [], [], [], []
+    names = [_trajectory_names(f"continue.{i:02d}.eps{eps:g}")
+             for i, (eps, _) in enumerate(schedule)]
+    manifest.check(*(name for run_names in names for name in run_names))
+    drift, steps, rhs_evals, writes = [], [], [], []
     writer = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
     try:
         with manifest.phase("integrate"):
             try:
                 for i, tr in enumerate(iter_continue_in_eps(state, params, schedule)):
-                    paths = _claim_trajectory(outdir, manifest,
-                                              f"continue.{i:02d}.eps{tr.config.eps:g}")
-                    writes.append(writer.submit(_write_trajectory, paths, tr))
-                    outputs += map(str, paths)
+                    writes.append(writer.submit(_write_trajectory,
+                                                manifest.claim(*names[i]), tr))
                     drift.append(tr.integral_drift())
                     steps.append(tr.steps)
                     rhs_evals.append(tr.rhs_evals)
@@ -404,19 +400,17 @@ def cmd_continue(args, config) -> int:
     finally:
         # waits for a write under way; after a failure the queued ones are dropped
         writer.shutdown(cancel_futures=True)
-    manifest.finish()
-    print(json.dumps({"runs": len(writes),
-                      "final_eps": tr.config.eps,
-                      "final_state": tr.states[-1].tolist(),
-                      "outputs": outputs}, indent=1))
-    return 0
+    return {"runs": len(writes),
+            "final_eps": tr.config.eps,
+            "final_state": tr.states[-1].tolist(),
+            "outputs": manifest.finish()}
 
 
-def cmd_classify(args, config) -> int:
+def cmd_classify(args, config) -> dict:
     if args.input is None:
         raise InvalidInputError("classify requires --input FILE")
     align_tol = args.align_tol
-    outdir, manifest = _prepare(args, "classify", {
+    manifest = _prepare(args, "classify", {
         "input": str(args.input), "align_tol": align_tol})
     with manifest.phase("read"):
         try:
@@ -447,13 +441,11 @@ def cmd_classify(args, config) -> int:
         report = classification_report(sync, ex)
 
     with manifest.phase("write"):
-        path = manifest.claim(outdir / "classify.report.json")
+        path, = manifest.claim("classify.report.json")
         path.write_text(json.dumps(report, indent=1))
-    manifest.finish()
-    print(json.dumps({"label": sync.label.value,
-                      "orientation": sync.orientation.value,
-                      "outputs": [str(path)]}, indent=1))
-    return 0
+    return {"label": sync.label.value,
+            "orientation": sync.orientation.value,
+            "outputs": manifest.finish()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,13 +518,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _read_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        summary = _COMMANDS[args.command](args, config)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RelaxorError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
+    print(json.dumps(summary, indent=1))
+    return 0
 
 
 if __name__ == "__main__":

@@ -470,7 +470,6 @@ class FamilyRow:
     m: float
     pinned: dict
     jump: JumpPair
-    residual: float
 
 
 @dataclass
@@ -489,7 +488,7 @@ class FamilyTable:
         out = {"r": row.r, "m": row.m}
         out.update({f"pin_{k}": row.pinned[k] for k in self.pin_names})
         out.update(row.jump.as_dict())  # keyed in _COORDS order
-        out["residual"] = row.residual
+        out["residual"] = row.jump.residual
         return out
 
     def to_json(self, path) -> None:
@@ -560,7 +559,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             table.rows.append(FamilyRow(
                 r=p.r, m=p.m,
                 pinned={pin_names[0]: float(values1[i]), pin_names[1]: float(values2[j])},
-                jump=pair, residual=pair.residual))
+                jump=pair))
     return table
 
 

@@ -79,6 +79,32 @@ def test_construct_refuses_overwrite_without_force(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,present", [
+    (("construct", "--seed", "hybrid", "--samples", "50"), "construct.phase.svg"),
+    (("scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"), "scan.p2B_zB.svg"),
+    (("continue", "--schedule", "0.1:1,0.2:1"), "continue.01.eps0.2.svg"),
+], ids=["construct", "scan", "continue"])
+def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, present):
+    # a later output already on disk is refused before any file is written,
+    # and continue refuses it before its first run integrates
+    integrate = relaxor.simulate.integrate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(relaxor.simulate, "integrate", counted)
+    (tmp_path / present).write_text("kept")
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: refusing to overwrite {tmp_path / present}")
+    assert [p.name for p in tmp_path.iterdir()] == [present]
+    assert (tmp_path / present).read_text() == "kept"
+    assert calls == []
+
+
 CLASSIFY_EXPECTATIONS = {
     # seed -> ((r, m), label, orientation or None)
     "hybrid": ((0.5, 0.4), "PredatorPreyPrey", None),
@@ -200,11 +226,13 @@ def test_every_command_records_versions_and_phase_timings(tmp_path, capsys):
               "scan": ["scan", "write"],
               "simulate": ["integrate", "write"],
               "continue": ["integrate", "write"]}
+    printed = []
     for argv in argvs.values():
         assert run(*argv, "--out", str(out)) == 0
-    capsys.readouterr()
+        printed.append(json.loads(capsys.readouterr().out)["outputs"])
     entries = json.loads((out / "manifest.json").read_text())["runs"]
     assert [e["command"] for e in entries] == list(argvs)
+    assert printed == [[str(out / name) for name in e["outputs"]] for e in entries]
     for entry in entries:
         assert entry["numpy_version"] == np.__version__
         assert entry["scipy_version"] == scipy.__version__

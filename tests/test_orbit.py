@@ -495,7 +495,7 @@ def test_scan_single_point_grid(reference_pairs):
                         {"p2A": pair.p2a, "zB": pair.zb})
     assert len(table) == 1
     assert table.rows[0].jump.p2b == pytest.approx(pair.p2b, rel=1e-9)
-    assert table.rows[0].residual < 1e-10
+    assert table.rows[0].jump.residual < 1e-10
 
 
 def test_scan_rows_pass_residual_recheck(params_default):
@@ -522,7 +522,7 @@ def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
     for row in table.rows:
         d = row.jump.as_dict()
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
-        assert row.residual == float(np.max(np.abs(res)))
+        assert row.jump.residual == float(np.max(np.abs(res)))
 
 
 def test_scan_logs_each_point_without_a_row(caplog, params_default):
