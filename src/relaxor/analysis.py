@@ -110,6 +110,16 @@ def _refine_parabolic(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
     return float(tv), float(a * tv ** 2 + b * tv + c)
 
 
+def _turns(y: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Slope signs of the samples ``y``, and the samples where they flip.
+
+    Sample i turns where the slopes on either side of it have opposite
+    nonzero signs.
+    """
+    sign = np.sign(np.diff(y))
+    return sign, (np.flatnonzero(sign[:-1] * sign[1:] < 0.0) + 1).tolist()
+
+
 def _normalize_jumps(jump_times) -> list[tuple[float, str]]:
     out = []
     for item in jump_times:
@@ -125,7 +135,8 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
     """Locate extrema of p1, p2, z with jump-point tagging.
 
     ``source`` is a Trajectory or SingularOrbit.  Interior extrema come
-    from sign changes of the sampled derivative, refined parabolically;
+    from sign changes of the sampled derivative, found in one numpy pass
+    per variable and refined parabolically;
     extrema within ``align_tol`` of a jump time are tagged "at-jump".
     For singular orbits the segment seams are checked directly: a slope
     sign change across a jump is an extremum exactly at the jump time.
@@ -194,11 +205,8 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
                                           "max" if left > 0 else "min",
                                           "at-jump", direction))
 
-        dy = np.diff(y)
-        sign = np.sign(dy)
-        for i in range(1, len(dy)):
-            if sign[i - 1] == 0.0 or sign[i] == 0.0 or sign[i - 1] == sign[i]:
-                continue
+        sign, turns = _turns(y)
+        for i in turns:
             tv, yv = _refine_parabolic(times, y, i)
             kind = "max" if sign[i - 1] > 0 else "min"
             if not jumps:

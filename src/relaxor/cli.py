@@ -6,7 +6,8 @@ resolve as command-line flag > config file ("key = value" lines) >
 built-in default; every run appends an entry to the output directory's
 manifest, and an output path is never silently overwritten (pass --force
 to replace it, which also retires the old manifest entry); a refused
-overwrite is reported before any file is written.  A run that fails
+overwrite is reported before any file is written, and by construct, scan
+and continue before they compute.  A run that fails
 numerically still appends its entry, with the error in place of outputs.
 """
 
@@ -253,6 +254,8 @@ def cmd_construct(args, config) -> dict:
     manifest = _prepare(args, "construct", {
         "r": params.r, "m": params.m, "seed": seed_name, "pin": pin, "guess": guess,
         "samples": samples})
+    names = ("construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
+    manifest.check(*names)
     with manifest.phase("solve"):
         if pin:
             pair = solve_jump_points(pin, guess, params)
@@ -262,8 +265,7 @@ def cmd_construct(args, config) -> dict:
         orbit = assemble_singular_orbit(pair, params, samples_per_segment=samples)
 
     with manifest.phase("write"):
-        orbit_path, svg_path, ts_path = manifest.claim(
-            "construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
+        orbit_path, svg_path, ts_path = manifest.claim(*names)
         orbit.to_json(orbit_path)
         svg_path.write_text(dual_phase_plane_svg(orbit))
         ts_path.write_text(time_series_svg(orbit.times, orbit.states))
@@ -294,13 +296,14 @@ def cmd_scan(args, config) -> dict:
         "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
         "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
         "guess": guess})
+    names = ("scan.family.json", "scan.family.csv",
+             *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
+    manifest.check(*names)
     with manifest.phase("scan"):
         table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
 
     with manifest.phase("write"):
-        json_path, csv_path, *svg_paths = manifest.claim(
-            "scan.family.json", "scan.family.csv",
-            *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
+        json_path, csv_path, *svg_paths = manifest.claim(*names)
         table.to_json(json_path)
         table.to_csv(csv_path)
         jumps = [row.jump.as_dict() for row in table.rows]
@@ -356,12 +359,12 @@ def _wait(writes: list) -> None:
 
 
 def cmd_continue(args, config) -> dict:
-    """Integrate the chain; one forked worker writes each run's files meanwhile.
+    """Integrate the chain; two forked workers write the runs' files meanwhile.
 
     Every file name of the schedule is checked before the first run
     integrates; each run's files are claimed as it ends.  Claims, solver
     statistics and the manifest stay in this process.  The manifest is
-    written only once the worker has finished every file handed to it, so
+    written only once the workers have finished every file handed to them, so
     a chain that fails at entry k records, and keeps, the files of the
     entries before k.
     """
@@ -379,7 +382,7 @@ def cmd_continue(args, config) -> dict:
              for i, (eps, _) in enumerate(schedule)]
     manifest.check(*(name for run_names in names for name in run_names))
     drift, steps, rhs_evals, writes = [], [], [], []
-    writer = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    writer = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
     try:
         with manifest.phase("integrate"):
             try:
@@ -398,7 +401,7 @@ def cmd_continue(args, config) -> dict:
         with manifest.phase("write"):
             _wait(writes)
     finally:
-        # waits for a write under way; after a failure the queued ones are dropped
+        # waits for the writes under way; after a failure the queued ones are dropped
         writer.shutdown(cancel_futures=True)
     return {"runs": len(writes),
             "final_eps": tr.config.eps,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 
 from .errors import (
     BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
@@ -37,8 +37,9 @@ from .errors import (
     UnsupportedManifoldError,
 )
 from .lambertw import Branch, w_plus_one
-from .model import ManifoldTag, Params, h0, h1, slow_rhs
+from .model import ManifoldTag, Params, h0, h1, vector_field
 from .quadrature import phase, sine_gauss
+from .simulate import dop853_samples
 
 _log = logging.getLogger(__name__)
 
@@ -637,29 +638,42 @@ class SingularOrbit:
             return cls.from_dict(json.load(fh))
 
 
-def _integrate_slow_segment(y0: np.ndarray, duration: float, man: ManifoldTag,
+def _integrate_slow_segment(y0: np.ndarray, duration: float, q: float,
                             p: Params, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    sol = solve_ivp(lambda t, y: slow_rhs(y, p, man), (0.0, duration), y0,
-                    method="DOP853", rtol=1e-12, atol=1e-12,
-                    t_eval=np.linspace(0.0, duration, samples), dense_output=False)
-    if not sol.success:
-        raise InconsistentJumpPairError(f"slow segment integration failed: {sol.message}")
-    return sol.t, sol.y.T
+    # the full field at q exactly 1 or 0, where q' is exactly 0: q never
+    # moves and the first three components are the slow flow of slow_rhs
+    times = np.linspace(0.0, duration, samples)
+
+    def failed(t, reason):
+        return InconsistentJumpPairError(
+            f"slow segment integration failed at t={t:g}: {reason}")
+
+    states, _, _ = dop853_samples(vector_field(p, 1.0), np.append(y0, q),
+                                   times, 1e-12, 1e-12, 0.0, failed)
+    return times, states[:, :3]
 
 
 def assemble_singular_orbit(j: JumpPair, p: Params,
                             samples_per_segment: int = 400) -> SingularOrbit:
     """Integrate the two slow segments and concatenate them into an orbit.
 
+    Each segment is stepped once with ``simulate.dop853_samples``, the
+    library's one DOP853 driver, on the full ``vector_field`` with q held
+    at exactly 1 or 0 (rtol = atol = 1e-12, no step cap) and sampled at
+    ``samples_per_segment`` equally spaced times.
+
     The q=1 segment starts at A and must land on B after time T1 (and the
     q=0 segment back on A after T0) to within 1e-6 per slow coordinate;
     otherwise the jump pair does not close up and an
     InconsistentJumpPairError is raised.
     """
-    t1, y1 = _integrate_slow_segment(j.a_point(), j.t1, ManifoldTag.M1, p,
+    if samples_per_segment < 2:
+        raise ParameterDomainError(
+            f"need at least two samples per slow segment, got {samples_per_segment}")
+    t1, y1 = _integrate_slow_segment(j.a_point(), j.t1, 1.0, p,
                                      samples_per_segment)
     miss1 = np.max(np.abs(y1[-1] - j.b_point()))
-    t0, y0 = _integrate_slow_segment(j.b_point(), j.t0, ManifoldTag.M0, p,
+    t0, y0 = _integrate_slow_segment(j.b_point(), j.t0, 0.0, p,
                                      samples_per_segment)
     miss0 = np.max(np.abs(y0[-1] - j.a_point()))
     if max(miss0, miss1) > 1e-6:

@@ -16,6 +16,7 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import DOP853, ode, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
@@ -23,7 +24,9 @@ from scipy.spatial import cKDTree
 
 from .errors import ParameterDomainError, StiffnessError
 from .model import Params, State, full_integral, vector_field
-from .orbit import SingularOrbit
+
+if TYPE_CHECKING:  # orbit imports this module's stepper
+    from .orbit import SingularOrbit
 
 __all__ = [
     "SimConfig", "Trajectory", "JumpEvent", "integrate", "iter_continue_in_eps",
@@ -90,7 +93,7 @@ class Trajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
-        if not np.all(np.diff(self.times) > 0.0):  # also refuses NaN times
+        if not np.all(self.times[1:] > self.times[:-1]):  # also refuses NaN times
             raise ParameterDomainError("trajectory times must increase strictly")
         if self.states.shape != (len(self.times), 4):
             raise ParameterDomainError("states must be (n, 4) matching times")
@@ -175,35 +178,65 @@ _SAMPLE_BLOCK = 4096
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
-    Uses Hairer's compiled DOP853, an explicit embedded Runge-Kutta pair
-    of order 8(5,3), which calls back into Python only for the right-hand
-    side; the fast layer is one-dimensional and non-oscillatory, so no
-    implicit solver is needed down to the eps values of interest.  One
-    call steps from 0 to ``t_end``.  The ``n_samples`` equally spaced
-    times are then taken together: each sample starts from the last
-    accepted step point at or before its time and takes one 12-stage step
-    of the stepper's own 8th-order tableau up to it, with ``vector_field``
-    evaluated on the (4, n) array of many samples at once.  A sample on a
-    step point, such as t = 0 or ``t_end``, is that step point.  Only the
-    step points some sample starts from are kept, so memory grows with
-    ``n_samples``, not with the number of steps.  The trajectory carries
-    the number of accepted steps and of right-hand-side calls the stepper
-    made.
+    Steps ``vector_field`` once with ``dop853_samples``, the library's one
+    DOP853 driver (``orbit.assemble_singular_orbit`` steps its slow
+    segments with it too): Hairer's compiled DOP853, an explicit embedded
+    Runge-Kutta pair of order 8(5,3), which calls back into Python only
+    for the right-hand side; the fast layer is one-dimensional and
+    non-oscillatory, so no implicit solver is needed down to the eps
+    values of interest.  Steps are capped at ``resolved_max_step()``, and
+    the ``n_samples`` equally spaced times are taken together after the
+    one call from 0 to ``t_end``.  The trajectory carries the number of
+    accepted steps and of right-hand-side calls the stepper made.
 
     The samples are not step ends, so they carry the stepper's global
     error at ``rel_tol``.  Where eps/2 is longer than the sample spacing
     that error is far above ``rel_tol``: 3.7e-10 at eps = 0.1 and 1.6e-8
     at eps = 0.5 from the default state over t = 50.
-
-    The compiled stepper behind ``scipy.integrate.ode`` is not
-    re-entrant: a dop853 integration started inside the right-hand side
-    corrupts the outer one, and two threads must not integrate at once.
-    Separate calls in sequence, each with its own ``ode`` object, are safe.
     """
     y0 = s0.to_array() if isinstance(s0, State) else np.asarray(s0, dtype=float)
     State.from_array(y0)  # validates positivity and q-range
-    field = vector_field(p, c.eps)
     times = np.linspace(0.0, c.t_end, c.n_samples)
+
+    def stalled(t, reason):
+        return StiffnessError(
+            f"integration stalled at t={t:g} (eps={c.eps:g}): "
+            f"{reason}; lower the eps floor or tighten max_step")
+
+    states, steps, rhs_evals = dop853_samples(
+        vector_field(p, c.eps), y0, times, c.rel_tol, c.abs_tol,
+        c.resolved_max_step(), stalled)
+    return Trajectory(times=times, states=states, params=p, config=c,
+                      steps=steps, rhs_evals=rhs_evals)
+
+
+def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
+                   failure) -> tuple[np.ndarray, int, int]:
+    """Step the 4-D ``field`` once from ``y0`` at t = 0 and sample it at ``times``.
+
+    The library's one DOP853 driver, behind ``integrate`` and
+    ``orbit.assemble_singular_orbit``; left out of ``__all__``, so a
+    tracer of the public functions charges its time to its caller.
+
+    One call of Hairer's compiled DOP853 (``scipy.integrate.ode``) steps
+    from 0 to ``times[-1]`` with steps of at most ``max_step`` (0: no
+    cap).  The increasing ``times`` are then taken together: each sample
+    starts from the last accepted step point at or before its time and
+    takes one 12-stage step of the stepper's own 8th-order tableau up to
+    it, with ``field`` evaluated on the (4, n) array of many samples at
+    once.  A sample on a step point, such as t = 0 or the end, is that
+    step point.  Only the step points some sample starts from are kept,
+    so memory grows with the number of samples, not with the number of
+    steps.
+
+    Returns the (n, 4) states, the accepted steps and the right-hand-side
+    calls.  A failed stepper call raises ``failure(t, reason)``.
+
+    The compiled stepper is not re-entrant: a dop853 integration started
+    inside the right-hand side corrupts the outer one, and two threads
+    must not integrate at once.  Separate calls in sequence, each with its
+    own ``ode`` object, are safe.
+    """
     due = [*times.tolist(), math.inf]  # the sample times, then a sentinel
     k = 0  # the first sample at or after the last kept step point
     record = array.array("d")  # t, p1, p2, z, q of each kept step point
@@ -218,35 +251,31 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
         record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
 
     stepper = ode(field).set_integrator(
-        "dop853", rtol=c.rel_tol, atol=c.abs_tol, max_step=c.resolved_max_step(),
-        nsteps=_MAX_STEPS)
+        "dop853", rtol=rtol, atol=atol, max_step=max_step, nsteps=_MAX_STEPS)
     stepper.set_solout(keep)
     stepper.set_initial_value(y0, 0.0)
     try:
         # the stepper reports a failed call through a UserWarning and its return code
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            stepper.integrate(c.t_end)
+            stepper.integrate(times[-1])
         if not stepper.successful():
-            reason = (caught[-1].message if caught
-                      else f"return code {stepper.get_return_code()}")
-            raise StiffnessError(
-                f"integration stalled at t={stepper.t:g} (eps={c.eps:g}): "
-                f"{reason}; lower the eps floor or tighten max_step")
+            raise failure(stepper.t, caught[-1].message if caught
+                          else f"return code {stepper.get_return_code()}")
         points = np.array(record).reshape(-1, 5)
+        # Hairer's IWORK(17) and IWORK(19), the right-hand-side calls and the
+        # accepted steps, at these places in scipy 1.17.1's dop853 work array
+        rhs_evals, steps = (int(n) for n in stepper._integrator.iwork[[16, 18]])
     finally:
-        # the dop853 integrator sits in a reference cycle that keeps ``keep``,
-        # and with it the step record, alive until the next full collection
-        del record[:], due[:]
-    states = np.empty((c.n_samples, 4))
-    for lo in range(0, c.n_samples, _SAMPLE_BLOCK):
+        # each run of scipy's dop853 wrapper leaks a reference to the
+        # integrator, which would keep its work arrays and ``keep``, with
+        # the step record, alive for the life of the process
+        vars(stepper._integrator).clear()
+    states = np.empty((len(times), 4))
+    for lo in range(0, len(times), _SAMPLE_BLOCK):
         block = slice(lo, lo + _SAMPLE_BLOCK)
         states[block] = _sample(field, points[:, 0], points[:, 1:], times[block])
-    # Hairer's IWORK(17) and IWORK(19), the right-hand-side calls and the
-    # accepted steps, at these places in scipy 1.17.1's dop853 work array
-    rhs_evals, steps = (int(n) for n in stepper._integrator.iwork[[16, 18]])
-    return Trajectory(times=times, states=states, params=p, config=c,
-                      steps=steps, rhs_evals=rhs_evals)
+    return states, steps, rhs_evals
 
 
 def _sample(field, step_t, step_y, times):

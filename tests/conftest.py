@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from relaxor import Params, assemble_singular_orbit, solve_jump_points
+from relaxor import (Params, assemble_singular_orbit, solve_balanced_orbit,
+                     solve_jump_points)
+from relaxor.cli import SEEDS
 
 # benchmark jump coordinates (two-decimal reference values):
 # (r, m), A = (p1A, p2A, zA), B = (p1B, p2B, zB)
@@ -80,6 +82,20 @@ def reference_orbits(reference_pairs):
     """Assembled singular orbits for the four benchmark orbits."""
     return {name: (p, pair, assemble_singular_orbit(pair, p))
             for name, (p, pair) in reference_pairs.items()}
+
+
+@pytest.fixture(scope="session")
+def preset_orbits():
+    """(params, pair, orbit) for each CLI preset, at the (r, m) of its reference."""
+    orbits = {}
+    for name, seed in SEEDS.items():
+        p = Params(*REFERENCE_ORBITS[name][0]) if name in REFERENCE_ORBITS else Params(0.5, 0.4)
+        if "pin" in seed:
+            pair = solve_jump_points(seed["pin"], seed["guess"], p)
+        else:
+            pair = solve_balanced_orbit(seed["guess"], p)
+        orbits[name] = (p, pair, assemble_singular_orbit(pair, p))
+    return orbits
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ from scipy.integrate import solve_ivp
 
 from relaxor import (
     InsufficientDataError, ManifoldTag, Orientation, SimConfig, State,
-    SyncLabel, classify_orientation, classify_synchronization,
+    SyncLabel, Trajectory, classify_orientation, classify_synchronization,
     detect_jump_events, effective_jump_pair, find_extrema, integrate, slow_rhs,
 )
+import relaxor.analysis as analysis_module
 from relaxor.analysis import classification_report
 
 
@@ -181,3 +182,26 @@ def test_classification_report_is_json_ready(antiphase_orbit):
     text = json.dumps(doc)
     assert "PreyPreyAntiphase" in text
     assert doc["period"] == pytest.approx(orbit.period)
+
+
+def _per_sample_turns(y):
+    # the sign-change scan as a loop over every sample, the oracle of _turns
+    sign = np.sign(np.diff(y))
+    return sign, [i for i in range(1, len(sign))
+                  if not (sign[i - 1] == 0.0 or sign[i] == 0.0 or sign[i - 1] == sign[i])]
+
+
+def test_extrema_equal_the_per_sample_scan(monkeypatch, rng, params_default, preset_orbits):
+    sources = [integrate(State(1.18, 0.87, 1.5, 0.99), params_default,
+                         SimConfig(eps=eps, t_end=50.0)) for eps in (0.025, 0.01)]
+    sources += [orbit for _, _, orbit in preset_orbits.values()]
+    found = [find_extrema(source) for source in sources]
+    # a random walk in steps of -1, 0 and 1: plateaus next to turns, no jumps
+    walk = Trajectory(np.arange(500.0), rng.integers(-1, 2, (500, 4)).cumsum(axis=0),
+                      params_default, SimConfig(eps=0.1, t_end=499.0))
+    walk_extrema = find_extrema(walk, jump_times=[])
+    monkeypatch.setattr(analysis_module, "_turns", _per_sample_turns)
+    for source, ex in zip(sources, found):
+        assert all(ex.entries.values())
+        assert ex == find_extrema(source)  # every field of every extremum
+    assert walk_extrema == find_extrema(walk, jump_times=[])

@@ -10,7 +10,9 @@ import scipy
 
 import relaxor
 from relaxor import svgplot
-from relaxor.cli import main
+from relaxor.cli import (_DEFAULTS, _parse_state, _trajectory_names, _write_trajectory,
+                         main)
+from relaxor.simulate import continue_in_eps
 
 
 def run(*argv):
@@ -81,13 +83,14 @@ def test_construct_refuses_overwrite_without_force(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,present", [
     (("construct", "--seed", "hybrid", "--samples", "50"), "construct.phase.svg"),
+    (("construct", "--seed", "balanced"), "construct.orbit.json"),
     (("scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
       "--guess", "p2A=0.49", "--guess", "zB=1.4"), "scan.p2B_zB.svg"),
     (("continue", "--schedule", "0.1:1,0.2:1"), "continue.01.eps0.2.svg"),
-], ids=["construct", "scan", "continue"])
+], ids=["construct", "construct-balanced", "scan", "continue"])
 def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, present):
     # a later output already on disk is refused before any file is written,
-    # and continue refuses it before its first run integrates
+    # and before the command solves, scans or integrates
     integrate = relaxor.simulate.integrate
     calls = []
 
@@ -95,7 +98,12 @@ def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, p
         calls.append(args)
         return integrate(*args)
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved although an output is refused")
+
     monkeypatch.setattr(relaxor.simulate, "integrate", counted)
+    for name in ("solve_jump_points", "solve_balanced_orbit", "scan_family"):
+        monkeypatch.setattr(relaxor.cli, name, unreachable)
     (tmp_path / present).write_text("kept")
     assert run(*argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith(
@@ -103,6 +111,13 @@ def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, p
     assert [p.name for p in tmp_path.iterdir()] == [present]
     assert (tmp_path / present).read_text() == "kept"
     assert calls == []
+
+
+def test_construct_with_one_sample_per_segment_exits_2(tmp_path, capsys):
+    assert run("construct", "--seed", "hybrid", "--samples", "1",
+               "--out", str(tmp_path)) == 2
+    assert "at least two samples per slow segment" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 CLASSIFY_EXPECTATIONS = {
@@ -458,6 +473,48 @@ def test_continue_failing_at_a_later_entry_keeps_the_earlier_files(tmp_path, cap
     assert relaxor.Trajectory.from_json(out / files[1]).config.eps == 0.1
     assert entry["error"]["class"] == "StiffnessError"
     assert list(entry["elapsed_s"]) == ["integrate"]
+
+
+def test_continue_workers_write_the_bytes_of_an_in_process_write(tmp_path, capsys,
+                                                                 params_default):
+    schedule = [(0.1, 1.0), (0.2, 1.0), (0.3, 1.0), (0.4, 1.0)]
+    out, ref = tmp_path / "runs", tmp_path / "ref"
+    assert run("continue", "--schedule", ",".join(f"{e}:{d}" for e, d in schedule),
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    ref.mkdir()
+    start = _parse_state(_DEFAULTS["state"])
+    for i, tr in enumerate(continue_in_eps(start, params_default, schedule)):
+        names = _trajectory_names(f"continue.{i:02d}.eps{tr.config.eps:g}")
+        _write_trajectory([ref / name for name in names], tr)
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_continue_failing_at_the_last_of_four_entries_keeps_three_runs(tmp_path, capsys,
+                                                                      monkeypatch):
+    integrate = relaxor.simulate.integrate
+    calls = []
+
+    def fourth_run_stalls(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise relaxor.StiffnessError("integration stalled")
+        return integrate(*args)
+
+    monkeypatch.setattr(relaxor.simulate, "integrate", fourth_run_stalls)
+    out = tmp_path / "runs"
+    assert run("continue", "--schedule", "0.1:1,0.2:1,0.3:1,0.4:1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: schedule entry 3 (eps=0.4)")
+    assert multiprocessing.active_children() == []
+    entry, = json.loads((out / "manifest.json").read_text())["runs"]
+    files = [f"continue.{i:02d}.eps{eps:g}.{ext}"
+             for i, eps in enumerate((0.1, 0.2, 0.3)) for ext in ("csv", "json", "svg")]
+    assert entry["outputs"] == files
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+    for i, eps in enumerate((0.1, 0.2, 0.3)):
+        assert relaxor.Trajectory.from_json(out / files[3 * i + 1]).config.eps == eps
 
 
 def test_continue_write_error_in_the_worker_propagates(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from relaxor import (
     trait_pressure_balance, UnsupportedManifoldError, travel_time_M0, travel_time_M1,
 )
 from relaxor.lambertw import w_plus_one
-from relaxor.model import h0, h1
+from relaxor.model import h0, h1, slow_rhs
 import relaxor.orbit as orbit_module
 from relaxor.orbit import _chart
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
@@ -586,6 +586,33 @@ def test_assemble_singular_orbit_properties(reference_orbits):
     drift1 = np.ptp(h1(orbit.y_m1[:, 0], orbit.y_m1[:, 2], p))
     drift0 = np.ptp(h0(orbit.y_m0[:, 1], orbit.y_m0[:, 2], p))
     assert max(drift0, drift1) < 1e-8
+
+
+def _solve_ivp_segment(y0, duration, man, p, samples):
+    # the oracle: scipy's interpreted DOP853 over the reduced slow field
+    sol = solve_ivp(lambda t, y: slow_rhs(y, p, man), (0.0, duration), y0,
+                    method="DOP853", rtol=1e-12, atol=1e-12,
+                    t_eval=np.linspace(0.0, duration, samples))
+    assert sol.success
+    return sol.y.T
+
+
+def test_assembled_presets_match_solve_ivp_over_the_slow_field(preset_orbits):
+    for name, (p, pair, orbit) in preset_orbits.items():
+        n = len(orbit.t_m1)
+        assert np.array_equal(orbit.t_m1, np.linspace(0.0, pair.t1, n))
+        assert np.array_equal(orbit.t_m0, (pair.t1 + np.linspace(0.0, pair.t0, n))[1:])
+        y1 = _solve_ivp_segment(pair.a_point(), pair.t1, ManifoldTag.M1, p, n)
+        y0 = _solve_ivp_segment(pair.b_point(), pair.t0, ManifoldTag.M0, p, n)
+        assert np.max(np.abs(orbit.y_m1 - y1)) < 1e-10, name
+        assert np.max(np.abs(orbit.y_m0 - y0[1:])) < 1e-10, name
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_assemble_needs_two_samples_per_segment(reference_pairs, samples):
+    p, pair = reference_pairs["hybrid"]
+    with pytest.raises(ParameterDomainError, match="at least two samples"):
+        assemble_singular_orbit(pair, p, samples_per_segment=samples)
 
 
 def test_assemble_rejects_inconsistent_pair(params_default, reference_pairs):

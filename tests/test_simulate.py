@@ -14,7 +14,7 @@ from scipy.integrate import ode, solve_ivp
 import relaxor.simulate
 from relaxor import (
     Params, ParameterDomainError, SimConfig, State, StiffnessError, Trajectory,
-    closeness_check, coexistence_equilibrium, continue_in_eps,
+    assemble_singular_orbit, closeness_check, coexistence_equilibrium, continue_in_eps,
     default_continuation_schedule, detect_jump_events, full_rhs, integrate,
     iter_continue_in_eps, vector_field,
 )
@@ -129,6 +129,15 @@ def test_trajectory_refuses_nan_times(params_default):
     doc["times"][1] = math.nan
     with pytest.raises(ParameterDomainError, match="increase strictly"):
         Trajectory.from_dict(doc)
+
+
+def test_trajectory_orders_times_whose_gaps_overflow(params_default):
+    # the gap from -1e292 to the largest double is beyond float64
+    big = np.finfo(float).max
+    times = [-9.9792015476736e291, big]
+    Trajectory(times, np.ones((2, 4)), params_default, SimConfig(eps=0.1, t_end=1.0))
+    with pytest.raises(ParameterDomainError, match="increase strictly"):
+        Trajectory(times[::-1], np.ones((2, 4)), params_default, SimConfig(eps=0.1, t_end=1.0))
 
 
 def _edge_trajectory():
@@ -262,10 +271,10 @@ def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_defau
 
 @pytest.mark.slow
 def test_integrate_keeps_no_step_record_alive(params_default):
-    # the dop853 integrator sits in a reference cycle with the step recorder;
-    # with the collector off, a record and sample list left filled would stay
-    # alive (a kept point for each of the 2,000 steps here, 40 bytes each,
-    # and 2,001 sample times), cleared ones leave a few kB
+    # scipy's dop853 wrapper leaks a reference to the integrator, which holds
+    # the step recorder, on each run; a record and sample list left filled
+    # would stay alive (a kept point for each of the 2,000 steps here, 40
+    # bytes each, and 2,001 sample times), an emptied integrator leaves a few kB
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.01, t_end=10.0)
     integrate(s0, params_default, cfg)
@@ -298,6 +307,22 @@ def test_integrate_memory_follows_the_samples_not_the_steps(params_default):
         tracemalloc.stop()
     assert tr.steps >= 20_000
     assert peak < 200_000
+
+
+def test_stepper_runs_leave_no_integrator_state_alive(params_default, reference_pairs):
+    # scipy's dop853 wrapper leaks a reference to its integrator on each run
+    from scipy.integrate._ode import dop853
+
+    def held():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, dop853) and vars(o))
+
+    before = held()
+    for eps in (0.1, 0.2, 0.3):
+        integrate(State(1.18, 0.87, 1.5, 0.99), params_default, SimConfig(eps=eps, t_end=1.0))
+    p, pair = reference_pairs["hybrid"]
+    assemble_singular_orbit(pair, p)
+    assert held() == before
 
 
 def test_sampling_in_blocks_is_bitwise_one_pass(monkeypatch, params_default):
