@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .model import Params
 from .orbit import JumpPair, SingularOrbit
+from .simulate import detect_jump_events
 
 __all__ = [
     "Extremum", "ExtremaList", "SyncLabel", "Orientation", "SyncClass",
@@ -163,7 +164,6 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
         if periodic:
             jump_times = source.jump_times()
         else:
-            from .simulate import detect_jump_events
             jump_times = detect_jump_events(source)
     jumps = _normalize_jumps(jump_times)
     # an explicitly empty jump list means a deliberately jump-free analysis

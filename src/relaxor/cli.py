@@ -2,13 +2,14 @@
 
 Subcommands: construct, scan, simulate, continue, classify.  Exit codes:
 0 on success, 1 on numerical failure, 2 on invalid input.  Option values
-resolve as command-line flag > config file ("key = value" lines) >
-built-in default; every run appends an entry to the output directory's
-manifest, and an output path is never silently overwritten (pass --force
-to replace it, which also retires the old manifest entry); a refused
-overwrite is reported before any file is written, and by construct, scan
-and continue before they compute.  A run that fails
-numerically still appends its entry, with the error in place of outputs.
+resolve as command-line flag > config file ("key = value" lines; a key
+that no command knows is invalid) > built-in default; every run appends
+an entry to the output directory's manifest, and an output path is never
+silently overwritten (pass --force to replace it, which also retires the
+old manifest entry); a refused overwrite is reported before any file is
+written, and by construct, scan and continue before they compute.  A run
+that fails numerically still appends its entry, with the error in place
+of outputs.
 """
 
 from __future__ import annotations
@@ -46,10 +47,41 @@ SEEDS = {
     "balanced": {"guess": {"p1A": 1.218, "p2A": 0.811, "zA": 1.486, "zB": 1.486}},
 }
 
-_DEFAULTS = {
-    "r": 0.5, "m": 0.4, "eps": 0.025, "t_end": 50.0,
-    "state": "1.18,0.87,1.5,0.99", "seed": "hybrid",
-    "schedule": "default",
+# each command's options, name -> (type, default, help): one row is its
+# --flag, its config key and its default; _resolve gives each the value of
+# flag > config file > default
+_PARAMS = {"r": (float, 0.5, "rescaled prey-2 growth rate"),
+           "m": (float, 0.4, "rescaled predator death rate")}
+_STATE = {"state": (str, "1.18,0.87,1.5,0.99", "initial state p1,p2,z,q")}
+_OPTIONS = {
+    "construct": {
+        **_PARAMS,
+        "seed": (str, "hybrid", f"orbit preset: {', '.join(sorted(SEEDS))}"),
+        "samples": (int, 400, "samples per slow segment"),
+    },
+    "scan": {
+        **_PARAMS,
+        "pin1": (str, "p1A=1.4:2.6:20", "first pinned grid NAME=LO:HI:N"),
+        "pin2": (str, "zA=1.1:1.7:20", "second pinned grid NAME=LO:HI:N"),
+        "seed": (str, "hybrid", "preset supplying the free-coordinate guess"),
+    },
+    "simulate": {
+        **_PARAMS, **_STATE,
+        "eps": (float, 0.025, "time-scale separation"),
+        "t_end": (float, 50.0, "duration"),
+        "rel_tol": (float, SimConfig.rel_tol, "relative error tolerance"),
+        "abs_tol": (float, SimConfig.abs_tol, "absolute error tolerance"),
+        "max_step": (float, None, "largest step (default eps/2)"),
+        "samples": (int, SimConfig.n_samples, "number of output samples, at least 2"),
+    },
+    "continue": {
+        **_PARAMS, **_STATE,
+        "schedule": (str, "default", "'default' or eps:dur,eps:dur,..."),
+    },
+    "classify": {
+        "input": (str, None, "orbit or trajectory JSON"),
+        "align_tol": (float, None, "extremum/jump alignment tolerance"),
+    },
 }
 
 
@@ -72,21 +104,26 @@ def _read_config(path: str | None) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, cast=float,
-             default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as err:
-            raise InvalidInputError(f"config value for {key!r}: {err}") from err
-    return _DEFAULTS.get(key, default)
+def _resolve(args: argparse.Namespace, config: dict) -> None:
+    """Set each option of the command that no flag set: config value, else default.
 
-
-def _params(args: argparse.Namespace, config: dict) -> Params:
-    return Params(_resolve(args, config, "r"), _resolve(args, config, "m"))
+    A config key that no command knows is refused; one that belongs to
+    another command is ignored, so one file can serve every command.
+    """
+    known = {name for options in _OPTIONS.values() for name in options}
+    unknown = [key for key in config if key not in known]
+    if unknown:
+        raise InvalidInputError(
+            f"unknown config key {', '.join(map(repr, unknown))} in {args.config}")
+    for name, (cast, default, _) in _OPTIONS[args.command].items():
+        if getattr(args, name) is not None:
+            continue
+        if name in config:
+            try:
+                default = cast(config[name])
+            except ValueError as err:
+                raise InvalidInputError(f"config value for {name!r}: {err}") from err
+        setattr(args, name, default)
 
 
 def _parse_state(text: str) -> State:
@@ -143,10 +180,12 @@ def _parse_schedule(text: str) -> list[tuple[float, float]]:
 class _Manifest:
     """Per-directory record of runs and the files they produced."""
 
-    def __init__(self, outdir: Path, force: bool):
-        self.outdir = outdir
-        self.path = outdir / "manifest.json"
-        self.force = force
+    def __init__(self, args: argparse.Namespace, command: str, parameters: dict):
+        """Open the manifest of ``args.out`` and start the entry of this run."""
+        self.outdir = Path(args.out)
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        self.path = self.outdir / "manifest.json"
+        self.force = args.force
         self.doc = {"runs": []}
         if self.path.exists():
             try:
@@ -155,9 +194,6 @@ class _Manifest:
                 raise InvalidInputError(f"corrupt manifest {self.path}: {err}") from err
             if not isinstance(self.doc, dict) or not isinstance(self.doc.get("runs"), list):
                 raise InvalidInputError(f"corrupt manifest {self.path}: no run list")
-        self.entry = None
-
-    def start(self, command: str, parameters: dict) -> None:
         self.entry = {
             "command": command,
             "parameters": parameters,
@@ -228,22 +264,13 @@ def _error_record(err: RelaxorError) -> dict:
     return record
 
 
-def _prepare(args, command: str, parameters: dict) -> _Manifest:
-    outdir = Path(args.out if args.out is not None else ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(outdir, force=bool(args.force))
-    manifest.start(command, parameters)
-    return manifest
-
-
-def cmd_construct(args, config) -> dict:
-    params = _params(args, config)
-    samples = int(_resolve(args, config, "samples", int, default=400))
+def cmd_construct(args) -> dict:
+    params = Params(args.r, args.m)
     pin = _parse_assignments(args.pin, "--pin")
     guess = _parse_assignments(args.guess, "--guess")
     seed_name = None
     if not pin and not guess:
-        seed_name = _resolve(args, config, "seed", str)
+        seed_name = args.seed
         if seed_name not in SEEDS:
             raise InvalidInputError(
                 f"unknown seed {seed_name!r}; choose from {sorted(SEEDS)}")
@@ -251,9 +278,9 @@ def cmd_construct(args, config) -> dict:
         pin = dict(preset.get("pin", {}))
         guess = dict(preset["guess"])
 
-    manifest = _prepare(args, "construct", {
+    manifest = _Manifest(args, "construct", {
         "r": params.r, "m": params.m, "seed": seed_name, "pin": pin, "guess": guess,
-        "samples": samples})
+        "samples": args.samples})
     names = ("construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
     manifest.check(*names)
     with manifest.phase("solve"):
@@ -262,7 +289,7 @@ def cmd_construct(args, config) -> dict:
         else:
             pair = solve_balanced_orbit(guess, params)
     with manifest.phase("assemble"):
-        orbit = assemble_singular_orbit(pair, params, samples_per_segment=samples)
+        orbit = assemble_singular_orbit(pair, params, samples_per_segment=args.samples)
 
     with manifest.phase("write"):
         orbit_path, svg_path, ts_path = manifest.claim(*names)
@@ -276,23 +303,22 @@ _PROJECTIONS = (("p1A", "zA"), ("p2A", "zA"), ("p1B", "zB"), ("p2B", "zB"),
                 ("p1A", "p2A"), ("p1B", "p2B"))
 
 
-def cmd_scan(args, config) -> dict:
-    params = _params(args, config)
-    name1, grid1 = _parse_grid(args.pin1 or config.get("pin1", "p1A=1.4:2.6:20"))
-    name2, grid2 = _parse_grid(args.pin2 or config.get("pin2", "zA=1.1:1.7:20"))
+def cmd_scan(args) -> dict:
+    params = Params(args.r, args.m)
+    name1, grid1 = _parse_grid(args.pin1)
+    name2, grid2 = _parse_grid(args.pin2)
     guess = _parse_assignments(args.guess, "--guess")
     if not guess:
-        seed_name = _resolve(args, config, "seed", str)
-        if seed_name not in SEEDS or "pin" not in SEEDS[seed_name]:
-            raise InvalidInputError(f"seed {seed_name!r} has no scan guess")
-        guess = dict(SEEDS[seed_name]["guess"])
+        if args.seed not in SEEDS or "pin" not in SEEDS[args.seed]:
+            raise InvalidInputError(f"seed {args.seed!r} has no scan guess")
+        guess = dict(SEEDS[args.seed]["guess"])
     free = [n for n in UNKNOWN_NAMES if n not in (name1, name2)]
     if sorted(guess) != sorted(free):
         raise InvalidInputError(
             f"scan over ({name1}, {name2}) needs a guess for {free}")
 
-    manifest = _prepare(args, "scan", {
-        "r": params.r, "m": params.m, "pin1": f"{name1}", "pin2": f"{name2}",
+    manifest = _Manifest(args, "scan", {
+        "r": params.r, "m": params.m, "pin1": name1, "pin2": name2,
         "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
         "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
         "guess": guess})
@@ -328,18 +354,12 @@ def _write_trajectory(paths: list[Path], tr: Trajectory) -> None:
                                         title=f"eps = {tr.config.eps:g}"))
 
 
-def cmd_simulate(args, config) -> dict:
-    params = _params(args, config)
-    state = _parse_state(_resolve(args, config, "state", str))
-    cfg = SimConfig(
-        eps=_resolve(args, config, "eps"),
-        t_end=_resolve(args, config, "t_end"),
-        rel_tol=_resolve(args, config, "rel_tol", default=SimConfig.rel_tol),
-        abs_tol=_resolve(args, config, "abs_tol", default=SimConfig.abs_tol),
-        max_step=_resolve(args, config, "max_step"),
-        n_samples=int(_resolve(args, config, "samples", int, default=2000)),
-    )
-    manifest = _prepare(args, "simulate", {
+def cmd_simulate(args) -> dict:
+    params = Params(args.r, args.m)
+    state = _parse_state(args.state)
+    cfg = SimConfig(eps=args.eps, t_end=args.t_end, rel_tol=args.rel_tol,
+                    abs_tol=args.abs_tol, max_step=args.max_step, n_samples=args.samples)
+    manifest = _Manifest(args, "simulate", {
         "r": params.r, "m": params.m, "eps": cfg.eps, "t_end": cfg.t_end,
         "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
         "max_step": cfg.max_step, "state": state.to_array().tolist()})
@@ -358,7 +378,7 @@ def _wait(writes: list) -> None:
         write.result()  # raises what the write raised
 
 
-def cmd_continue(args, config) -> dict:
+def cmd_continue(args) -> dict:
     """Integrate the chain; two forked workers write the runs' files meanwhile.
 
     Every file name of the schedule is checked before the first run
@@ -372,10 +392,10 @@ def cmd_continue(args, config) -> dict:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    params = _params(args, config)
-    state = _parse_state(_resolve(args, config, "state", str))
-    schedule = _parse_schedule(_resolve(args, config, "schedule", str))
-    manifest = _prepare(args, "continue", {
+    params = Params(args.r, args.m)
+    state = _parse_state(args.state)
+    schedule = _parse_schedule(args.schedule)
+    manifest = _Manifest(args, "continue", {
         "r": params.r, "m": params.m, "state": state.to_array().tolist(),
         "schedule": [[e, d] for e, d in schedule]})
     names = [_trajectory_names(f"continue.{i:02d}.eps{eps:g}")
@@ -409,12 +429,11 @@ def cmd_continue(args, config) -> dict:
             "outputs": manifest.finish()}
 
 
-def cmd_classify(args, config) -> dict:
+def cmd_classify(args) -> dict:
     if args.input is None:
         raise InvalidInputError("classify requires --input FILE")
-    align_tol = args.align_tol
-    manifest = _prepare(args, "classify", {
-        "input": str(args.input), "align_tol": align_tol})
+    manifest = _Manifest(args, "classify", {
+        "input": args.input, "align_tol": args.align_tol})
     with manifest.phase("read"):
         try:
             doc = json.loads(Path(args.input).read_text())
@@ -432,14 +451,18 @@ def cmd_classify(args, config) -> dict:
             data = readers[kind](doc)
         except KeyError as err:
             raise InvalidInputError(f"{args.input}: {kind} document lacks {err}") from err
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError) as err:  # a field of the wrong type or shape
+            raise InvalidInputError(f"{args.input}: malformed {kind} document: {err}") from err
     with manifest.phase("classify"):
         params = data.params
         if kind == "singular_orbit":
-            ex = find_extrema(data, align_tol=align_tol)
+            ex = find_extrema(data, align_tol=args.align_tol)
             sync = classify_synchronization(ex, data.jumps, params)
         else:
             events = detect_jump_events(data)
-            ex = find_extrema(data, events, align_tol=align_tol)
+            ex = find_extrema(data, events, align_tol=args.align_tol)
             sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
         report = classification_report(sync, ex)
 
@@ -457,71 +480,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singular periodic orbits and simulations of the "
                     "fast-slow one-predator/two-prey system")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (_, purpose) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=purpose)
         sp.add_argument("--config", help="key = value settings file")
-        sp.add_argument("--out", help="output directory (default .)")
+        sp.add_argument("--out", default=".", help="output directory (default .)")
         sp.add_argument("--force", action="store_true",
                         help="allow replacing existing output files")
-        sp.add_argument("--r", type=float, help="rescaled prey-2 growth rate")
-        sp.add_argument("--m", type=float, help="rescaled predator death rate")
-
-    sp = sub.add_parser("construct", help="solve and assemble a singular orbit")
-    common(sp)
-    sp.add_argument("--seed", help=f"orbit preset: {', '.join(sorted(SEEDS))}")
-    sp.add_argument("--pin", action="append", metavar="NAME=VALUE",
-                    help="pinned jump coordinate (twice)")
-    sp.add_argument("--guess", action="append", metavar="NAME=VALUE",
-                    help="initial guess for a free coordinate")
-    sp.add_argument("--samples", type=int,
-                    help="samples per slow segment (default 400)")
-
-    sp = sub.add_parser("scan", help="continuation scan of the orbit family")
-    common(sp)
-    sp.add_argument("--pin1", metavar="NAME=LO:HI:N", help="first pinned grid")
-    sp.add_argument("--pin2", metavar="NAME=LO:HI:N", help="second pinned grid")
-    sp.add_argument("--seed", help="preset supplying the free-coordinate guess")
-    sp.add_argument("--guess", action="append", metavar="NAME=VALUE")
-
-    sp = sub.add_parser("simulate", help="integrate the full system once")
-    common(sp)
-    sp.add_argument("--eps", type=float, help="time-scale separation")
-    sp.add_argument("--t-end", dest="t_end", type=float, help="duration")
-    sp.add_argument("--state", help="initial state p1,p2,z,q")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sp.add_argument("--max-step", dest="max_step", type=float)
-    sp.add_argument("--samples", type=int,
-                    help="number of output samples, at least 2 (default 2000)")
-
-    sp = sub.add_parser("continue", help="chain runs along an eps schedule")
-    common(sp)
-    sp.add_argument("--state", help="initial state p1,p2,z,q")
-    sp.add_argument("--schedule", help="'default' or eps:dur,eps:dur,...")
-
-    sp = sub.add_parser("classify", help="classify an orbit or trajectory file")
-    common(sp)
-    sp.add_argument("--input", help="orbit or trajectory JSON")
-    sp.add_argument("--align-tol", dest="align_tol", type=float,
-                    help="extremum/jump alignment tolerance")
+        for name, (cast, default, text) in _OPTIONS[command].items():
+            if default is not None:
+                text += f" (default {default})"
+            sp.add_argument("--" + name.replace("_", "-"), type=cast, help=text)
+        if command == "construct":
+            sp.add_argument("--pin", action="append", metavar="NAME=VALUE",
+                            help="pinned jump coordinate (twice)")
+        if command in ("construct", "scan"):
+            sp.add_argument("--guess", action="append", metavar="NAME=VALUE",
+                            help="initial guess for a free coordinate")
     return parser
 
 
 _COMMANDS = {
-    "construct": cmd_construct,
-    "scan": cmd_scan,
-    "simulate": cmd_simulate,
-    "continue": cmd_continue,
-    "classify": cmd_classify,
+    "construct": (cmd_construct, "solve and assemble a singular orbit"),
+    "scan": (cmd_scan, "continuation scan of the orbit family"),
+    "simulate": (cmd_simulate, "integrate the full system once"),
+    "continue": (cmd_continue, "chain runs along an eps schedule"),
+    "classify": (cmd_classify, "classify an orbit or trajectory file"),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config)
-        summary = _COMMANDS[args.command](args, config)
+        _resolve(args, _read_config(args.config))
+        summary = _COMMANDS[args.command][0](args)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

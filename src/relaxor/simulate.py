@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -127,11 +127,7 @@ class Trajectory:
         return {
             "kind": "trajectory",
             "r": self.params.r, "m": self.params.m,
-            "config": {
-                "eps": self.config.eps, "t_end": self.config.t_end,
-                "rel_tol": self.config.rel_tol, "abs_tol": self.config.abs_tol,
-                "max_step": self.config.max_step, "n_samples": self.config.n_samples,
-            },
+            "config": asdict(self.config),
             "times": self.times.tolist(),
             "states": self.states.tolist(),
         }

@@ -10,7 +10,7 @@ import scipy
 
 import relaxor
 from relaxor import svgplot
-from relaxor.cli import (_DEFAULTS, _parse_state, _trajectory_names, _write_trajectory,
+from relaxor.cli import (_OPTIONS, _parse_state, _trajectory_names, _write_trajectory,
                          main)
 from relaxor.simulate import continue_in_eps
 
@@ -332,6 +332,41 @@ def test_config_file_precedence(tmp_path, capsys):
     assert manifest["runs"][0]["parameters"]["m"] == pytest.approx(1.0)
 
 
+def test_config_file_sets_every_option_of_every_command(tmp_path, capsys):
+    # one file serves both commands: each reads its own keys and ignores the other's
+    doc = tmp_path / "orbit" / "construct.orbit.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"samples = 50\ninput = {doc}\nalign_tol = 0.5\n")
+    assert run("construct", "--config", str(cfg), "--out", str(tmp_path / "orbit")) == 0
+    assert run("classify", "--config", str(cfg), "--out", str(tmp_path / "cfg")) == 0
+    assert run("classify", "--input", str(doc), "--align-tol", "0.5",
+               "--out", str(tmp_path / "flag")) == 0
+    capsys.readouterr()
+    construct, = json.loads((tmp_path / "orbit" / "manifest.json").read_text())["runs"]
+    assert construct["parameters"]["samples"] == 50
+    report = (tmp_path / "flag" / "classify.report.json").read_bytes()
+    assert (tmp_path / "cfg" / "classify.report.json").read_bytes() == report
+    assert json.loads(report)["align_tol"] == 0.5
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("esp = 0.1\n")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", str(cfg), "--t-end", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key 'esp'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--r", "--m"])
+def test_classify_takes_r_and_m_from_its_document(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        run("classify", "--input", str(tmp_path / "in.json"), flag, "0.9",
+            "--out", str(tmp_path))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_classify_rejects_unknown_document(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "mystery"}))
@@ -356,9 +391,30 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
          "jumps": {"p1A": 1.81, "p2A": 0.49, "zA": 1.35, "p1B": 0.6,
                    "p2B": 1.9, "zB": 1.4, "T0": 1.1, "T1": 2.7},
          "t_m1": [0.0, 2.7], "y_m1": [], "t_m0": [3.8], "y_m0": []})}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": json.dumps(
+        {"kind": "trajectory", "config": {"eps": 0.1, "t_end": 1.0}, "times": [0.0, 1.0],
+         "states": [[1, 1, 1, 0.5]] * 2, "r": "abc", "m": 0.4})}),
+    (["classify", "--input", "{tmp}/in.json"], {"in.json": json.dumps(
+        {"kind": "trajectory", "config": {"eps": 0.1, "t_end": 1.0}, "times": [0, "a"],
+         "states": [[1, 1, 1, 0.5]] * 2, "r": 0.5, "m": 0.4})}),
+    (["simulate", "--config", "{tmp}/absent.cfg"], {}),
+    (["simulate", "--config", "{tmp}/run.cfg"], {"run.cfg": "eps 0.1\n"}),
+    (["simulate", "--config", "{tmp}/run.cfg"], {"run.cfg": "eps = fast\n"}),
+    (["simulate", "--state", "1,2,3"], {}),
+    (["construct", "--pin", "p1A", "--pin", "zA=1.35",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["scan", "--seed", "balanced"], {}),
+    (["scan", "--guess", "p2A=0.49", "--guess", "zA=1.4"], {}),
+    (["classify"], {}),
+    (["classify", "--input", "{tmp}/absent.json"], {}),
+    (["construct", "--seed", "hybrid"], {"out/manifest.json": '{"runs": {}}'}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
         "empty-grid", "corrupt-manifest", "trajectory-empty-config",
-        "orbit-empty-segments"])
+        "orbit-empty-segments", "trajectory-text-parameter", "trajectory-text-time",
+        "unreadable-config", "config-line-without-equals", "config-text-value",
+        "state-three-values", "pin-without-equals", "scan-seed-without-guess",
+        "scan-guess-mismatch", "classify-without-input", "classify-absent-input",
+        "manifest-runs-not-list"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():
@@ -484,7 +540,7 @@ def test_continue_workers_write_the_bytes_of_an_in_process_write(tmp_path, capsy
     capsys.readouterr()
     assert multiprocessing.active_children() == []
     ref.mkdir()
-    start = _parse_state(_DEFAULTS["state"])
+    start = _parse_state(_OPTIONS["continue"]["state"][1])
     for i, tr in enumerate(continue_in_eps(start, params_default, schedule)):
         names = _trajectory_names(f"continue.{i:02d}.eps{tr.config.eps:g}")
         _write_trajectory([ref / name for name in names], tr)
