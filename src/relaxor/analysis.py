@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ParameterDomainError
 from .model import Params
 from .orbit import JumpPair, SingularOrbit
 from .simulate import detect_jump_events
@@ -143,12 +143,15 @@ def find_extrema(source, jump_times=None, align_tol: float | None = None) -> Ext
     sign change across a jump is an extremum exactly at the jump time.
 
     The default ``align_tol`` is 1e-3 of the period for singular orbits
-    and five times eps for trajectories (jump sharpness scales with eps).
+    and five times eps for trajectories (jump sharpness scales with eps);
+    a given one must be finite and >= 0 (else ParameterDomainError).
 
     Raises InsufficientDataError when the input does not cover at least
     one full period (two jump events), or when a slow segment of a
     singular orbit has fewer than the two samples its seam slopes need.
     """
+    if align_tol is not None and not 0.0 <= align_tol < np.inf:
+        raise ParameterDomainError(f"require finite align_tol >= 0, got {align_tol}")
     times = np.asarray(source.times, dtype=float)
     states = np.asarray(source.states, dtype=float)
     periodic = isinstance(source, SingularOrbit)

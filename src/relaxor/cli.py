@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -100,7 +101,10 @@ def _read_config(path: str | None) -> dict:
         if "=" not in stripped:
             raise InvalidInputError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in values:
+            raise InvalidInputError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
@@ -142,11 +146,14 @@ def _parse_assignments(pairs, what: str) -> dict:
     for item in pairs or []:
         if "=" not in item:
             raise InvalidInputError(f"{what} expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
+        name, text = item.split("=", 1)
         try:
-            out[name.strip()] = float(value)
+            value = float(text)
         except ValueError as err:
             raise InvalidInputError(f"{what} expects name=value, got {item!r}") from err
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{what} value must be finite, got {item!r}")
+        out[name.strip()] = value
     return out
 
 
@@ -160,6 +167,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
             f"grid spec must read name=lo:hi:count, got {spec!r}") from err
     if count < 1:
         raise InvalidInputError(f"grid count must be at least 1, got {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"grid bounds must be finite, got {spec!r}")
     return name.strip(), np.linspace(lo, hi, count)
 
 

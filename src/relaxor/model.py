@@ -54,8 +54,8 @@ class Params:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ParameterDomainError(f"require 0 < r < 1, got r={self.r}")
-        if not self.m > 0.0:
-            raise ParameterDomainError(f"require m > 0, got m={self.m}")
+        if not 0.0 < self.m < math.inf:
+            raise ParameterDomainError(f"require finite m > 0, got m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class State:
     q: float
 
     def __post_init__(self):
-        if min(self.p1, self.p2, self.z) <= 0.0:
-            raise ParameterDomainError("densities p1, p2, z must be positive")
+        if not all(0.0 < v < math.inf for v in (self.p1, self.p2, self.z)):
+            raise ParameterDomainError("densities p1, p2, z must be finite and positive")
         if not (0.0 <= self.q <= 1.0):
             raise ParameterDomainError(f"require q in [0, 1], got q={self.q}")
 

@@ -139,9 +139,9 @@ class _LvChart:
                 f"predator level z={z_target} is not reached on the level "
                 f"orbit through ({anchor.p}, {anchor.z})")
         s = -math.expm1(min(g, 0.0))
-        if branch is Branch.LOWER and s >= 1.0:  # exp(g) underflowed
+        if s >= 1.0:  # exp(g) underflowed: W0 rounds the prey to 0, W-1 diverges
             raise NoSolutionError(
-                f"conjugate prey coordinate diverges at z={z_target} on the "
+                f"conjugate prey coordinate leaves (0, inf) at z={z_target} on the "
                 f"level orbit through ({anchor.p}, {anchor.z})")
         return float(1.0 - w_plus_one(branch, s))
 
@@ -245,37 +245,6 @@ def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
 # existence conditions and the jump-point solver
 # ---------------------------------------------------------------------------
 
-def _eliminations(p1A: float, p2A: float, zA: float, zB: float,
-                  p: Params) -> tuple[float, float]:
-    # W0 puts p1B left of the predator nullcline on q = 1 and W-1 puts p2B
-    # right of it on q = 0: the geometry of a downward jump (p1B < p2B)
-    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, Branch.LOWER)
-    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, Branch.PRINCIPAL)
-    return p1B, p2B
-
-
-def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
-                       p: Params) -> tuple[float, float]:
-    """Residuals of the two travel-time conditions after eliminating B.
-
-    The conserved-quantity conditions are satisfied identically by the
-    eliminations; what remains is the agreement between the exponential
-    prey growth time and the Lotka-Volterra transit time on each slow
-    hyperplane.  Both residuals vanish on the two-parameter orbit family.
-    Both transit times follow the travel-time route on the level orbit
-    through A; the eliminations put B on that level by construction, so
-    the level-drift check of ``travel_time`` is skipped.
-    """
-    if min(p1A, p2A, zA, zB) <= 0.0:
-        raise ParameterDomainError("jump coordinates must be positive")
-    p1B, p2B = _eliminations(p1A, p2A, zA, zB, p)
-    t1 = _chart(ManifoldTag.M1, p).route_time((p1A, zA), (p1B, zB), Anchor(p1A, zA))
-    t0 = _chart(ManifoldTag.M0, p).route_time((p2B, zB), (p2A, zA), Anchor(p2A, zA))
-    res1 = math.log(p2B / p2A) / p.r - t1
-    res2 = math.log(p1A / p1B) - t0
-    return res1, res2
-
-
 @dataclass(frozen=True)
 class JumpPair:
     """Slow coordinates of the jump points plus the slow travel times."""
@@ -328,10 +297,34 @@ class JumpPair:
 
 
 def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
-    p1B, p2B = _eliminations(p1A, p2A, zA, zB, p)
-    t1 = math.log(p2B / p2A) / p.r
-    t0 = math.log(p1A / p1B)
-    return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0, t1)
+    """The one jump-pair builder: B by elimination, T0 and T1 from the exponential prey."""
+    # W0 puts p1B left of the predator nullcline on q = 1 and W-1 puts p2B
+    # right of it on q = 0: the geometry of a downward jump (p1B < p2B).
+    # p2 grows at rate r from p2A to p2B over T1, p1 at rate 1 from p1B to p1A over T0
+    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, Branch.LOWER)
+    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, Branch.PRINCIPAL)
+    return JumpPair(p1A, p2A, zA, p1B, p2B, zB,
+                    t0=math.log(p1A / p1B), t1=math.log(p2B / p2A) / p.r)
+
+
+def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
+                       p: Params) -> tuple[float, float]:
+    """Residuals of the two travel-time conditions after eliminating B.
+
+    The conserved-quantity conditions are satisfied identically by the
+    eliminations; what remains is the agreement between the exponential
+    prey growth time and the Lotka-Volterra transit time on each slow
+    hyperplane.  Both residuals vanish on the two-parameter orbit family.
+    Both transit times follow the travel-time route on the level orbit
+    through A; the eliminations put B on that level by construction, so
+    the level-drift check of ``travel_time`` is skipped.
+    """
+    if min(p1A, p2A, zA, zB) <= 0.0:
+        raise ParameterDomainError("jump coordinates must be positive")
+    pair = _pair_from_unknowns(p1A, p2A, zA, zB, p)
+    t1 = _chart(ManifoldTag.M1, p).route_time((p1A, zA), (pair.p1b, zB), Anchor(p1A, zA))
+    t0 = _chart(ManifoldTag.M0, p).route_time((pair.p2b, zB), (p2A, zA), Anchor(p2A, zA))
+    return pair.t1 - t1, pair.t0 - t0
 
 
 def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
@@ -522,7 +515,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
-    solutions: dict[tuple[int, int], JumpPair] = {}
+    solutions: dict[tuple[int, int], FamilyRow] = {}
 
     for i, v1 in enumerate(values1):
         j_order = range(len(values2)) if i % 2 == 0 else reversed(range(len(values2)))
@@ -530,9 +523,9 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             v2 = values2[j]
             seeds = []
             for ni, nj in ((i, j - 1), (i, j + 1), (i - 1, j)):
-                sol = solutions.get((ni, nj))
-                if sol is not None:
-                    d = sol.as_dict()
+                row = solutions.get((ni, nj))
+                if row is not None:
+                    d = row.jump.as_dict()
                     seeds.append({k: d[k] for k in free_names})
             seeds.append(dict(seed_guess))
             pinned = {pin_names[0]: float(v1), pin_names[1]: float(v2)}
@@ -545,23 +538,13 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
                     # text, not the error: its traceback would hold this frame
                     last_error = f"{type(err).__name__}: {err}"
                     continue
-                solutions[(i, j)] = pair
+                solutions[(i, j)] = FamilyRow(r=p.r, m=p.m, pinned=pinned, jump=pair)
                 break
             else:
                 _log.info("scan point %s: no row after %d seeds; last error %s",
                           pinned, len(seeds), last_error)
 
-    table = FamilyTable(pin_names=pin_names)
-    for i in range(len(values1)):
-        for j in range(len(values2)):
-            pair = solutions.get((i, j))
-            if pair is None:
-                continue
-            table.rows.append(FamilyRow(
-                r=p.r, m=p.m,
-                pinned={pin_names[0]: float(values1[i]), pin_names[1]: float(values2[j])},
-                jump=pair))
-    return table
+    return FamilyTable(pin_names, [row for _, row in sorted(solutions.items())])
 
 
 # ---------------------------------------------------------------------------

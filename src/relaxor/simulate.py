@@ -40,7 +40,8 @@ class SimConfig:
     """Integration settings for one run.
 
     ``max_step = None`` resolves to half the fast-layer width eps/2,
-    which keeps the trait transitions resolved at any tolerance.
+    which keeps the trait transitions resolved at any tolerance.  eps,
+    t_end and a set max_step must be finite and positive.
     """
 
     eps: float
@@ -51,10 +52,12 @@ class SimConfig:
     n_samples: int = 2000
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ParameterDomainError(f"require eps > 0, got {self.eps}")
-        if self.t_end <= 0.0:
-            raise ParameterDomainError(f"require t_end > 0, got {self.t_end}")
+        for name, value in (("eps", self.eps), ("t_end", self.t_end)):
+            if not 0.0 < value < math.inf:
+                raise ParameterDomainError(f"require finite {name} > 0, got {value}")
+        if self.max_step is not None and not 0.0 < self.max_step < math.inf:
+            raise ParameterDomainError(
+                f"require finite max_step > 0 or None, got {self.max_step}")
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (0.0 < tol < 1.0):
                 raise ParameterDomainError(f"require 0 < {name} < 1, got {tol}")
@@ -303,18 +306,20 @@ def iter_continue_in_eps(s0, p: Params,
                          ) -> Iterator[Trajectory]:
     """Chain integrations along an increasing eps schedule, yielding each run as it ends.
 
-    ``schedule`` is a list of (eps, duration) pairs with positive,
-    non-decreasing eps values; each run is seeded with the final state of
-    the previous one.  Yields one Trajectory per schedule entry, so a
+    ``schedule`` is a list of (eps, duration) pairs of finite positive
+    numbers with non-decreasing eps values; each run is seeded with the
+    final state of the previous one.  Yields one Trajectory per schedule entry, so a
     caller can use a run while the next one integrates.  The schedule is
     checked when the first run is asked for.
     """
     if schedule is None:
         schedule = default_continuation_schedule()
     eps_values = [e for e, _ in schedule]
-    if any(e <= 0.0 for e in eps_values) or any(
+    if not all(0.0 < v < math.inf for entry in schedule for v in entry) or any(
             b < a for a, b in zip(eps_values, eps_values[1:])):
-        raise ParameterDomainError("schedule eps values must be positive and non-decreasing")
+        raise ParameterDomainError(
+            "schedule eps values and durations must be finite and positive, "
+            "and eps values non-decreasing")
 
     current = s0
     for index, (eps, duration) in enumerate(schedule):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from relaxor import (
-    InsufficientDataError, ManifoldTag, Orientation, SimConfig, State,
+    InsufficientDataError, ManifoldTag, Orientation, ParameterDomainError, SimConfig, State,
     SyncLabel, Trajectory, classify_orientation, classify_synchronization,
     detect_jump_events, effective_jump_pair, find_extrema, integrate, slow_rhs,
 )
@@ -43,6 +43,14 @@ def test_prey_alignment_only_at_jumps(reference_orbits, antiphase_orbit):
         for t1 in interior1:
             for t2 in interior2:
                 assert abs(t1 - t2) > ex.align_tol
+
+
+@pytest.mark.parametrize("align_tol", [-1e-3, np.nan, np.inf])
+def test_find_extrema_refuses_a_negative_or_non_finite_align_tol(antiphase_orbit, align_tol):
+    orbit = antiphase_orbit[2]
+    with pytest.raises(ParameterDomainError, match="align_tol"):
+        find_extrema(orbit, align_tol=align_tol)
+    assert find_extrema(orbit, align_tol=0.0).align_tol == 0.0
 
 
 def test_kinds_alternate_per_variable(reference_orbits):

@@ -1,6 +1,9 @@
 import ast
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +20,17 @@ from relaxor.simulate import continue_in_eps
 
 def run(*argv):
     return main(list(argv))
+
+
+# a coarse antiphase orbit (three and two samples per slow segment), enough to classify
+_ORBIT_DOC = json.dumps({
+    "kind": "singular_orbit", "r": 0.5, "m": 0.4,
+    "jumps": {"p1A": 0.99, "p2A": 0.9837, "zA": 1.75, "p1B": 0.3199,
+              "p2B": 3.1743, "zB": 1.1186, "T0": 1.1298, "T1": 2.3431},
+    "t_m1": [0.0, 1.1715, 2.3431],
+    "y_m1": [[0.99, 0.9837, 1.75], [0.4588, 1.7671, 1.5021], [0.3199, 3.1743, 1.1186]],
+    "t_m0": [2.9079, 3.4728],
+    "y_m0": [[0.5627, 1.9379, 1.5923], [0.99, 0.9837, 1.75]]})
 
 
 def test_construct_hybrid_outputs_and_manifest(tmp_path, capsys):
@@ -358,6 +372,34 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\nt_end = 1\n# the same key, spelled with a dash\nt-end = 2\n")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:4: repeated key 't_end'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--eps", "nan", "--t-end", "1"],
+    ["simulate", "--t-end", "inf"],
+    ["continue", "--schedule", "nan:1"],
+    ["continue", "--schedule", "0.1:nan"],
+], ids=["eps-nan", "t-end-inf", "schedule-eps-nan", "schedule-duration-nan"])
+def test_non_finite_run_length_exits_2(tmp_path, argv):
+    # an unchecked run of this length never ends: the child's timeout turns
+    # such a regression into a failure instead of a stalled suite
+    src = str(Path(relaxor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "relaxor.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "finite" in done.stderr
+
+
 @pytest.mark.parametrize("flag", ["--r", "--m"])
 def test_classify_takes_r_and_m_from_its_document(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_:
@@ -408,13 +450,32 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
     (["classify"], {}),
     (["classify", "--input", "{tmp}/absent.json"], {}),
     (["construct", "--seed", "hybrid"], {"out/manifest.json": '{"runs": {}}'}),
+    (["simulate", "--state", "nan,0.87,1.5,0.99"], {}),
+    (["simulate", "--state", "1.18,inf,1.5,0.99"], {}),
+    (["simulate", "--t-end", "1", "--max-step", "-1"], {}),
+    (["simulate", "--t-end", "1", "--max-step", "0"], {}),
+    (["simulate", "--t-end", "1", "--max-step", "nan"], {}),
+    (["classify", "--input", "{tmp}/in.json", "--align-tol", "-1"], {"in.json": _ORBIT_DOC}),
+    (["classify", "--input", "{tmp}/in.json", "--align-tol", "nan"], {"in.json": _ORBIT_DOC}),
+    (["scan", "--pin1", "p1A=nan:2.0:2", "--pin2", "zA=1.3:1.4:2"], {}),
+    (["scan", "--pin1", "p1A=1.4:inf:2", "--pin2", "zA=1.3:1.4:2"], {}),
+    (["scan", "--pin1", "p1A=1.4:2.6:2", "--pin2", "zA=1.3:1.4:2",
+      "--guess", "p2A=inf", "--guess", "zB=1.4"], {}),
+    (["construct", "--pin", "p1A=nan", "--pin", "zA=1.35",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["construct", "--m", "inf"], {}),
+    (["simulate", "--config", "{tmp}/run.cfg", "--t-end", "1"],
+     {"run.cfg": "eps = 0.1\neps = 0.2\n"}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
         "empty-grid", "corrupt-manifest", "trajectory-empty-config",
         "orbit-empty-segments", "trajectory-text-parameter", "trajectory-text-time",
         "unreadable-config", "config-line-without-equals", "config-text-value",
         "state-three-values", "pin-without-equals", "scan-seed-without-guess",
         "scan-guess-mismatch", "classify-without-input", "classify-absent-input",
-        "manifest-runs-not-list"])
+        "manifest-runs-not-list", "state-nan", "state-inf", "max-step-negative",
+        "max-step-zero", "max-step-nan", "align-tol-negative", "align-tol-nan",
+        "grid-bound-nan", "grid-bound-inf", "guess-inf", "pin-nan", "m-inf",
+        "config-repeated-key"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():

@@ -348,6 +348,17 @@ def test_params_and_state_invariants():
         State(1.0, 1.0, 1.0, 1.2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_params_and_state_require_finite_values(value):
+    with pytest.raises(ParameterDomainError, match="finite m"):
+        Params(0.5, value)
+    for k in range(3):
+        densities = [1.2, 0.9, 1.4]
+        densities[k] = value
+        with pytest.raises(ParameterDomainError, match="finite and positive"):
+            State(*densities, 0.5)
+
+
 def test_h0_h1_match_conserved_quantity():
     p = Params(0.7, 1.1)
     assert h0(0.8, 1.2, p) == conserved_quantity(ManifoldTag.M0, (9.9, 0.8, 1.2), p)

@@ -462,6 +462,18 @@ def test_solver_counts_a_domain_miss_as_a_miss(p2a, miss):
         solve_jump_points({"p1A": -1.85, "zA": 1.47}, {"p2A": p2a, "zB": 1.4}, p)
 
 
+def test_w0_elimination_refuses_a_prey_that_rounds_to_zero():
+    # far out on the q = 1 chart exp(g) underflows and W0 rounds p1B to 0:
+    # no B exists, and the jump-pair builder must not reach ln(p1A / p1B)
+    p = Params(0.5, 0.4)
+    with pytest.raises(NoSolutionError):
+        eliminate(M1, Anchor(50.0, 0.5), 0.6, Branch.PRINCIPAL, p)
+    with pytest.raises(NoSolutionError):
+        existence_residual(50.0, 0.3, 0.5, 0.6, p)
+    with pytest.raises(NonConvergenceError, match="outside the solvable domain"):
+        solve_jump_points({"p1A": 50.0, "zA": 0.5}, {"p2A": 0.3, "zB": 0.6}, p)
+
+
 def test_solver_gives_up_at_the_fold_within_its_line_search_budget(residual_calls):
     # from the hybrid guess the iteration creeps toward the fold of the W-1
     # elimination; bounded backtracking stops it after a few Newton steps

@@ -436,6 +436,27 @@ def test_chain_yields_each_run_before_integrating_the_next(monkeypatch, params_d
     assert next(chain, None) is None
 
 
+@pytest.mark.parametrize("name,value", [
+    ("eps", math.nan), ("eps", math.inf), ("t_end", math.nan), ("t_end", math.inf),
+    ("max_step", -1.0), ("max_step", 0.0), ("max_step", math.nan), ("max_step", math.inf),
+])
+def test_sim_config_requires_finite_positive_values(name, value):
+    with pytest.raises(ParameterDomainError, match=f"finite {name} > 0"):
+        SimConfig(**{"eps": 0.1, "t_end": 1.0, name: value})
+
+
+@pytest.mark.parametrize("schedule", [
+    [(math.nan, 1.0)], [(0.1, 1.0), (math.inf, 1.0)], [(0.1, 1.0), (0.2, math.nan)],
+])
+def test_schedule_refuses_non_finite_entries_before_any_run(params_default, monkeypatch,
+                                                            schedule):
+    runs = []
+    monkeypatch.setattr(relaxor.simulate, "integrate", lambda *args: runs.append(args))
+    with pytest.raises(ParameterDomainError, match="finite"):
+        next(iter_continue_in_eps(State(1.2, 0.9, 1.4, 0.8), params_default, schedule))
+    assert runs == []
+
+
 def test_schedule_validation(params_default):
     s0 = State(1.2, 0.9, 1.4, 0.8)
     with pytest.raises(ParameterDomainError):
