@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: construct, scan, simulate, continue, classify.  Exit codes:
-0 on success, 1 on numerical failure, 2 on invalid input.  Option values
-resolve as command-line flag > config file ("key = value" lines; a key
-that no command knows is invalid) > built-in default; every run appends
-an entry to the output directory's manifest, and an output path is never
-silently overwritten (pass --force to replace it, which also retires the
-old manifest entry); a refused overwrite is reported before any file is
-written, and by construct, scan and continue before they compute.  A run
-that fails numerically still appends its entry, with the error in place
-of outputs.
+0 on success, 1 on numerical failure, 2 on invalid input.  Each option's
+text comes from its command-line flag > config file ("key = value" lines;
+a key that no command knows is invalid) > built-in default, and one parser
+per option turns it into a value before the command runs.  Every run
+appends an entry to the output directory's manifest, and an output path is
+never silently overwritten (pass --force to replace it, which also retires
+the old manifest entry); a refused overwrite is reported when the manifest
+opens, before the run reads, computes or writes anything.  A run that fails
+numerically still appends its entry, with the error in place of outputs.
 """
 
 from __future__ import annotations
@@ -32,39 +32,86 @@ from .analysis import (classify_synchronization, classification_report,
 from .errors import InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
 from .orbit import (UNKNOWN_NAMES, SingularOrbit, assemble_singular_orbit,
-                    scan_family, solve_balanced_orbit, solve_jump_points)
+                    scan_family, solve_jump_points)
 from .simulate import (SimConfig, Trajectory, default_continuation_schedule,
                        detect_jump_events, integrate, iter_continue_in_eps)
 from .svgplot import dual_phase_plane_svg, scatter_plot, time_series_svg
 
 # orbit presets: pinned coordinates and starting guesses for the solver;
-# "balanced" instead seeds the zero-trait-pressure solve.
+# "balanced" pins zA = zB, the zero-trait-pressure member of the family.
 SEEDS = {
     "hybrid": {"pin": {"p1A": 1.81, "zA": 1.35}, "guess": {"p2A": 0.49, "zB": 1.40}},
     "predpreyprey": {"pin": {"p1A": 2.41, "zA": 1.18}, "guess": {"p2A": 0.33, "zB": 1.14}},
     "predp2": {"pin": {"p1A": 4.27, "zA": 0.70}, "guess": {"p2A": 0.19, "zB": 0.85}},
     "clockwise": {"pin": {"p1A": 0.97, "zA": 2.00}, "guess": {"p2A": 0.81, "zB": 0.85}},
     "antiphase": {"pin": {"p1A": 0.99, "zA": 1.75}, "guess": {"p2A": 0.9837, "zB": 1.1186}},
-    "balanced": {"guess": {"p1A": 1.218, "p2A": 0.811, "zA": 1.486, "zB": 1.486}},
+    "balanced": {"pin": {"zA": 1.486, "zB": 1.486}, "guess": {"p1A": 1.218, "p2A": 0.811}},
 }
 
-# each command's options, name -> (type, default, help): one row is its
-# --flag, its config key and its default; _resolve gives each the value of
-# flag > config file > default
+
+def _floats(text: str, count: int, sep: str, form: str) -> list[float]:
+    """The ``count`` finite numbers that ``sep`` separates in ``text``.
+
+    Spaces and empty fields are dropped, so "1, 2,3," reads as three numbers.
+    """
+    try:
+        values = [float(part) for part in text.replace(" ", "").split(sep) if part]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise ValueError(f"expected {form} with finite numbers")
+    return values
+
+
+def _state(text: str) -> State:
+    return State(*_floats(text, 4, ",", "p1,p2,z,q"))
+
+
+def _grid(text: str) -> tuple[str, np.ndarray]:
+    name, _, rest = text.partition("=")
+    lo, hi, count = _floats(rest, 3, ":", "NAME=LO:HI:N")
+    if count < 1 or count != int(count):
+        raise ValueError("expected NAME=LO:HI:N with a whole N of at least 1")
+    return name.strip(), np.linspace(lo, hi, int(count))
+
+
+def _schedule(text: str) -> list[tuple[float, float]]:
+    if text == "default":
+        return default_continuation_schedule()
+    return [tuple(_floats(item, 2, ":", "EPS:DURATION,...")) for item in text.split(",")]
+
+
+def _assignments(items) -> dict:
+    """The NAME=VALUE texts of a repeatable flag as {NAME: VALUE}."""
+    out = {}
+    for item in items:
+        name, _, value = item.partition("=")
+        out[name.strip()], = _floats(value, 1, ",", "NAME=VALUE")
+    return out
+
+
+# each command's options, name -> (parser, default, help): one row is its
+# --flag, its config key and its default; _resolve applies the parser once,
+# to the text of the flag, else of the config line, else to the default.
+# An _assignments row is a repeatable flag with no config key.
 _PARAMS = {"r": (float, 0.5, "rescaled prey-2 growth rate"),
            "m": (float, 0.4, "rescaled predator death rate")}
-_STATE = {"state": (str, "1.18,0.87,1.5,0.99", "initial state p1,p2,z,q")}
+_STATE = {"state": (_state, "1.18,0.87,1.5,0.99", "initial state p1,p2,z,q")}
+_GUESS = {"guess": (_assignments, (), "initial guess for a free coordinate")}
 _OPTIONS = {
     "construct": {
         **_PARAMS,
         "seed": (str, "hybrid", f"orbit preset: {', '.join(sorted(SEEDS))}"),
         "samples": (int, 400, "samples per slow segment"),
+        "pin": (_assignments, (), "pinned jump coordinate (twice)"),
+        **_GUESS,
     },
     "scan": {
         **_PARAMS,
-        "pin1": (str, "p1A=1.4:2.6:20", "first pinned grid NAME=LO:HI:N"),
-        "pin2": (str, "zA=1.1:1.7:20", "second pinned grid NAME=LO:HI:N"),
+        "pin1": (_grid, "p1A=1.4:2.6:20", "first pinned grid NAME=LO:HI:N"),
+        "pin2": (_grid, "zA=1.1:1.7:20", "second pinned grid NAME=LO:HI:N"),
         "seed": (str, "hybrid", "preset supplying the free-coordinate guess"),
+        **_GUESS,
     },
     "simulate": {
         **_PARAMS, **_STATE,
@@ -77,7 +124,7 @@ _OPTIONS = {
     },
     "continue": {
         **_PARAMS, **_STATE,
-        "schedule": (str, "default", "'default' or eps:dur,eps:dur,..."),
+        "schedule": (_schedule, "default", "'default' or eps:dur,eps:dur,..."),
     },
     "classify": {
         "input": (str, None, "orbit or trajectory JSON"),
@@ -109,88 +156,40 @@ def _read_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict) -> None:
-    """Set each option of the command that no flag set: config value, else default.
+    """Replace the text of each option of the command by its parsed value.
 
-    A config key that no command knows is refused; one that belongs to
-    another command is ignored, so one file can serve every command.
+    The text is the flag's, else the config value, else the default; a
+    default of None stays None.  A config key that no command knows is
+    refused; one that belongs to another command is ignored, so one file
+    can serve every command.
     """
-    known = {name for options in _OPTIONS.values() for name in options}
+    known = {name for options in _OPTIONS.values()
+             for name, (parse, _, _) in options.items() if parse is not _assignments}
     unknown = [key for key in config if key not in known]
     if unknown:
         raise InvalidInputError(
             f"unknown config key {', '.join(map(repr, unknown))} in {args.config}")
-    for name, (cast, default, _) in _OPTIONS[args.command].items():
-        if getattr(args, name) is not None:
-            continue
-        if name in config:
-            try:
-                default = cast(config[name])
-            except ValueError as err:
-                raise InvalidInputError(f"config value for {name!r}: {err}") from err
-        setattr(args, name, default)
-
-
-def _parse_state(text: str) -> State:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != 4:
-        raise InvalidInputError(f"state must be 'p1,p2,z,q', got {text!r}")
-    try:
-        values = [float(v) for v in parts]
-    except ValueError as err:
-        raise InvalidInputError(f"state must be 'p1,p2,z,q', got {text!r}") from err
-    return State(*values)
-
-
-def _parse_assignments(pairs, what: str) -> dict:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise InvalidInputError(f"{what} expects name=value, got {item!r}")
-        name, text = item.split("=", 1)
+    for name, (parse, default, _) in _OPTIONS[args.command].items():
+        text, source = getattr(args, name), "--" + name.replace("_", "-")
+        if text is None and name in config:
+            text, source = config[name], f"{args.config}: {name} ="
+        if text is None:
+            text, source = default, f"default {name}"
         try:
-            value = float(text)
-        except ValueError as err:
-            raise InvalidInputError(f"{what} expects name=value, got {item!r}") from err
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{what} value must be finite, got {item!r}")
-        out[name.strip()] = value
-    return out
-
-
-def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
-    try:
-        name, rng = spec.split("=", 1)
-        lo, hi, n = rng.split(":")
-        lo, hi, count = float(lo), float(hi), int(n)
-    except ValueError as err:
-        raise InvalidInputError(
-            f"grid spec must read name=lo:hi:count, got {spec!r}") from err
-    if count < 1:
-        raise InvalidInputError(f"grid count must be at least 1, got {spec!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidInputError(f"grid bounds must be finite, got {spec!r}")
-    return name.strip(), np.linspace(lo, hi, count)
-
-
-def _parse_schedule(text: str) -> list[tuple[float, float]]:
-    if text == "default":
-        return default_continuation_schedule()
-    entries = []
-    for item in text.split(","):
-        try:
-            eps, dur = item.split(":")
-            entries.append((float(eps), float(dur)))
-        except ValueError as err:
-            raise InvalidInputError(
-                f"schedule entries read eps:duration, got {item!r}") from err
-    return entries
+            setattr(args, name, None if text is None else parse(text))
+        except ValueError as err:  # InvalidInputError included
+            raise InvalidInputError(f"{source} {text!r}: {err}") from err
 
 
 class _Manifest:
     """Per-directory record of runs and the files they produced."""
 
-    def __init__(self, args: argparse.Namespace, command: str, parameters: dict):
-        """Open the manifest of ``args.out`` and start the entry of this run."""
+    def __init__(self, args: argparse.Namespace, command: str, parameters: dict, outputs):
+        """Open the manifest of ``args.out`` and start the entry of this run.
+
+        ``outputs`` names every file the run may write; without --force an
+        existing one is refused here, before the run computes.
+        """
         self.outdir = Path(args.out)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.path = self.outdir / "manifest.json"
@@ -203,6 +202,7 @@ class _Manifest:
                 raise InvalidInputError(f"corrupt manifest {self.path}: {err}") from err
             if not isinstance(self.doc, dict) or not isinstance(self.doc.get("runs"), list):
                 raise InvalidInputError(f"corrupt manifest {self.path}: no run list")
+        self._refuse(outputs)
         self.entry = {
             "command": command,
             "parameters": parameters,
@@ -238,7 +238,7 @@ class _Manifest:
         micros = (time.perf_counter_ns() - start) // 1000
         self.entry.setdefault("elapsed_s", {})[name] = float(f"{micros}5e-7")
 
-    def check(self, *names: str) -> None:
+    def _refuse(self, names) -> None:
         """Refuse, without --force, if any of the output files ``names`` exists."""
         for name in names:
             path = self.outdir / name
@@ -247,8 +247,8 @@ class _Manifest:
                     f"refusing to overwrite {path}; pass --force or use a fresh --out")
 
     def claim(self, *names: str) -> list[Path]:
-        """Record the files of one write step, all checked before any is recorded."""
-        self.check(*names)
+        """Record the files of one write step; refuse one that appeared since the open."""
+        self._refuse(names)
         for run in self.doc["runs"]:
             run["outputs"] = [o for o in run["outputs"] if o not in names]
         self.entry["outputs"] += names
@@ -275,28 +275,20 @@ def _error_record(err: RelaxorError) -> dict:
 
 def cmd_construct(args) -> dict:
     params = Params(args.r, args.m)
-    pin = _parse_assignments(args.pin, "--pin")
-    guess = _parse_assignments(args.guess, "--guess")
-    seed_name = None
+    pin, guess, seed_name = args.pin, args.guess, None
     if not pin and not guess:
         seed_name = args.seed
         if seed_name not in SEEDS:
             raise InvalidInputError(
                 f"unknown seed {seed_name!r}; choose from {sorted(SEEDS)}")
-        preset = SEEDS[seed_name]
-        pin = dict(preset.get("pin", {}))
-        guess = dict(preset["guess"])
+        pin, guess = dict(SEEDS[seed_name]["pin"]), dict(SEEDS[seed_name]["guess"])
 
+    names = ("construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
     manifest = _Manifest(args, "construct", {
         "r": params.r, "m": params.m, "seed": seed_name, "pin": pin, "guess": guess,
-        "samples": args.samples})
-    names = ("construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
-    manifest.check(*names)
+        "samples": args.samples}, names)
     with manifest.phase("solve"):
-        if pin:
-            pair = solve_jump_points(pin, guess, params)
-        else:
-            pair = solve_balanced_orbit(guess, params)
+        pair = solve_jump_points(pin, guess, params)
     with manifest.phase("assemble"):
         orbit = assemble_singular_orbit(pair, params, samples_per_segment=args.samples)
 
@@ -314,26 +306,23 @@ _PROJECTIONS = (("p1A", "zA"), ("p2A", "zA"), ("p1B", "zB"), ("p2B", "zB"),
 
 def cmd_scan(args) -> dict:
     params = Params(args.r, args.m)
-    name1, grid1 = _parse_grid(args.pin1)
-    name2, grid2 = _parse_grid(args.pin2)
-    guess = _parse_assignments(args.guess, "--guess")
+    (name1, grid1), (name2, grid2), guess = args.pin1, args.pin2, args.guess
     if not guess:
-        if args.seed not in SEEDS or "pin" not in SEEDS[args.seed]:
-            raise InvalidInputError(f"seed {args.seed!r} has no scan guess")
+        if args.seed not in SEEDS:
+            raise InvalidInputError(f"unknown seed {args.seed!r}; choose from {sorted(SEEDS)}")
         guess = dict(SEEDS[args.seed]["guess"])
     free = [n for n in UNKNOWN_NAMES if n not in (name1, name2)]
     if sorted(guess) != sorted(free):
         raise InvalidInputError(
             f"scan over ({name1}, {name2}) needs a guess for {free}")
 
+    names = ("scan.family.json", "scan.family.csv",
+             *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
     manifest = _Manifest(args, "scan", {
         "r": params.r, "m": params.m, "pin1": name1, "pin2": name2,
         "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
         "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
-        "guess": guess})
-    names = ("scan.family.json", "scan.family.csv",
-             *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
-    manifest.check(*names)
+        "guess": guess}, names)
     with manifest.phase("scan"):
         table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
 
@@ -365,20 +354,20 @@ def _write_trajectory(paths: list[Path], tr: Trajectory) -> None:
 
 def cmd_simulate(args) -> dict:
     params = Params(args.r, args.m)
-    state = _parse_state(args.state)
     cfg = SimConfig(eps=args.eps, t_end=args.t_end, rel_tol=args.rel_tol,
                     abs_tol=args.abs_tol, max_step=args.max_step, n_samples=args.samples)
+    names = _trajectory_names("simulate.trajectory")
     manifest = _Manifest(args, "simulate", {
         "r": params.r, "m": params.m, "eps": cfg.eps, "t_end": cfg.t_end,
         "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-        "max_step": cfg.max_step, "state": state.to_array().tolist()})
+        "max_step": cfg.max_step, "state": args.state.to_array().tolist()}, names)
     with manifest.phase("integrate"):
-        tr = integrate(state, params, cfg)
+        tr = integrate(args.state, params, cfg)
     manifest.entry["integral_drift"] = tr.integral_drift()
     manifest.entry["steps"] = tr.steps
     manifest.entry["rhs_evals"] = tr.rhs_evals
     with manifest.phase("write"):
-        _write_trajectory(manifest.claim(*_trajectory_names("simulate.trajectory")), tr)
+        _write_trajectory(manifest.claim(*names), tr)
     return {"final_state": tr.states[-1].tolist(), "outputs": manifest.finish()}
 
 
@@ -390,26 +379,24 @@ def _wait(writes: list) -> None:
 def cmd_continue(args) -> dict:
     """Integrate the chain; two forked workers write the runs' files meanwhile.
 
-    Every file name of the schedule is checked before the first run
-    integrates; each run's files are claimed as it ends.  Claims, solver
-    statistics and the manifest stay in this process.  The manifest is
-    written only once the workers have finished every file handed to them, so
-    a chain that fails at entry k records, and keeps, the files of the
-    entries before k.
+    Every file name of the schedule is checked when the manifest opens,
+    before the first run integrates; each run's files are claimed as it
+    ends.  Claims, solver statistics and the manifest stay in this process.
+    The manifest is written only once the workers have finished every file
+    handed to them, so a chain that fails at entry k records, and keeps,
+    the files of the entries before k.
     """
     # imported here: ``import relaxor.cli`` loads no multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    params = Params(args.r, args.m)
-    state = _parse_state(args.state)
-    schedule = _parse_schedule(args.schedule)
-    manifest = _Manifest(args, "continue", {
-        "r": params.r, "m": params.m, "state": state.to_array().tolist(),
-        "schedule": [[e, d] for e, d in schedule]})
+    params, state, schedule = Params(args.r, args.m), args.state, args.schedule
     names = [_trajectory_names(f"continue.{i:02d}.eps{eps:g}")
              for i, (eps, _) in enumerate(schedule)]
-    manifest.check(*(name for run_names in names for name in run_names))
+    manifest = _Manifest(args, "continue", {
+        "r": params.r, "m": params.m, "state": state.to_array().tolist(),
+        "schedule": [[e, d] for e, d in schedule]},
+        [name for run_names in names for name in run_names])
     drift, steps, rhs_evals, writes = [], [], [], []
     writer = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
     try:
@@ -438,17 +425,21 @@ def cmd_continue(args) -> dict:
             "outputs": manifest.finish()}
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def cmd_classify(args) -> dict:
     if args.input is None:
         raise InvalidInputError("classify requires --input FILE")
     manifest = _Manifest(args, "classify", {
-        "input": args.input, "align_tol": args.align_tol})
+        "input": args.input, "align_tol": args.align_tol}, ["classify.report.json"])
     with manifest.phase("read"):
         try:
-            doc = json.loads(Path(args.input).read_text())
+            doc = json.loads(Path(args.input).read_text(), parse_constant=_no_constant)
         except OSError as err:
             raise InvalidInputError(f"cannot read {args.input}: {err}") from err
-        except ValueError as err:  # undecodable bytes or malformed JSON
+        except ValueError as err:  # undecodable bytes, malformed JSON, NaN or Infinity
             raise InvalidInputError(f"{args.input} is not JSON: {err}") from err
         readers = {"singular_orbit": SingularOrbit.from_dict,
                    "trajectory": Trajectory.from_dict}
@@ -495,16 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory (default .)")
         sp.add_argument("--force", action="store_true",
                         help="allow replacing existing output files")
-        for name, (cast, default, text) in _OPTIONS[command].items():
-            if default is not None:
-                text += f" (default {default})"
-            sp.add_argument("--" + name.replace("_", "-"), type=cast, help=text)
-        if command == "construct":
-            sp.add_argument("--pin", action="append", metavar="NAME=VALUE",
-                            help="pinned jump coordinate (twice)")
-        if command in ("construct", "scan"):
-            sp.add_argument("--guess", action="append", metavar="NAME=VALUE",
-                            help="initial guess for a free coordinate")
+        for name, (parse, default, text) in _OPTIONS[command].items():
+            flag = "--" + name.replace("_", "-")
+            if parse is _assignments:
+                sp.add_argument(flag, action="append", metavar="NAME=VALUE", help=text)
+            else:
+                sp.add_argument(flag, help=text if default is None
+                                else f"{text} (default {default})")
     return parser
 
 

@@ -109,8 +109,9 @@ def _panel_svg(panel: _Panel, x0: float, y0: float, width: float, height: float)
     if panel.points:
         xs = np.concatenate([xs, [p[0] for p in panel.points]])
         ys = np.concatenate([ys, [p[1] for p in panel.points]])
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    # an empty panel (a scan without rows) gets the unit range of a zero-width one
+    x_lo, x_hi = (float(np.min(xs)), float(np.max(xs))) if xs.size else (0.0, 0.0)
+    y_lo, y_hi = (float(np.min(ys)), float(np.max(ys))) if ys.size else (0.0, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

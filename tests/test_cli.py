@@ -13,8 +13,9 @@ import scipy
 
 import relaxor
 from relaxor import svgplot
-from relaxor.cli import (_OPTIONS, _parse_state, _trajectory_names, _write_trajectory,
-                         main)
+from relaxor.cli import (_OPTIONS, _PROJECTIONS, SEEDS, _resolve, _trajectory_names,
+                         _write_trajectory, build_parser, main)
+from relaxor.errors import InvalidInputError
 from relaxor.simulate import continue_in_eps
 
 
@@ -101,10 +102,13 @@ def test_construct_refuses_overwrite_without_force(tmp_path, capsys):
     (("scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
       "--guess", "p2A=0.49", "--guess", "zB=1.4"), "scan.p2B_zB.svg"),
     (("continue", "--schedule", "0.1:1,0.2:1"), "continue.01.eps0.2.svg"),
-], ids=["construct", "construct-balanced", "scan", "continue"])
+    (("simulate", "--eps", "0.1", "--t-end", "1"), "simulate.trajectory.svg"),
+    (("classify", "--input", "{tmp}/absent.json"), "classify.report.json"),
+], ids=["construct", "construct-balanced", "scan", "continue", "simulate", "classify"])
 def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, present):
     # a later output already on disk is refused before any file is written,
-    # and before the command solves, scans or integrates
+    # and before the command solves, scans, integrates or reads its input
+    # (classify's input does not exist, so any attempt to read it fails)
     integrate = relaxor.simulate.integrate
     calls = []
 
@@ -116,9 +120,10 @@ def test_refused_overwrite_writes_nothing(tmp_path, capsys, monkeypatch, argv, p
         raise AssertionError("solved although an output is refused")
 
     monkeypatch.setattr(relaxor.simulate, "integrate", counted)
-    for name in ("solve_jump_points", "solve_balanced_orbit", "scan_family"):
+    for name in ("solve_jump_points", "scan_family", "integrate"):
         monkeypatch.setattr(relaxor.cli, name, unreachable)
     (tmp_path / present).write_text("kept")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(*argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith(
         f"error: refusing to overwrite {tmp_path / present}")
@@ -488,6 +493,96 @@ def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     assert "Traceback" not in err
 
 
+# a text for each option whose default is None or not text
+_OPTION_TEXT = {"max_step": "0.01", "input": "in.json", "align_tol": "0.5",
+                "pin": "p1A=1.81", "guess": "p2A=0.49"}
+_ROWS = [(command, name) for command, options in _OPTIONS.items() for name in options]
+
+
+@pytest.mark.parametrize("command,name", _ROWS, ids=[f"{c}-{n}" for c, n in _ROWS])
+def test_each_option_text_parses_once_whatever_its_spelling(tmp_path, command, name):
+    # the default, the flag and the config line go through the row's one parser
+    parse, default, _ = _OPTIONS[command][name]
+    args = build_parser().parse_args([command])
+    _resolve(args, {})
+    np.testing.assert_equal(getattr(args, name), None if default is None else parse(default))
+
+    text = _OPTION_TEXT.get(name, str(default))
+    args = build_parser().parse_args([command, "--" + name.replace("_", "-"), text])
+    _resolve(args, {})
+    expected = parse([text]) if name in ("pin", "guess") else parse(text)
+    np.testing.assert_equal(getattr(args, name), expected)
+
+    args = build_parser().parse_args([command, "--config", str(tmp_path / "run.cfg")])
+    if name in ("pin", "guess"):  # flags only
+        with pytest.raises(InvalidInputError, match="unknown config key"):
+            _resolve(args, {name: text})
+    else:
+        _resolve(args, {name: text})
+        np.testing.assert_equal(getattr(args, name), expected)
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("command,name,text", [
+    ("simulate", "samples", "x"),
+    ("simulate", "state", "1,2,nan,0.5"),
+    ("continue", "schedule", "0.1:nan"),
+], ids=["samples-text", "state-nan", "schedule-nan"])
+def test_malformed_option_text_exits_2_in_either_spelling(tmp_path, capsys, spelling,
+                                                           command, name, text):
+    argv = [command, "--" + name, text]
+    if spelling == "config":
+        (tmp_path / "run.cfg").write_text(f"{name} = {text}\n")
+        argv = [command, "--config", str(tmp_path / "run.cfg")]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and repr(text) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_balanced_preset_pins_the_balanced_solve(params_default):
+    pin, guess = SEEDS["balanced"]["pin"], SEEDS["balanced"]["guess"]
+    assert relaxor.solve_jump_points(pin, guess, params_default) == \
+        relaxor.solve_balanced_orbit({**pin, **guess}, params_default)
+
+
+@pytest.mark.parametrize("kind,constant", [("singular_orbit", "NaN"),
+                                           ("trajectory", "Infinity")])
+def test_classify_refuses_non_finite_numbers(tmp_path, capsys, kind, constant):
+    # json reads NaN and Infinity, which strict JSON does not have
+    if kind == "singular_orbit":
+        doc = json.loads(_ORBIT_DOC)
+        doc["y_m1"][1][0] = float("nan")
+    else:
+        assert run("simulate", "--eps", "0.1", "--t-end", "10", "--out", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simulate.trajectory.json").read_text())
+        doc["states"][100][1] = float("inf")
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} is not JSON: {constant} is not a finite number\n")
+    assert not (tmp_path / "out" / "classify.report.json").exists()
+
+
+def test_scan_without_rows_writes_empty_outputs(tmp_path, capsys):
+    # every point of this grid fails to solve; an empty family is an outcome
+    out = tmp_path / "empty"
+    assert run("scan", "--pin1", "p1A=1.4:2.6:2", "--pin2", "zA=1.3:1.4:2",
+               "--guess", "p2A=100", "--guess", "zB=1.4", "--out", str(out)) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 0
+    assert json.loads((out / "scan.family.json").read_text()) == []
+    assert (out / "scan.family.csv").read_text().splitlines() == [
+        "r,m,pin_p1A,pin_zA,p1A,p2A,zA,p1B,p2B,zB,T0,T1,residual"]
+    svgs = [f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS]
+    entry, = json.loads((out / "manifest.json").read_text())["runs"]
+    assert entry["outputs"] == ["scan.family.json", "scan.family.csv", *svgs]
+    for name in svgs:
+        svg = ET.fromstring((out / name).read_text())
+        assert not list(svg.iter("{http://www.w3.org/2000/svg}circle"))
+
+
 def test_svg_outputs_are_well_formed_and_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -601,7 +696,8 @@ def test_continue_workers_write_the_bytes_of_an_in_process_write(tmp_path, capsy
     capsys.readouterr()
     assert multiprocessing.active_children() == []
     ref.mkdir()
-    start = _parse_state(_OPTIONS["continue"]["state"][1])
+    parse, default, _ = _OPTIONS["continue"]["state"]
+    start = parse(default)
     for i, tr in enumerate(continue_in_eps(start, params_default, schedule)):
         names = _trajectory_names(f"continue.{i:02d}.eps{tr.config.eps:g}")
         _write_trajectory([ref / name for name in names], tr)
