@@ -63,16 +63,18 @@ def _floats(text: str, count: int, sep: str, form: str) -> list[float]:
     return values
 
 
-def _state(text: str) -> State:
-    return State(*_floats(text, 4, ",", "p1,p2,z,q"))
+def _state(text: str) -> list[float]:
+    values = _floats(text, 4, ",", "p1,p2,z,q")
+    State(*values)  # validates the densities and the trait
+    return values
 
 
-def _grid(text: str) -> tuple[str, np.ndarray]:
+def _grid(text: str) -> tuple[str, float, float, int]:
     name, _, rest = text.partition("=")
     lo, hi, count = _floats(rest, 3, ":", "NAME=LO:HI:N")
     if count < 1 or count != int(count):
         raise ValueError("expected NAME=LO:HI:N with a whole N of at least 1")
-    return name.strip(), np.linspace(lo, hi, int(count))
+    return name.strip(), lo, hi, int(count)
 
 
 def _schedule(text: str) -> list[tuple[float, float]]:
@@ -90,10 +92,17 @@ def _assignments(items) -> dict:
     return out
 
 
+def _seed(text: str) -> str:
+    if text not in SEEDS:
+        raise ValueError(f"unknown preset; choose from {sorted(SEEDS)}")
+    return text
+
+
 # each command's options, name -> (parser, default, help): one row is its
 # --flag, its config key and its default; _resolve applies the parser once,
 # to the text of the flag, else of the config line, else to the default.
-# An _assignments row is a repeatable flag with no config key.
+# An _assignments row is a repeatable flag with no config key.  Every
+# parser returns plain JSON values: the manifest records them as they are.
 _PARAMS = {"r": (float, 0.5, "rescaled prey-2 growth rate"),
            "m": (float, 0.4, "rescaled predator death rate")}
 _STATE = {"state": (_state, "1.18,0.87,1.5,0.99", "initial state p1,p2,z,q")}
@@ -101,7 +110,7 @@ _GUESS = {"guess": (_assignments, (), "initial guess for a free coordinate")}
 _OPTIONS = {
     "construct": {
         **_PARAMS,
-        "seed": (str, "hybrid", f"orbit preset: {', '.join(sorted(SEEDS))}"),
+        "seed": (_seed, "hybrid", f"orbit preset: {', '.join(sorted(SEEDS))}"),
         "samples": (int, 400, "samples per slow segment"),
         "pin": (_assignments, (), "pinned jump coordinate (twice)"),
         **_GUESS,
@@ -110,7 +119,7 @@ _OPTIONS = {
         **_PARAMS,
         "pin1": (_grid, "p1A=1.4:2.6:20", "first pinned grid NAME=LO:HI:N"),
         "pin2": (_grid, "zA=1.1:1.7:20", "second pinned grid NAME=LO:HI:N"),
-        "seed": (str, "hybrid", "preset supplying the free-coordinate guess"),
+        "seed": (_seed, "hybrid", "preset supplying the free-coordinate guess"),
         **_GUESS,
     },
     "simulate": {
@@ -184,28 +193,34 @@ def _resolve(args: argparse.Namespace, config: dict) -> None:
 class _Manifest:
     """Per-directory record of runs and the files they produced."""
 
-    def __init__(self, args: argparse.Namespace, command: str, parameters: dict, outputs):
+    def __init__(self, args: argparse.Namespace, outputs):
         """Open the manifest of ``args.out`` and start the entry of this run.
 
-        ``outputs`` names every file the run may write; without --force an
-        existing one is refused here, before the run computes.
+        The entry's parameters are the parsed values of the command's
+        ``_OPTIONS`` rows, in row order.  ``outputs`` names every file the
+        run may write; without --force an existing one is refused here,
+        before the run computes.
         """
         self.outdir = Path(args.out)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.path = self.outdir / "manifest.json"
         self.force = args.force
         self.doc = {"runs": []}
-        if self.path.exists():
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            text = self.path.read_text() if self.path.exists() else None
+        except OSError as err:  # --out names a file, or manifest.json a directory
+            raise InvalidInputError(f"cannot use --out {self.outdir}: {err}") from err
+        if text is not None:
             try:
-                self.doc = json.loads(self.path.read_text())
+                self.doc = json.loads(text)
             except ValueError as err:  # undecodable bytes or malformed JSON
                 raise InvalidInputError(f"corrupt manifest {self.path}: {err}") from err
             if not isinstance(self.doc, dict) or not isinstance(self.doc.get("runs"), list):
                 raise InvalidInputError(f"corrupt manifest {self.path}: no run list")
         self._refuse(outputs)
         self.entry = {
-            "command": command,
-            "parameters": parameters,
+            "command": args.command,
+            "parameters": {name: getattr(args, name) for name in _OPTIONS[args.command]},
             "tool_version": __version__,
             "numpy_version": np.__version__,
             "scipy_version": scipy.__version__,
@@ -275,20 +290,13 @@ def _error_record(err: RelaxorError) -> dict:
 
 def cmd_construct(args) -> dict:
     params = Params(args.r, args.m)
-    pin, guess, seed_name = args.pin, args.guess, None
-    if not pin and not guess:
-        seed_name = args.seed
-        if seed_name not in SEEDS:
-            raise InvalidInputError(
-                f"unknown seed {seed_name!r}; choose from {sorted(SEEDS)}")
-        pin, guess = dict(SEEDS[seed_name]["pin"]), dict(SEEDS[seed_name]["guess"])
+    if not args.pin and not args.guess:
+        args.pin, args.guess = dict(SEEDS[args.seed]["pin"]), dict(SEEDS[args.seed]["guess"])
 
     names = ("construct.orbit.json", "construct.phase.svg", "construct.timeseries.svg")
-    manifest = _Manifest(args, "construct", {
-        "r": params.r, "m": params.m, "seed": seed_name, "pin": pin, "guess": guess,
-        "samples": args.samples}, names)
+    manifest = _Manifest(args, names)
     with manifest.phase("solve"):
-        pair = solve_jump_points(pin, guess, params)
+        pair = solve_jump_points(args.pin, args.guess, params)
     with manifest.phase("assemble"):
         orbit = assemble_singular_orbit(pair, params, samples_per_segment=args.samples)
 
@@ -306,36 +314,29 @@ _PROJECTIONS = (("p1A", "zA"), ("p2A", "zA"), ("p1B", "zB"), ("p2B", "zB"),
 
 def cmd_scan(args) -> dict:
     params = Params(args.r, args.m)
-    (name1, grid1), (name2, grid2), guess = args.pin1, args.pin2, args.guess
-    if not guess:
-        if args.seed not in SEEDS:
-            raise InvalidInputError(f"unknown seed {args.seed!r}; choose from {sorted(SEEDS)}")
-        guess = dict(SEEDS[args.seed]["guess"])
+    (name1, *grid1), (name2, *grid2) = args.pin1, args.pin2
+    if not args.guess:
+        args.guess = dict(SEEDS[args.seed]["guess"])
     free = [n for n in UNKNOWN_NAMES if n not in (name1, name2)]
-    if sorted(guess) != sorted(free):
+    if sorted(args.guess) != sorted(free):
         raise InvalidInputError(
             f"scan over ({name1}, {name2}) needs a guess for {free}")
 
     names = ("scan.family.json", "scan.family.csv",
              *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))
-    manifest = _Manifest(args, "scan", {
-        "r": params.r, "m": params.m, "pin1": name1, "pin2": name2,
-        "grid1": [float(grid1[0]), float(grid1[-1]), len(grid1)],
-        "grid2": [float(grid2[0]), float(grid2[-1]), len(grid2)],
-        "guess": guess}, names)
+    manifest = _Manifest(args, names)
     with manifest.phase("scan"):
-        table = scan_family(params, (grid1, grid2), guess, pin_names=(name1, name2))
+        table = scan_family(params, (np.linspace(*grid1), np.linspace(*grid2)),
+                            args.guess, pin_names=(name1, name2))
 
     with manifest.phase("write"):
         json_path, csv_path, *svg_paths = manifest.claim(*names)
         table.to_json(json_path)
         table.to_csv(csv_path)
         jumps = [row.jump.as_dict() for row in table.rows]
-        coords = {key: [d[key] for d in jumps]
-                  for key in ("p1A", "p2A", "zA", "p1B", "p2B", "zB")}
         for (xk, yk), path in zip(_PROJECTIONS, svg_paths):
-            path.write_text(scatter_plot(coords[xk], coords[yk], xk, yk,
-                                         title=f"family projection ({xk}, {yk})"))
+            path.write_text(scatter_plot([d[xk] for d in jumps], [d[yk] for d in jumps],
+                                         xk, yk, title=f"family projection ({xk}, {yk})"))
     return {"rows": len(table), "outputs": manifest.finish()}
 
 
@@ -357,10 +358,7 @@ def cmd_simulate(args) -> dict:
     cfg = SimConfig(eps=args.eps, t_end=args.t_end, rel_tol=args.rel_tol,
                     abs_tol=args.abs_tol, max_step=args.max_step, n_samples=args.samples)
     names = _trajectory_names("simulate.trajectory")
-    manifest = _Manifest(args, "simulate", {
-        "r": params.r, "m": params.m, "eps": cfg.eps, "t_end": cfg.t_end,
-        "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-        "max_step": cfg.max_step, "state": args.state.to_array().tolist()}, names)
+    manifest = _Manifest(args, names)
     with manifest.phase("integrate"):
         tr = integrate(args.state, params, cfg)
     manifest.entry["integral_drift"] = tr.integral_drift()
@@ -393,10 +391,7 @@ def cmd_continue(args) -> dict:
     params, state, schedule = Params(args.r, args.m), args.state, args.schedule
     names = [_trajectory_names(f"continue.{i:02d}.eps{eps:g}")
              for i, (eps, _) in enumerate(schedule)]
-    manifest = _Manifest(args, "continue", {
-        "r": params.r, "m": params.m, "state": state.to_array().tolist(),
-        "schedule": [[e, d] for e, d in schedule]},
-        [name for run_names in names for name in run_names])
+    manifest = _Manifest(args, [name for run_names in names for name in run_names])
     drift, steps, rhs_evals, writes = [], [], [], []
     writer = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
     try:
@@ -432,8 +427,7 @@ def _no_constant(name: str):
 def cmd_classify(args) -> dict:
     if args.input is None:
         raise InvalidInputError("classify requires --input FILE")
-    manifest = _Manifest(args, "classify", {
-        "input": args.input, "align_tol": args.align_tol}, ["classify.report.json"])
+    manifest = _Manifest(args, ["classify.report.json"])
     with manifest.phase("read"):
         try:
             doc = json.loads(Path(args.input).read_text(), parse_constant=_no_constant)

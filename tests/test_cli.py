@@ -13,8 +13,8 @@ import scipy
 
 import relaxor
 from relaxor import svgplot
-from relaxor.cli import (_OPTIONS, _PROJECTIONS, SEEDS, _resolve, _trajectory_names,
-                         _write_trajectory, build_parser, main)
+from relaxor.cli import (_COMMANDS, _OPTIONS, _PROJECTIONS, SEEDS, _resolve,
+                         _trajectory_names, _write_trajectory, build_parser, main)
 from relaxor.errors import InvalidInputError
 from relaxor.simulate import continue_in_eps
 
@@ -471,6 +471,10 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
     (["construct", "--m", "inf"], {}),
     (["simulate", "--config", "{tmp}/run.cfg", "--t-end", "1"],
      {"run.cfg": "eps = 0.1\neps = 0.2\n"}),
+    (["construct", "--seed", "hybrid"], {"out": "x"}),
+    (["construct", "--seed", "bogus", "--pin", "p1A=1.81", "--pin", "zA=1.35",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["scan", "--seed", "bogus", "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
         "empty-grid", "corrupt-manifest", "trajectory-empty-config",
         "orbit-empty-segments", "trajectory-text-parameter", "trajectory-text-time",
@@ -480,7 +484,8 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
         "manifest-runs-not-list", "state-nan", "state-inf", "max-step-negative",
         "max-step-zero", "max-step-nan", "align-tol-negative", "align-tol-nan",
         "grid-bound-nan", "grid-bound-inf", "guess-inf", "pin-nan", "m-inf",
-        "config-repeated-key"])
+        "config-repeated-key", "out-is-file", "construct-unknown-seed-with-pins",
+        "scan-unknown-seed-with-guess"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():
@@ -491,6 +496,56 @@ def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_out_blocked_by_a_file_or_directory_exits_2(tmp_path, capsys):
+    # manifest.json is a directory, or --out lies under a regular file
+    (tmp_path / "dir" / "manifest.json").mkdir(parents=True)
+    (tmp_path / "file").write_text("x")
+    for out, named in ((tmp_path / "dir", tmp_path / "dir" / "manifest.json"),
+                       (tmp_path / "file" / "sub", tmp_path / "file" / "sub")):
+        assert run("construct", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(named) in err
+    assert list((tmp_path / "dir").iterdir()) == [tmp_path / "dir" / "manifest.json"]
+
+
+# one quick run of each command, all in one output directory
+_ONE_RUN = {
+    "construct": ["--samples", "20"],
+    "scan": ["--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1"],
+    "simulate": ["--t-end", "1", "--samples", "7"],
+    "continue": ["--schedule", "0.1:1"],
+    "classify": ["--input", "{out}/construct.orbit.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def manifest_entries(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    for command, argv in _ONE_RUN.items():
+        argv = [a.replace("{out}", str(out)) for a in argv]
+        assert run(command, *argv, "--out", str(out)) == 0
+    return {e["command"]: e for e in json.loads((out / "manifest.json").read_text())["runs"]}
+
+
+def test_manifest_parameters_are_the_option_rows_in_order(manifest_entries):
+    assert list(manifest_entries) == list(_COMMANDS)
+    for command, entry in manifest_entries.items():
+        assert list(entry["parameters"]) == list(_OPTIONS[command]), command
+
+
+def test_simulate_manifest_records_samples(manifest_entries):
+    parameters = manifest_entries["simulate"]["parameters"]
+    assert parameters["samples"] == 7
+    assert parameters["state"] == [1.18, 0.87, 1.5, 0.99]
+
+
+def test_scan_manifest_records_seed(manifest_entries):
+    parameters = manifest_entries["scan"]["parameters"]
+    assert parameters["seed"] == "hybrid"
+    assert parameters["guess"] == SEEDS["hybrid"]["guess"]
+    assert parameters["pin1"] == ["p1A", 1.81, 1.81, 1]
 
 
 # a text for each option whose default is None or not text
