@@ -10,6 +10,8 @@ never silently overwritten (pass --force to replace it, which also retires
 the old manifest entry); a refused overwrite is reported when the manifest
 opens, before the run reads, computes or writes anything.  A run that fails
 numerically still appends its entry, with the error in place of outputs.
+--verbose shows the library's INFO log records on stderr while the command
+runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import logging
 import math
 import sys
 import time
@@ -480,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory (default .)")
         sp.add_argument("--force", action="store_true",
                         help="allow replacing existing output files")
+        sp.add_argument("--verbose", action="store_true",
+                        help="show the library's INFO records on stderr")
         for name, (parse, default, text) in _OPTIONS[command].items():
             flag = "--" + name.replace("_", "-")
             if parse is _assignments:
@@ -499,11 +504,28 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _info_to_stderr():
+    """Send the ``relaxor`` logger's INFO records to stderr for the block."""
+    logger = logging.getLogger("relaxor")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.INFO)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve(args, _read_config(args.config))
-        summary = _COMMANDS[args.command][0](args)
+        with _info_to_stderr() if args.verbose else contextlib.nullcontext():
+            _resolve(args, _read_config(args.config))
+            summary = _COMMANDS[args.command][0](args)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

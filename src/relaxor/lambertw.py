@@ -20,7 +20,10 @@ import enum
 import math
 
 import numpy as np
-from scipy import special
+# submodules by qualified name: scipy imports each on its first use.  The
+# lookup ``scipy.special.lambertw`` takes ~0.1 µs; a function-level
+# ``from scipy import special`` would take ~0.75 µs on every call
+import scipy
 
 from .errors import BranchDomainError
 
@@ -96,7 +99,7 @@ def lambert_w(branch: Branch, x):
         raise BranchDomainError(branch, float(arr[bad].flat[0]), need)
     s = np.maximum(s, 0.0)
     w = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch is Branch.LOWER, s) - 1.0,
-                 special.lambertw(arr, branch.value).real)
+                 scipy.special.lambertw(arr, branch.value).real)
     w = np.maximum(w, -1.0) if branch is Branch.PRINCIPAL else np.minimum(w, -1.0)
     return float(w[0]) if scalar else w
 
@@ -131,7 +134,7 @@ def w_plus_one(branch, s):
     # ~1e-16/sqrt(2s) relative.  The series is paid for only when some
     # element needs it; elementwise arithmetic keeps every value bitwise
     # that of a call on the element alone.
-    out = special.lambertw((s - 1.0) / _E, k).real + 1.0
+    out = scipy.special.lambertw((s - 1.0) / _E, k).real + 1.0
     near = s < _SERIES_CUTOFF
     if near.any():
         out = np.where(near, _series_plus_one(k == Branch.LOWER.value, s), out)

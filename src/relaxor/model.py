@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# submodules by qualified name: scipy imports each on its first use
+import scipy
 
 from .errors import ParameterDomainError, SingularScalingError, UnsupportedManifoldError
 
@@ -244,7 +245,7 @@ def fast_heteroclinic(tau, p1: float, p2: float):
     Solves q' = q (1 - q) (p1 - p2) at frozen slow coordinates, gauged so
     that q(0) = 1/2.  Monotone in tau; for p1 != p2 the limits are 0 and 1.
     """
-    out = special.expit((p1 - p2) * np.asarray(tau, dtype=float))
+    out = scipy.special.expit((p1 - p2) * np.asarray(tau, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 
 from .errors import (
     BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
@@ -39,7 +38,7 @@ from .errors import (
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, vector_field
 from .quadrature import phase, sine_gauss
-from .simulate import dop853_samples
+from .simulate import dop853_samples, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 
 _log = logging.getLogger(__name__)
 

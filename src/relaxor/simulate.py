@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import DOP853, ode, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
-from scipy.spatial import cKDTree
+# submodules by qualified name: scipy imports each on its first use
+import scipy
 
 from .errors import ParameterDomainError, StiffnessError
 from .model import Params, State, full_integral, vector_field
@@ -249,7 +249,7 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
         record.append(t)
         record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
 
-    stepper = ode(field).set_integrator(
+    stepper = scipy.integrate.ode(field).set_integrator(
         "dop853", rtol=rtol, atol=atol, max_step=max_step, nsteps=_MAX_STEPS)
     stepper.set_solout(keep)
     stepper.set_initial_value(y0, 0.0)
@@ -282,10 +282,20 @@ def _sample(field, step_t, step_y, times):
     i = np.searchsorted(step_t, times, side="right") - 1
     t, y = step_t[i], step_y[i].T
     h = times - t
-    k = np.empty((len(DOP853.B), *y.shape))
-    for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)):
+    tableau = scipy.integrate.DOP853
+    k = np.empty((len(tableau.B), *y.shape))
+    for s, (a, c) in enumerate(zip(tableau.A, tableau.C)):
         k[s] = field(t + c * h, y + h * np.tensordot(a[:s], k[:s], axes=1))
-    return (y + h * np.tensordot(DOP853.B, k, axes=1)).T
+    return (y + h * np.tensordot(tableau.B, k, axes=1)).T
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, loaded on the first call.
+
+    Nothing in the library calls it.  ``perfbench/tracing.py`` wraps this
+    binding here and in ``orbit``; it goes when the tracer stops reading it.
+    """
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 def default_continuation_schedule() -> list[tuple[float, float]]:
@@ -386,6 +396,6 @@ def closeness_check(tr, orbit: SingularOrbit, horizon: float | None = None) -> f
             f"horizon {horizon:g} exceeds the trajectory duration {times[-1]:g}")
     mask = times <= horizon
     points = np.asarray(tr.states)[mask, :3]
-    tree = cKDTree(orbit.slow_points())
+    tree = scipy.spatial.cKDTree(orbit.slow_points())
     distances, _ = tree.query(points)
     return float(np.max(distances))

@@ -1,5 +1,6 @@
 import ast
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -386,6 +387,13 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's relaxor."""
+    src = str(Path(relaxor.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--eps", "nan", "--t-end", "1"],
     ["simulate", "--t-end", "inf"],
@@ -395,14 +403,59 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
 def test_non_finite_run_length_exits_2(tmp_path, argv):
     # an unchecked run of this length never ends: the child's timeout turns
     # such a regression into a failure instead of a stalled suite
-    src = str(Path(relaxor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "relaxor.cli", *argv, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=_child_env())
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and "finite" in done.stderr
+
+
+def _fresh_run(argv, cwd) -> tuple[int, set]:
+    """Exit code of ``main(argv)`` in a new interpreter, and the modules it loaded.
+
+    ``argv`` None only imports the CLI.  This process has loaded every
+    module long ago, so only a new interpreter shows what a command loads.
+    """
+    script = ("import json, sys\n"
+              "from relaxor.cli import main\n"
+              f"code = 0 if {argv!r} is None else main({argv!r})\n"
+              "print(json.dumps(sorted(sys.modules)))\n"
+              "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env=_child_env())
+    return done.returncode, set(json.loads(done.stdout.splitlines()[-1]))
+
+
+_SCIPY_PARTS = {"scipy.special", "scipy.integrate", "scipy.spatial", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("argv,needed,unloaded", [
+    (None, set(), _SCIPY_PARTS),
+    (["classify", "--input", "orbit/construct.orbit.json"], set(),
+     {"scipy.special", "scipy.integrate"}),
+    (["scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {"scipy.special"}, {"scipy.integrate"}),
+], ids=["import", "classify", "scan"])
+def test_a_command_loads_only_the_scipy_it_uses(tmp_path, capsys, argv, needed, unloaded):
+    # scipy loads a submodule on its first use as an attribute of ``scipy``
+    assert run("construct", "--out", str(tmp_path / "orbit")) == 0
+    capsys.readouterr()
+    code, modules = _fresh_run(argv and [*argv, "--out", "out"], tmp_path)
+    assert code == 0
+    assert needed <= modules
+    assert not unloaded & modules
+
+
+@pytest.mark.parametrize("argv,present", [
+    (["simulate", "--eps", "nan"], None),
+    (["simulate"], "simulate.trajectory.json"),
+], ids=["eps-nan", "existing-output"])
+def test_user_error_exits_before_the_stepper_loads(tmp_path, argv, present):
+    if present:
+        (tmp_path / present).write_text("kept")
+    code, modules = _fresh_run([*argv, "--out", str(tmp_path)], tmp_path)
+    assert code == 2
+    assert "scipy.integrate" not in modules
 
 
 @pytest.mark.parametrize("flag", ["--r", "--m"])
@@ -619,6 +672,33 @@ def test_classify_refuses_non_finite_numbers(tmp_path, capsys, kind, constant):
     assert capsys.readouterr().err == (
         f"error: {path} is not JSON: {constant} is not a finite number\n")
     assert not (tmp_path / "out" / "classify.report.json").exists()
+
+
+# a 4x4 grid on which the hybrid guess leaves some points without a row
+_GIVE_UP_SCAN = ("scan", "--pin1", "p1A=1.55:2.45:4", "--pin2", "zA=1.19:1.61:4",
+                 "--seed", "hybrid")
+
+
+@pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+def test_verbose_logs_each_scan_point_without_a_row(tmp_path, capsys, verbose):
+    logger = logging.getLogger("relaxor")
+    assert run(*_GIVE_UP_SCAN, *(["--verbose"] if verbose else []), "--out", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    missing = 16 - json.loads(captured.out)["rows"]
+    lines = captured.err.splitlines()
+    assert len(lines) == (missing if verbose else 0) and missing > 0
+    assert all(line.startswith("scan point {") and ": no row after " in line
+               for line in lines)
+    assert logger.handlers == [] and logger.level == logging.NOTSET
+    entry, = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert "verbose" not in entry["parameters"]
+
+
+def test_verbose_leaves_no_handler_after_an_error(tmp_path, capsys):
+    logger = logging.getLogger("relaxor")
+    assert run("simulate", "--eps", "nan", "--verbose", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: require finite eps > 0")
+    assert logger.handlers == [] and logger.level == logging.NOTSET
 
 
 def test_scan_without_rows_writes_empty_outputs(tmp_path, capsys):
