@@ -55,15 +55,22 @@ SEEDS = {
 def _floats(text: str, count: int, sep: str, form: str) -> list[float]:
     """The ``count`` finite numbers that ``sep`` separates in ``text``.
 
-    Spaces and empty fields are dropped, so "1, 2,3," reads as three numbers.
+    Spaces around a number and empty fields are dropped, so "1, 2,3," reads
+    as three numbers; a space inside one, as in "1 0", is refused.
     """
     try:
-        values = [float(part) for part in text.replace(" ", "").split(sep) if part]
+        values = [float(part) for part in text.split(sep) if part.strip()]
     except ValueError:
         values = []
     if len(values) != count or not all(map(math.isfinite, values)):
         raise ValueError(f"expected {form} with finite numbers")
     return values
+
+
+def _number(text) -> float:
+    # a default arrives as a float, whose str is its repr
+    value, = _floats(str(text), 1, ",", "NUMBER")
+    return value
 
 
 def _state(text: str) -> list[float]:
@@ -106,8 +113,8 @@ def _seed(text: str) -> str:
 # to the text of the flag, else of the config line, else to the default.
 # An _assignments row is a repeatable flag with no config key.  Every
 # parser returns plain JSON values: the manifest records them as they are.
-_PARAMS = {"r": (float, 0.5, "rescaled prey-2 growth rate"),
-           "m": (float, 0.4, "rescaled predator death rate")}
+_PARAMS = {"r": (_number, 0.5, "rescaled prey-2 growth rate"),
+           "m": (_number, 0.4, "rescaled predator death rate")}
 _STATE = {"state": (_state, "1.18,0.87,1.5,0.99", "initial state p1,p2,z,q")}
 _GUESS = {"guess": (_assignments, (), "initial guess for a free coordinate")}
 _OPTIONS = {
@@ -127,11 +134,11 @@ _OPTIONS = {
     },
     "simulate": {
         **_PARAMS, **_STATE,
-        "eps": (float, 0.025, "time-scale separation"),
-        "t_end": (float, 50.0, "duration"),
-        "rel_tol": (float, SimConfig.rel_tol, "relative error tolerance"),
-        "abs_tol": (float, SimConfig.abs_tol, "absolute error tolerance"),
-        "max_step": (float, None, "largest step (default eps/2)"),
+        "eps": (_number, 0.025, "time-scale separation"),
+        "t_end": (_number, 50.0, "duration"),
+        "rel_tol": (_number, SimConfig.rel_tol, "relative error tolerance"),
+        "abs_tol": (_number, SimConfig.abs_tol, "absolute error tolerance"),
+        "max_step": (_number, None, "largest step (default eps/2)"),
         "samples": (int, SimConfig.n_samples, "number of output samples, at least 2"),
     },
     "continue": {
@@ -140,7 +147,7 @@ _OPTIONS = {
     },
     "classify": {
         "input": (str, None, "orbit or trajectory JSON"),
-        "align_tol": (float, None, "extremum/jump alignment tolerance"),
+        "align_tol": (_number, None, "extremum/jump alignment tolerance"),
     },
 }
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import array
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import json
 import math
-import warnings
+import os
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -173,13 +176,46 @@ _MAX_STEPS = np.iinfo(np.int32).max
 # samples taken per sampling pass; bounds its stage array at 1.5 MB
 _SAMPLE_BLOCK = 4096
 
+# the texts scipy's ``ode`` gives the negative return codes of its dop853
+_DOP853_FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
+                    -3: "step size becomes too small",
+                    -4: "problem is probably stiff (interrupted)"}
+
+
+@functools.cache
+def _scipy_module(name: str, *needed: str):
+    """The module ``scipy.<name>``, loaded from its own file, with the attributes ``needed``.
+
+    Importing ``scipy.integrate._dop`` the usual way runs
+    ``scipy/integrate/__init__.py`` first, which loads ``special``,
+    ``optimize``, ``linalg``, ``sparse`` and ``spatial`` as well (about
+    560 modules); here only the file itself runs.  The module is
+    registered in ``sys.modules`` under its full name, and an entry
+    already there is used, so this and a later ``import scipy.integrate``
+    share one module object.
+    """
+    full = f"scipy.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        directory = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[:-1])
+        spec = importlib.machinery.PathFinder.find_spec(full, [directory])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+    if module is None or not all(hasattr(module, attr) for attr in needed):
+        raise ImportError(f"{full} with {', '.join(needed)} is missing from scipy "
+                          f"{scipy.__version__}; relaxor needs scipy >= 1.17")
+    return module
+
 
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
     Steps ``vector_field`` once with ``dop853_samples``, the library's one
     DOP853 driver (``orbit.assemble_singular_orbit`` steps its slow
-    segments with it too): Hairer's compiled DOP853, an explicit embedded
+    segments with it too): Hairer's compiled DOP853 from scipy, loaded
+    without the rest of ``scipy.integrate``, an explicit embedded
     Runge-Kutta pair of order 8(5,3), which calls back into Python only
     for the right-hand side; the fast layer is one-dimensional and
     non-oscillatory, so no implicit solver is needed down to the eps
@@ -217,16 +253,18 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     ``orbit.assemble_singular_orbit``; left out of ``__all__``, so a
     tracer of the public functions charges its time to its caller.
 
-    One call of Hairer's compiled DOP853 (``scipy.integrate.ode``) steps
-    from 0 to ``times[-1]`` with steps of at most ``max_step`` (0: no
-    cap).  The increasing ``times`` are then taken together: each sample
-    starts from the last accepted step point at or before its time and
-    takes one 12-stage step of the stepper's own 8th-order tableau up to
-    it, with ``field`` evaluated on the (4, n) array of many samples at
-    once.  A sample on a step point, such as t = 0 or the end, is that
-    step point.  Only the step points some sample starts from are kept,
-    so memory grows with the number of samples, not with the number of
-    steps.
+    One call of Hairer's compiled DOP853, scipy's ``_dop.dopri853`` with
+    the settings of ``scipy.integrate.ode``'s "dop853", steps from 0 to
+    ``times[-1]`` with steps of at most ``max_step`` (0: no cap).  Only
+    that extension and the tableau's file are loaded (``_scipy_module``),
+    never the ``scipy.integrate`` package.  The increasing ``times`` are
+    then taken together: each sample starts from the last accepted step
+    point at or before its time and takes one 12-stage step of the
+    stepper's own 8th-order tableau up to it, with ``field`` evaluated on
+    the (4, n) array of many samples at once.  A sample on a step point,
+    such as t = 0 or the end, is that step point.  Only the step points
+    some sample starts from are kept, so memory grows with the number of
+    samples, not with the number of steps.
 
     Returns the (n, 4) states, the accepted steps and the right-hand-side
     calls.  A failed stepper call raises ``failure(t, reason)``.
@@ -234,7 +272,7 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     The compiled stepper is not re-entrant: a dop853 integration started
     inside the right-hand side corrupts the outer one, and two threads
     must not integrate at once.  Separate calls in sequence, each with its
-    own ``ode`` object, are safe.
+    own work arrays, are safe.
     """
     due = [*times.tolist(), math.inf]  # the sample times, then a sentinel
     k = 0  # the first sample at or after the last kept step point
@@ -249,27 +287,24 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
         record.append(t)
         record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
 
-    stepper = scipy.integrate.ode(field).set_integrator(
-        "dop853", rtol=rtol, atol=atol, max_step=max_step, nsteps=_MAX_STEPS)
-    stepper.set_solout(keep)
-    stepper.set_initial_value(y0, 0.0)
+    work = np.zeros(11 * len(y0) + 21)  # Hairer's WORK; a zero entry takes his default
+    work[1:4] = 0.9, 0.3, 6.0  # safety factor and step-ratio bounds, as scipy sets them
+    work[5] = max_step
+    iwork = np.zeros(21, dtype=np.int32)
     try:
-        # the stepper reports a failed call through a UserWarning and its return code
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            stepper.integrate(times[-1])
-        if not stepper.successful():
-            raise failure(stepper.t, caught[-1].message if caught
-                          else f"return code {stepper.get_return_code()}")
+        t, _, idid = _scipy_module("integrate._dop", "dopri853").dopri853(
+            field, 0.0, y0, float(times[-1]), rtol, atol, keep, 1, work, iwork,
+            _MAX_STEPS, -1, ())
+        if idid < 0:
+            raise failure(t, "dop853: " + _DOP853_FAILURES.get(
+                idid, f"Unexpected istate={idid:d}"))
         points = np.array(record).reshape(-1, 5)
-        # Hairer's IWORK(17) and IWORK(19), the right-hand-side calls and the
-        # accepted steps, at these places in scipy 1.17.1's dop853 work array
-        rhs_evals, steps = (int(n) for n in stepper._integrator.iwork[[16, 18]])
     finally:
-        # each run of scipy's dop853 wrapper leaks a reference to the
-        # integrator, which would keep its work arrays and ``keep``, with
-        # the step record, alive for the life of the process
-        vars(stepper._integrator).clear()
+        # the compiled wrapper keeps a reference to ``keep`` after the call,
+        # which would keep the step record and the sample list alive
+        del record[:], due[:]
+    # Hairer's IWORK(17) and IWORK(19): the right-hand-side calls and the accepted steps
+    rhs_evals, steps = (int(n) for n in iwork[[16, 18]])
     states = np.empty((len(times), 4))
     for lo in range(0, len(times), _SAMPLE_BLOCK):
         block = slice(lo, lo + _SAMPLE_BLOCK)
@@ -282,9 +317,11 @@ def _sample(field, step_t, step_y, times):
     i = np.searchsorted(step_t, times, side="right") - 1
     t, y = step_t[i], step_y[i].T
     h = times - t
-    tableau = scipy.integrate.DOP853
-    k = np.empty((len(tableau.B), *y.shape))
-    for s, (a, c) in enumerate(zip(tableau.A, tableau.C)):
+    # the 12 stages of the step, as ``scipy.integrate.DOP853`` takes them
+    tableau = _scipy_module("integrate._ivp.dop853_coefficients", "N_STAGES", "A", "B", "C")
+    n = tableau.N_STAGES
+    k = np.empty((n, *y.shape))
+    for s, (a, c) in enumerate(zip(tableau.A[:n, :n], tableau.C[:n])):
         k[s] = field(t + c * h, y + h * np.tensordot(a[:s], k[:s], axes=1))
     return (y + h * np.tensordot(tableau.B, k, axes=1)).T
 

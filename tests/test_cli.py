@@ -427,6 +427,11 @@ def _fresh_run(argv, cwd) -> tuple[int, set]:
 
 
 _SCIPY_PARTS = {"scipy.special", "scipy.integrate", "scipy.spatial", "scipy.optimize"}
+# the stepper loads its two scipy files, not the scipy.integrate package and
+# the subpackages its __init__ loads
+_STEPPER = {"scipy.integrate._dop", "scipy.integrate._ivp.dop853_coefficients"}
+_NOT_BESIDE_THE_STEPPER = {"scipy.integrate", "scipy.optimize", "scipy.linalg",
+                           "scipy.sparse", "scipy.spatial"}
 
 
 @pytest.mark.parametrize("argv,needed,unloaded", [
@@ -435,7 +440,10 @@ _SCIPY_PARTS = {"scipy.special", "scipy.integrate", "scipy.spatial", "scipy.opti
      {"scipy.special", "scipy.integrate"}),
     (["scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
       "--guess", "p2A=0.49", "--guess", "zB=1.4"], {"scipy.special"}, {"scipy.integrate"}),
-], ids=["import", "classify", "scan"])
+    (["construct"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
+    (["simulate", "--t-end", "1"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
+    (["continue", "--schedule", "0.1:1,0.2:1"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
+], ids=["import", "classify", "scan", "construct", "simulate", "continue"])
 def test_a_command_loads_only_the_scipy_it_uses(tmp_path, capsys, argv, needed, unloaded):
     # scipy loads a submodule on its first use as an attribute of ``scipy``
     assert run("construct", "--out", str(tmp_path / "orbit")) == 0
@@ -455,7 +463,28 @@ def test_user_error_exits_before_the_stepper_loads(tmp_path, argv, present):
         (tmp_path / present).write_text("kept")
     code, modules = _fresh_run([*argv, "--out", str(tmp_path)], tmp_path)
     assert code == 2
-    assert "scipy.integrate" not in modules
+    assert not {"scipy.integrate", "scipy.integrate._dop"} & modules
+
+
+def test_scipy_integrate_imported_after_the_stepper_shares_its_modules(tmp_path):
+    # the stepper registers its two files under their scipy names; the
+    # package's own imports of them must find those, not load second copies
+    script = ("import math, sys\n"
+              "from relaxor.cli import main\n"
+              "assert main(['simulate', '--t-end', '1', '--out', 'out']) == 0\n"
+              f"loaded = {{name: sys.modules[name] for name in {sorted(_STEPPER)!r}}}\n"
+              "assert 'scipy.integrate' not in sys.modules\n"
+              "import scipy.integrate\n"
+              "assert all(sys.modules[name] is m for name, m in loaded.items())\n"
+              "assert scipy.integrate._ode._dop is loaded['scipy.integrate._dop']\n"
+              "coefficients = loaded['scipy.integrate._ivp.dop853_coefficients']\n"
+              "assert scipy.integrate._ivp.rk.dop853_coefficients is coefficients\n"
+              "sol = scipy.integrate.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],\n"
+              "                                method='DOP853', rtol=1e-10, atol=1e-12)\n"
+              "assert sol.success and abs(sol.y[0, -1] - math.exp(-1.0)) < 1e-9\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=_child_env())
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("flag", ["--r", "--m"])
@@ -635,16 +664,24 @@ def test_each_option_text_parses_once_whatever_its_spelling(tmp_path, command, n
     ("simulate", "samples", "x"),
     ("simulate", "state", "1,2,nan,0.5"),
     ("continue", "schedule", "0.1:nan"),
-], ids=["samples-text", "state-nan", "schedule-nan"])
+    ("simulate", "eps", "nan"),
+    ("construct", "r", "inf"),
+    ("continue", "m", "-inf"),
+    ("simulate", "eps", "1 0"),
+    ("simulate", "state", "1 .18,0.87,1.5,0.99"),
+], ids=["samples-text", "state-nan", "schedule-nan", "eps-nan", "r-inf", "m-minus-inf",
+        "eps-inner-space", "state-inner-space"])
 def test_malformed_option_text_exits_2_in_either_spelling(tmp_path, capsys, spelling,
                                                            command, name, text):
-    argv = [command, "--" + name, text]
+    # the error names the flag or the config line, not only the library's check
+    argv = [command, f"--{name}={text}"]
+    source = f"--{name}"
     if spelling == "config":
         (tmp_path / "run.cfg").write_text(f"{name} = {text}\n")
         argv = [command, "--config", str(tmp_path / "run.cfg")]
+        source = f"{tmp_path / 'run.cfg'}: {name} ="
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err and repr(text) in err
+    assert capsys.readouterr().err.startswith(f"error: {source} {text!r}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -697,7 +734,7 @@ def test_verbose_logs_each_scan_point_without_a_row(tmp_path, capsys, verbose):
 def test_verbose_leaves_no_handler_after_an_error(tmp_path, capsys):
     logger = logging.getLogger("relaxor")
     assert run("simulate", "--eps", "nan", "--verbose", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("error: require finite eps > 0")
+    assert capsys.readouterr().err.startswith("error: --eps 'nan': ")
     assert logger.handlers == [] and logger.level == logging.NOTSET
 
 

@@ -271,10 +271,10 @@ def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_defau
 
 @pytest.mark.slow
 def test_integrate_keeps_no_step_record_alive(params_default):
-    # scipy's dop853 wrapper leaks a reference to the integrator, which holds
-    # the step recorder, on each run; a record and sample list left filled
-    # would stay alive (a kept point for each of the 2,000 steps here, 40
-    # bytes each, and 2,001 sample times), an emptied integrator leaves a few kB
+    # scipy's dop853 wrapper leaks a reference to the step recorder on each
+    # run; a record and sample list left filled would stay alive (a kept
+    # point for each of the 2,000 steps here, 40 bytes each, and 2,001
+    # sample times), an emptied recorder leaves under 1 kB
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.01, t_end=10.0)
     integrate(s0, params_default, cfg)
@@ -310,19 +310,19 @@ def test_integrate_memory_follows_the_samples_not_the_steps(params_default):
 
 
 def test_stepper_runs_leave_no_integrator_state_alive(params_default, reference_pairs):
-    # scipy's dop853 wrapper leaks a reference to its integrator on each run
-    from scipy.integrate._ode import dop853
-
+    # scipy's dop853 wrapper leaks a reference to the step recorder of each
+    # run; every recorder still alive must hold an empty record and sample list
     def held():
         gc.collect()
-        return sum(1 for o in gc.get_objects() if isinstance(o, dop853) and vars(o))
+        return [cell.cell_contents for f in gc.get_objects()
+                if callable(f) and getattr(f, "__qualname__", "") == "dop853_samples.<locals>.keep"
+                for cell in f.__closure__ if hasattr(cell.cell_contents, "__len__")]
 
-    before = held()
     for eps in (0.1, 0.2, 0.3):
         integrate(State(1.18, 0.87, 1.5, 0.99), params_default, SimConfig(eps=eps, t_end=1.0))
     p, pair = reference_pairs["hybrid"]
     assemble_singular_orbit(pair, p)
-    assert held() == before
+    assert not any(map(len, held()))
 
 
 def test_sampling_in_blocks_is_bitwise_one_pass(monkeypatch, params_default):
@@ -477,3 +477,13 @@ def test_default_schedule_matches_protocol():
     assert all(b >= a for a, b in zip(eps, eps[1:]))
     assert durations[:20] == [50.0] * 20
     assert durations[20:] == [30.0] * 10
+
+
+@pytest.mark.parametrize("name,needed", [("integrate._no_such_file", "dopri853"),
+                                         ("integrate._dop", "no_such_driver")],
+                         ids=["file", "attribute"])
+def test_a_missing_scipy_part_names_the_scipy_version(name, needed):
+    import scipy
+
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}; relaxor needs"):
+        relaxor.simulate._scipy_module(name, needed)
