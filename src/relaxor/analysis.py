@@ -300,9 +300,10 @@ def classify_synchronization(ex: ExtremaList, j: JumpPair, p: Params) -> SyncCla
     between r and 1, predator minima at both jumps, and prey-2 aligned in
     phase at the upward jump and in antiphase at the downward one.
     """
-    p1_up, p1_down = _jump_kinds(ex, "p1", "up"), _jump_kinds(ex, "p1", "down")
-    p2_up, p2_down = _jump_kinds(ex, "p2", "up"), _jump_kinds(ex, "p2", "down")
-    z_up, z_down = _jump_kinds(ex, "z", "up"), _jump_kinds(ex, "z", "down")
+    kinds = {var: {d: _jump_kinds(ex, var, d) for d in ("up", "down")} for var in _VARS}
+    p1_up, p1_down = kinds["p1"]["up"], kinds["p1"]["down"]
+    p2_up, p2_down = kinds["p2"]["up"], kinds["p2"]["down"]
+    z_up, z_down = kinds["z"]["up"], kinds["z"]["down"]
 
     antiphase = (p1_up == {"max"} and p2_up == {"min"}
                  and p1_down == {"min"} and p2_down == {"max"})
@@ -318,9 +319,8 @@ def classify_synchronization(ex: ExtremaList, j: JumpPair, p: Params) -> SyncCla
         label = SyncLabel.PREDATOR_PREY2_ALTERNATING
 
     orientation, votes = classify_orientation(ex, details=True)
-    jump_table = {var: {"up": sorted(_jump_kinds(ex, var, "up")),
-                        "down": sorted(_jump_kinds(ex, var, "down"))}
-                  for var in _VARS}
+    jump_table = {var: {d: sorted(k) for d, k in by_dir.items()}
+                  for var, by_dir in kinds.items()}
     return SyncClass(label=label, orientation=orientation,
                      prey_prey_antiphase=antiphase,
                      predator_min_at_jumps=z_min_both,

@@ -11,8 +11,9 @@ exponential prey and the Lotka-Volterra pair.  Generically this leaves a
 two-parameter family.
 
 Both Lotka-Volterra charts -- (p1, z) around (1, 1) on q = 1 and (p2, z)
-around (1, r) on q = 0 -- are handled by one engine parameterized by the
-center level ``sigma`` of the predator.  Level curves are inverted in
+around (1, r) on q = 0 -- share one set of functions that take the
+manifold tag; ``_chart`` gives the tag's predator center level ``sigma``
+and prey exponent ``mu = m / sigma``.  Level curves are inverted in
 closed form with the Lambert W function; travel times are integrals with
 inverse-square-root singularities at the extremal prey values, evaluated
 in the flow phase of the level orbit with one fixed Gauss-Legendre rule
@@ -82,124 +83,26 @@ def _dphi(p_end: float, offset):
     return -np.log1p(offset / p_end) + offset
 
 
-class _LvChart:
-    """One Lotka-Volterra slow chart: prey p against predator z around (1, sigma)."""
+def _chart(man: ManifoldTag, p: Params) -> tuple[float, float]:
+    """(sigma, mu) of the chart on ``man``: prey against predator around (1, sigma).
 
-    def __init__(self, sigma: float, m: float):
-        self.sigma = sigma
-        self.mu = m / sigma  # exponent tying the prey factor to the predator factor
-
-    # -- level-set bookkeeping -------------------------------------------------
-
-    def level(self, p, z):
-        y = z / self.sigma
-        return self.mu * _phi(p) + np.log(y) - y
-
-    def g_of(self, p, anchor: Anchor) -> float:
-        """log(e * |W argument|) for the z inversion; <= 0 on the level orbit."""
-        ya = anchor.z / self.sigma
-        return 1.0 + math.log(ya) - ya + self.mu * (_phi(anchor.p) - _phi(p))
-
-    def g_conjugate(self, anchor: Anchor, z_target: float) -> float:
-        """Same quantity for the prey inversion at predator level ``z_target``."""
-        ya = anchor.z / self.sigma
-        yb = z_target / self.sigma
-        return 1.0 + _phi(anchor.p) + (math.log(ya / yb) + yb - ya) / self.mu
-
-    # -- closed-form inversions ------------------------------------------------
-
-    def z_on_level(self, p, anchor: Anchor, branch: Branch):
-        g = self.g_of(p, anchor)
-        if np.any(np.asarray(g) > 1e-9):
-            raise OffOrbitError(
-                f"p={p} lies outside the extremal range of the level orbit "
-                f"through ({anchor.p}, {anchor.z})")
-        s = -np.expm1(np.minimum(g, 0.0))
-        return self.sigma * (1.0 - w_plus_one(branch, s))
-
-    def extrema(self, anchor: Anchor) -> tuple[float, float]:
-        s = -math.expm1(min(self.g_conjugate(anchor, self.sigma), 0.0))
-        if s <= _DEGENERATE_TOL:
-            raise DegenerateOrbitError(
-                f"anchor ({anchor.p}, {anchor.z}) sits at the center of the "
-                "chart; the level orbit degenerates to a point")
-        pmin, pmax = 1.0 - w_plus_one(_EXTREMA_BRANCHES, s)
-        if pmin <= 0.0:
-            raise NoSolutionError(
-                f"the prey minimum of the level orbit through ({anchor.p}, "
-                f"{anchor.z}) underflows to 0")
-        return float(pmin), float(pmax)
-
-    def conjugate_p(self, anchor: Anchor, z_target: float, branch: Branch) -> float:
-        """Prey coordinate on the anchor level at predator level ``z_target``."""
-        g = self.g_conjugate(anchor, z_target)
-        if g > 1e-12:
-            raise NoSolutionError(
-                f"predator level z={z_target} is not reached on the level "
-                f"orbit through ({anchor.p}, {anchor.z})")
-        s = -math.expm1(min(g, 0.0))
-        if s >= 1.0:  # exp(g) underflowed: W0 rounds the prey to 0, W-1 diverges
-            raise NoSolutionError(
-                f"conjugate prey coordinate leaves (0, inf) at z={z_target} on the "
-                f"level orbit through ({anchor.p}, {anchor.z})")
-        return float(1.0 - w_plus_one(branch, s))
-
-    # -- travel time along the flow -------------------------------------------
-
-    def route_time(self, start: tuple[float, float], end: tuple[float, float],
-                   anchor: Anchor) -> float:
-        """Time along the first-arrival route on the level orbit through ``anchor``.
-
-        A point's flow phase phi in [0, 2 pi) grows along the flow, with
-        p = c - h cos(phi) over the extrema [pmin, pmax]: the lower half
-        (z < sigma, W0) runs over [0, pi] and the upper half (W-1) over
-        [pi, 2 pi], so an end at an extremum has one phase whichever half
-        it is filed under.  The route runs from the start's phase a up to
-        the first phase b of the end; an end less than 1e-12 upstream of
-        the start counts as reached.  The time is one integral of
-        dp / (sigma w p) over [a, b], with w = 1 - z/sigma taken on W0
-        where sin(phi) > 0 and on W-1 where sin(phi) < 0.
-        """
-        pmin, pmax = self.extrema(anchor)
-        sigma, mu = self.sigma, self.mu
-
-        def flow_phase(point: tuple[float, float]) -> float:
-            p, z = point
-            phi = phase(p, pmin, pmax)
-            return phi if z < sigma else _TWO_PI - phi
-
-        a = flow_phase(start) % _TWO_PI
-        b = a + (flow_phase(end) - a) % _TWO_PI
-        if b - a > _TWO_PI - 1e-12:
-            b -= _TWO_PI
-
-        def integrand(x, d_lo, d_hi, half):
-            # g vanishes at both extrema; take it from the nearer one
-            g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
-            s = -np.expm1(np.minimum(g, 0.0))
-            return 1.0 / (sigma * w_plus_one(-(half % 2), s) * x)
-
-        return sine_gauss(integrand, pmin, pmax, a, b)
-
-    def travel_time(self, start: tuple[float, float], end: tuple[float, float]) -> float:
-        p_s, z_s = start
-        p_e, z_e = end
-        drift = abs(self.level(p_s, z_s) - self.level(p_e, z_e))
-        if drift > _LEVEL_TOL:
-            raise InconsistentEndpointsError(
-                f"endpoints lie on different conserved levels (drift {drift:.3e})")
-        if abs(p_s - p_e) <= 1e-12 * max(p_s, p_e) and abs(z_s - z_e) <= 1e-12 * max(z_s, z_e):
-            return 0.0
-        return self.route_time(start, end, Anchor(p_s, z_s))
-
-
-def _chart(man: ManifoldTag, p: Params) -> _LvChart:
+    mu = m / sigma is the exponent tying the prey factor to the predator factor.
+    """
     if man is ManifoldTag.M1:
-        return _LvChart(sigma=1.0, m=p.m)
-    if man is ManifoldTag.M0:
-        return _LvChart(sigma=p.r, m=p.m)
-    raise UnsupportedManifoldError(
-        "the Lotka-Volterra charts live on M0 and M1; the switching plane has none")
+        sigma = 1.0
+    elif man is ManifoldTag.M0:
+        sigma = p.r
+    else:
+        raise UnsupportedManifoldError(
+            "the Lotka-Volterra charts live on M0 and M1; the switching plane has none")
+    return sigma, p.m / sigma
+
+
+def _g_prey(sigma: float, mu: float, a: Anchor, z: float) -> float:
+    """log(e * |W argument|) for the prey inversion at predator level ``z``."""
+    ya = a.z / sigma
+    yb = z / sigma
+    return 1.0 + _phi(a.p) + (math.log(ya / yb) + yb - ya) / mu
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +115,31 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
     ``b`` selects the Lotka-Volterra branch: W-1 gives the upper half of
     the closed orbit through the anchor, W0 the lower half.
     """
-    return _chart(man, p).z_on_level(prey, a, b)
+    sigma, mu = _chart(man, p)
+    # log(e * |W argument|) for the z inversion; <= 0 on the level orbit
+    ya = a.z / sigma
+    g = 1.0 + math.log(ya) - ya + mu * (_phi(a.p) - _phi(prey))
+    if np.any(np.asarray(g) > 1e-9):
+        raise OffOrbitError(
+            f"p={prey} lies outside the extremal range of the level orbit "
+            f"through ({a.p}, {a.z})")
+    s = -np.expm1(np.minimum(g, 0.0))
+    return sigma * (1.0 - w_plus_one(b, s))
 
 
 def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
     """Extremal prey values (min, max) of the level orbit through ``a`` on ``man``."""
-    return _chart(man, p).extrema(a)
+    sigma, mu = _chart(man, p)
+    s = -math.expm1(min(_g_prey(sigma, mu, a, sigma), 0.0))
+    if s <= _DEGENERATE_TOL:
+        raise DegenerateOrbitError(f"anchor ({a.p}, {a.z}) sits at the center of the "
+                                   "chart; the level orbit degenerates to a point")
+    pmin, pmax = 1.0 - w_plus_one(_EXTREMA_BRANCHES, s)
+    if pmin <= 0.0:
+        raise NoSolutionError(
+            f"the prey minimum of the level orbit through ({a.p}, "
+            f"{a.z}) underflows to 0")
+    return float(pmin), float(pmax)
 
 
 def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> float:
@@ -225,19 +147,85 @@ def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> fl
 
     On M1 this eliminates p1B from (p1A, zA, zB), on M0 p2B from (p2A, zA, zB).
     """
-    return _chart(man, p).conjugate_p(a, z, b)
+    g = _g_prey(*_chart(man, p), a, z)
+    if g > 1e-12:
+        raise NoSolutionError(
+            f"predator level z={z} is not reached on the level "
+            f"orbit through ({a.p}, {a.z})")
+    s = -math.expm1(min(g, 0.0))
+    if s >= 1.0:  # exp(g) underflowed: W0 rounds the prey to 0, W-1 diverges
+        raise NoSolutionError(
+            f"conjugate prey coordinate leaves (0, inf) at z={z} on the "
+            f"level orbit through ({a.p}, {a.z})")
+    return float(1.0 - w_plus_one(b, s))
+
+
+def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, float],
+                anchor: Anchor, p: Params) -> float:
+    """Time along the first-arrival route on the level orbit through ``anchor``.
+
+    A point's flow phase phi in [0, 2 pi) grows along the flow, with
+    p = c - h cos(phi) over the extrema [pmin, pmax]: the lower half
+    (z < sigma, W0) runs over [0, pi] and the upper half (W-1) over
+    [pi, 2 pi], so an end at an extremum has one phase whichever half
+    it is filed under.  The route runs from the start's phase a up to
+    the first phase b of the end; an end less than 1e-12 upstream of
+    the start counts as reached.  The time is one integral of
+    dp / (sigma w p) over [a, b], with w = 1 - z/sigma taken on W0
+    where sin(phi) > 0 and on W-1 where sin(phi) < 0.
+    """
+    sigma, mu = _chart(man, p)
+    pmin, pmax = extrema(man, anchor, p)
+
+    def flow_phase(point: tuple[float, float]) -> float:
+        prey, z = point
+        phi = phase(prey, pmin, pmax)
+        return phi if z < sigma else _TWO_PI - phi
+
+    a = flow_phase(start) % _TWO_PI
+    b = a + (flow_phase(end) - a) % _TWO_PI
+    if b - a > _TWO_PI - 1e-12:
+        b -= _TWO_PI
+
+    def integrand(x, d_lo, d_hi, half):
+        # g vanishes at both extrema; take it from the nearer one
+        g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
+        s = -np.expm1(np.minimum(g, 0.0))
+        return 1.0 / (sigma * w_plus_one(-(half % 2), s) * x)
+
+    return sine_gauss(integrand, pmin, pmax, a, b)
+
+
+def _travel_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, float],
+                 p: Params) -> float:
+    """Slow time from ``start`` to ``end`` on the chart of ``man``, anchored at the start."""
+    sigma, mu = _chart(man, p)
+
+    def level(prey, z):
+        y = z / sigma
+        return mu * _phi(prey) + np.log(y) - y
+
+    p_s, z_s = start
+    p_e, z_e = end
+    drift = abs(level(p_s, z_s) - level(p_e, z_e))
+    if drift > _LEVEL_TOL:
+        raise InconsistentEndpointsError(
+            f"endpoints lie on different conserved levels (drift {drift:.3e})")
+    if abs(p_s - p_e) <= 1e-12 * max(p_s, p_e) and abs(z_s - z_e) <= 1e-12 * max(z_s, z_e):
+        return 0.0
+    return _route_time(man, start, end, Anchor(p_s, z_s), p)
 
 
 def travel_time_M1(start: tuple[float, float], end: tuple[float, float],
                    p: Params) -> float:
     """Slow time from (p1, z) ``start`` to ``end`` along the q=1 flow."""
-    return _chart(ManifoldTag.M1, p).travel_time(start, end)
+    return _travel_time(ManifoldTag.M1, start, end, p)
 
 
 def travel_time_M0(start: tuple[float, float], end: tuple[float, float],
                    p: Params) -> float:
     """Slow time from (p2, z) ``start`` to ``end`` along the q=0 flow."""
-    return _chart(ManifoldTag.M0, p).travel_time(start, end)
+    return _travel_time(ManifoldTag.M0, start, end, p)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +288,8 @@ def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
     # W0 puts p1B left of the predator nullcline on q = 1 and W-1 puts p2B
     # right of it on q = 0: the geometry of a downward jump (p1B < p2B).
     # p2 grows at rate r from p2A to p2B over T1, p1 at rate 1 from p1B to p1A over T0
-    p2B = _chart(ManifoldTag.M0, p).conjugate_p(Anchor(p2A, zA), zB, Branch.LOWER)
-    p1B = _chart(ManifoldTag.M1, p).conjugate_p(Anchor(p1A, zA), zB, Branch.PRINCIPAL)
+    p2B = eliminate(ManifoldTag.M0, Anchor(p2A, zA), zB, Branch.LOWER, p)
+    p1B = eliminate(ManifoldTag.M1, Anchor(p1A, zA), zB, Branch.PRINCIPAL, p)
     return JumpPair(p1A, p2A, zA, p1B, p2B, zB,
                     t0=math.log(p1A / p1B), t1=math.log(p2B / p2A) / p.r)
 
@@ -316,13 +304,13 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     hyperplane.  Both residuals vanish on the two-parameter orbit family.
     Both transit times follow the travel-time route on the level orbit
     through A; the eliminations put B on that level by construction, so
-    the level-drift check of ``travel_time`` is skipped.
+    the level-drift check of ``_travel_time`` is skipped.
     """
     if min(p1A, p2A, zA, zB) <= 0.0:
         raise ParameterDomainError("jump coordinates must be positive")
     pair = _pair_from_unknowns(p1A, p2A, zA, zB, p)
-    t1 = _chart(ManifoldTag.M1, p).route_time((p1A, zA), (pair.p1b, zB), Anchor(p1A, zA))
-    t0 = _chart(ManifoldTag.M0, p).route_time((pair.p2b, zB), (p2A, zA), Anchor(p2A, zA))
+    t1 = _route_time(ManifoldTag.M1, (p1A, zA), (pair.p1b, zB), Anchor(p1A, zA), p)
+    t0 = _route_time(ManifoldTag.M0, (pair.p2b, zB), (p2A, zA), Anchor(p2A, zA), p)
     return pair.t1 - t1, pair.t0 - t0
 
 

@@ -129,20 +129,18 @@ class Trajectory:
             fh.write("t,p1,p2,z,q\n")
             fh.write("%s,%s\n" * len(self.times) % tuple(lines))
 
+    def _head(self) -> dict:
+        # the keys of to_dict ahead of the numbers
+        return {"kind": "trajectory", "r": self.params.r, "m": self.params.m,
+                "config": asdict(self.config)}
+
     def to_dict(self) -> dict:
-        return {
-            "kind": "trajectory",
-            "r": self.params.r, "m": self.params.m,
-            "config": asdict(self.config),
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
-        }
+        return {**self._head(), "times": self.times.tolist(), "states": self.states.tolist()}
 
     def to_json(self, path) -> None:
         # the bytes of json.dump(self.to_dict()), whose last two keys are the
         # numbers: json writes a finite float as its repr
-        head = self.to_dict()
-        del head["times"], head["states"]
+        head = self._head()
         times, states = self._number_lines()
         rows = states.replace(",", ", ").replace("\n", "], [")  # "a, b], [c, d], ["
         numbers = '"times": [%s], "states": [%s]}' % (

@@ -6,9 +6,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from relaxor import (
-    InsufficientDataError, ManifoldTag, Orientation, ParameterDomainError, SimConfig, State,
-    SyncLabel, Trajectory, classify_orientation, classify_synchronization,
-    detect_jump_events, effective_jump_pair, find_extrema, integrate, slow_rhs,
+    ExtremaList, Extremum, InsufficientDataError, JumpEvent, ManifoldTag, Orientation,
+    ParameterDomainError, SimConfig, State, SyncLabel, Trajectory, classify_orientation,
+    classify_synchronization, detect_jump_events, effective_jump_pair, find_extrema,
+    integrate, slow_rhs,
 )
 import relaxor.analysis as analysis_module
 from relaxor.analysis import classification_report
@@ -178,6 +179,25 @@ def test_effective_jump_pair_from_events(params_default):
     assert pair.t0 > 0.0 and pair.t1 > 0.0
     with pytest.raises(InsufficientDataError):
         effective_jump_pair(events[:1], params_default)
+
+
+def test_effective_jump_pair_from_one_up_and_one_down_crossing(params_default):
+    # with one crossing each way there is no interval between like crossings:
+    # the period is twice the up -> down interval, split evenly
+    up = JumpEvent(1.0, np.array([1.5, 0.5, 1.2, 0.5]), "up")
+    down = JumpEvent(3.5, np.array([0.6, 2.1, 1.3, 0.5]), "down")
+    pair = effective_jump_pair([up, down], params_default)
+    assert (pair.p1a, pair.p2a, pair.za) == (1.5, 0.5, 1.2)
+    assert (pair.p1b, pair.p2b, pair.zb) == (0.6, 2.1, 1.3)
+    assert (pair.t1, pair.t0) == (2.5, 2.5)
+
+
+def test_orientation_of_an_open_path_needs_two_predator_peaks():
+    peak = Extremum(time=2.0, value=1.4, kind="max", location="interior")
+    ex = ExtremaList(entries={"p1": [], "p2": [], "z": [peak]}, jump_times=[],
+                     align_tol=0.1)
+    with pytest.raises(InsufficientDataError, match="two predator peaks"):
+        classify_orientation(ex)
 
 
 def test_classification_report_is_json_ready(antiphase_orbit):

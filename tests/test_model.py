@@ -76,6 +76,15 @@ def test_rescale_rejects_zero_preference():
         rescale(u)
 
 
+@pytest.mark.parametrize("change", [
+    {"r2": 0.0}, {"e": -1.0}, {"m": 0.0}, {"q2": 1.5}, {"q2": -0.1}, {"V": 0.0},
+    {"eps_raw": -0.01},
+])
+def test_unscaled_params_refuse_values_outside_their_domain(change):
+    with pytest.raises(ParameterDomainError):
+        UnscaledParams(**{"r1": 1.0, "r2": 0.5, "m": 0.4, "e": 1.0, "q2": 1.0, **change})
+
+
 def test_unscaled_params_require_unit_predation_rates():
     with pytest.raises(ParameterDomainError):
         UnscaledParams(r1=1.0, r2=0.5, m=0.4, e=1.0, q2=1.0, beta1=1.0, beta2=2.0)

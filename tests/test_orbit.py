@@ -17,13 +17,19 @@ from relaxor import (
 from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1, slow_rhs
 import relaxor.orbit as orbit_module
-from relaxor.orbit import _chart
+from relaxor.orbit import _chart, _route_time
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
 
 M0, M1 = ManifoldTag.M0, ManifoldTag.M1
 
 
 # ------------------------------------------------------------ level inversions
+
+@pytest.mark.parametrize("prey,z", [(0.0, 1.0), (1.0, -0.5)])
+def test_anchor_refuses_nonpositive_densities(prey, z):
+    with pytest.raises(ParameterDomainError):
+        Anchor(prey, z)
+
 
 def test_lv_branch_m1_returns_anchor_on_its_own_branch():
     p = Params(0.5, 0.4)
@@ -74,6 +80,8 @@ def test_chart_calls_reject_switching_plane():
         extrema(ManifoldTag.MSW, a, p)
     with pytest.raises(UnsupportedManifoldError):
         lv_branch(ManifoldTag.MSW, a.p, a, Branch.LOWER, p)
+    with pytest.raises(UnsupportedManifoldError):
+        eliminate(ManifoldTag.MSW, a, 1.0, Branch.LOWER, p)
 
 
 def test_branch_inversion_level_property(rng):
@@ -260,7 +268,7 @@ def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
     p = Params(0.5, 0.4)
     sigma = 1.0 if man is M1 else p.r
     pmin, pmax = extrema(man, Anchor(*anchor), p)
-    t_route = _chart(man, p).route_time((pmin, sigma), (pmax, sigma), Anchor(*anchor))
+    t_route = _route_time(man, (pmin, sigma), (pmax, sigma), Anchor(*anchor), p)
     travel_time = travel_time_M1 if man is M1 else travel_time_M0
     t_public = travel_time((pmin, sigma), (pmax, sigma), p)
 
@@ -277,43 +285,42 @@ def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
 
 
 def _random_level(rng, p):
-    """A chart and a non-degenerate anchor on it, with the anchor's extrema."""
+    """A chart's tag and centre level, a non-degenerate anchor on it and its extrema."""
     man = M1 if rng.random() < 0.5 else M0
-    chart = _chart(man, p)
+    sigma, _ = _chart(man, p)
     while True:
-        a = Anchor(float(rng.uniform(0.1, 4.0)), float(chart.sigma * rng.uniform(0.3, 2.5)))
-        if abs(a.p - 1.0) > 0.05 or abs(a.z / chart.sigma - 1.0) > 0.05:
-            return chart, a, chart.extrema(a)
+        a = Anchor(float(rng.uniform(0.1, 4.0)), float(sigma * rng.uniform(0.3, 2.5)))
+        if abs(a.p - 1.0) > 0.05 or abs(a.z / sigma - 1.0) > 0.05:
+            return man, sigma, a, extrema(man, a, p)
 
 
-def _level_point(chart, a, prey, branch):
-    return prey, float(chart.z_on_level(prey, a, branch))
+def _level_point(man, a, prey, branch, p):
+    return prey, float(lv_branch(man, prey, a, branch, p))
 
 
 def test_route_there_and_back_takes_one_period():
     rng = np.random.default_rng(11)
     p = Params(0.5, 0.4)
     for _ in range(500):
-        chart, a, (pmin, pmax) = _random_level(rng, p)
-        lo, hi = (pmin, chart.sigma), (pmax, chart.sigma)
-        period = chart.route_time(lo, hi, a) + chart.route_time(hi, lo, a)
-        s, e = (_level_point(chart, a, float(rng.uniform(pmin, pmax)),
-                             (Branch.PRINCIPAL, Branch.LOWER)[int(rng.integers(2))])
+        man, sigma, a, (pmin, pmax) = _random_level(rng, p)
+        lo, hi = (pmin, sigma), (pmax, sigma)
+        period = _route_time(man, lo, hi, a, p) + _route_time(man, hi, lo, a, p)
+        s, e = (_level_point(man, a, float(rng.uniform(pmin, pmax)),
+                             (Branch.PRINCIPAL, Branch.LOWER)[int(rng.integers(2))], p)
                 for _ in range(2))
-        there_and_back = chart.route_time(s, e, a) + chart.route_time(e, s, a)
+        there_and_back = _route_time(man, s, e, a, p) + _route_time(man, e, s, a, p)
         assert there_and_back == pytest.approx(period, rel=1e-9)
 
 
 def test_route_over_both_extrema_evaluates_lambert_w_once(monkeypatch):
     # the extrema come from one call and the whole route from one more
     p = Params(0.5, 0.4)
-    chart = _chart(M1, p)
     a = Anchor(1.8, 1.0)
-    pmin, pmax = chart.extrema(a)
+    pmin, pmax = extrema(M1, a, p)
     # from the lower half up to pmax, down the upper half to pmin and up again
-    start = _level_point(chart, a, 0.5 * (pmin + pmax) + 0.1, Branch.PRINCIPAL)
-    end = _level_point(chart, a, 0.5 * (pmin + pmax), Branch.PRINCIPAL)
-    expected = chart.route_time(start, end, a)
+    start = _level_point(M1, a, 0.5 * (pmin + pmax) + 0.1, Branch.PRINCIPAL, p)
+    end = _level_point(M1, a, 0.5 * (pmin + pmax), Branch.PRINCIPAL, p)
+    expected = _route_time(M1, start, end, a, p)
     calls = []
 
     def counted(branch, s):
@@ -321,20 +328,20 @@ def test_route_over_both_extrema_evaluates_lambert_w_once(monkeypatch):
         return w_plus_one(branch, s)
 
     monkeypatch.setattr(orbit_module, "w_plus_one", counted)
-    assert chart.extrema(a) == (pmin, pmax)
+    assert extrema(M1, a, p) == (pmin, pmax)
     assert calls == [[-1, 0]]
     calls.clear()
-    assert chart.route_time(start, end, a) == expected
+    assert _route_time(M1, start, end, a, p) == expected
     assert calls == [[-1, 0], [-1, 0]]
 
 
 @pytest.mark.parametrize("man", [M1, M0])
 def test_route_from_extremum_to_itself_takes_no_time(man):
     p = Params(0.5, 0.4)
-    chart = _chart(man, p)
-    a = Anchor(1.8, chart.sigma)
-    for prey in chart.extrema(a):
-        assert chart.route_time((prey, chart.sigma), (prey, chart.sigma), a) == 0.0
+    sigma, _ = _chart(man, p)
+    a = Anchor(1.8, sigma)
+    for prey in extrema(man, a, p):
+        assert _route_time(man, (prey, sigma), (prey, sigma), a, p) == 0.0
 
 
 def test_route_to_an_end_just_upstream_takes_no_time():
@@ -343,14 +350,14 @@ def test_route_to_an_end_just_upstream_takes_no_time():
     rng = np.random.default_rng(12)
     p = Params(0.5, 0.4)
     for _ in range(200):
-        chart, a, ext = _random_level(rng, p)
+        man, _, a, ext = _random_level(rng, p)
         branch = (Branch.PRINCIPAL, Branch.LOWER)[int(rng.integers(2))]
         prey = float(rng.uniform(*ext))
         # prey grows along the lower half (W0) and shrinks along the upper one
         upstream = -1.0 if branch is Branch.PRINCIPAL else 1.0
         behind = prey + upstream * int(rng.integers(1, 41)) * np.spacing(prey)
-        t = chart.route_time(_level_point(chart, a, prey, branch),
-                             _level_point(chart, a, behind, branch), a)
+        t = _route_time(man, _level_point(man, a, prey, branch, p),
+                        _level_point(man, a, behind, branch, p), a, p)
         assert abs(t) < 1e-12
 
 
@@ -432,6 +439,10 @@ def test_solver_validates_pinning():
     p = Params(0.5, 0.4)
     with pytest.raises(Exception):
         solve_jump_points({"p1A": 1.8}, {"p2A": 0.5, "zB": 1.4, "zA": 1.3}, p)
+    # the balanced solve pins zA = zB itself and needs a guess for all four
+    guess = {k: v for k, v in BALANCED_GUESS.items() if k != "zB"}
+    with pytest.raises(ParameterDomainError, match="guess must supply exactly"):
+        solve_balanced_orbit(guess, p)
 
 
 @pytest.fixture
