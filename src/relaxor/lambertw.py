@@ -4,8 +4,11 @@ Solves ``w * exp(w) = x`` for real ``x``.  The principal branch W0 is
 defined on ``x >= -1/e`` and returns ``w >= -1``; the lower branch W-1 is
 defined on ``-1/e <= x < 0`` and returns ``w <= -1``.
 
-Both branches are evaluated by ``scipy.special.lambertw`` away from the
-branch point ``x = -1/e``.  Close to it scipy is unusable: it returns NaN
+Both branches are evaluated by scipy's Lambert W away from the branch
+point ``x = -1/e``: the compiled ufunc behind ``scipy.special.lambertw``,
+called as that wrapper calls it, so the values are bitwise scipy's while
+only the one compiled file of ``scipy.special`` is loaded, never the
+package.  Close to the branch point scipy is unusable: it returns NaN
 at the rounded ``-1/e`` and, at its default tolerance, W-1 is off by up to
 1e-4 relative for ``e*x + 1`` near 5e-9.  Below ``s = e*x + 1 = 1e-4`` a
 7-term series in ``p = +-sqrt(2*s)`` is used instead; it is exact to about
@@ -20,11 +23,8 @@ import enum
 import math
 
 import numpy as np
-# submodules by qualified name: scipy imports each on its first use.  The
-# lookup ``scipy.special.lambertw`` takes ~0.1 µs; a function-level
-# ``from scipy import special`` would take ~0.75 µs on every call
-import scipy
 
+from ._scipy import scipy_module
 from .errors import BranchDomainError
 
 __all__ = ["Branch", "lambert_w", "w_plus_one"]
@@ -46,6 +46,17 @@ class Branch(enum.Enum):
 
     def __str__(self):
         return "W0" if self is Branch.PRINCIPAL else "W-1"
+
+
+def _scipy_lambertw(x, k):
+    """``scipy.special.lambertw(x, k).real``, without the ``scipy.special`` package.
+
+    Calls the ufunc that wrapper calls, with the same arguments: ``k`` as a
+    C ``long`` array and its default ``tol = 1e-8``.  The loader's cache
+    makes the lookup of the ufunc one dictionary read per call.
+    """
+    ufunc = scipy_module("special._special_ufuncs", "_lambertw")._lambertw
+    return ufunc(x, np.asarray(k, dtype=np.dtype("long")), 1e-8).real
 
 
 def _series_plus_one(lower, s: np.ndarray) -> np.ndarray:
@@ -99,7 +110,7 @@ def lambert_w(branch: Branch, x):
         raise BranchDomainError(branch, float(arr[bad].flat[0]), need)
     s = np.maximum(s, 0.0)
     w = np.where(s < _SERIES_CUTOFF, _series_plus_one(branch is Branch.LOWER, s) - 1.0,
-                 scipy.special.lambertw(arr, branch.value).real)
+                 _scipy_lambertw(arr, branch.value))
     w = np.maximum(w, -1.0) if branch is Branch.PRINCIPAL else np.minimum(w, -1.0)
     return float(w[0]) if scalar else w
 
@@ -134,7 +145,7 @@ def w_plus_one(branch, s):
     # ~1e-16/sqrt(2s) relative.  The series is paid for only when some
     # element needs it; elementwise arithmetic keeps every value bitwise
     # that of a call on the element alone.
-    out = scipy.special.lambertw((s - 1.0) / _E, k).real + 1.0
+    out = _scipy_lambertw((s - 1.0) / _E, k) + 1.0
     near = s < _SERIES_CUTOFF
     if near.any():
         out = np.where(near, _series_plus_one(k == Branch.LOWER.value, s), out)

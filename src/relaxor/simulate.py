@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import array
 import functools
-import importlib.machinery
-import importlib.util
 import itertools
 import json
 import math
-import os
-import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -25,6 +21,7 @@ import numpy as np
 # submodules by qualified name: scipy imports each on its first use
 import scipy
 
+from ._scipy import scipy_module
 from .errors import ParameterDomainError, StiffnessError
 from .model import Params, State, full_integral, vector_field
 
@@ -180,33 +177,6 @@ _DOP853_FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed"
                     -4: "problem is probably stiff (interrupted)"}
 
 
-@functools.cache
-def _scipy_module(name: str, *needed: str):
-    """The module ``scipy.<name>``, loaded from its own file, with the attributes ``needed``.
-
-    Importing ``scipy.integrate._dop`` the usual way runs
-    ``scipy/integrate/__init__.py`` first, which loads ``special``,
-    ``optimize``, ``linalg``, ``sparse`` and ``spatial`` as well (about
-    560 modules); here only the file itself runs.  The module is
-    registered in ``sys.modules`` under its full name, and an entry
-    already there is used, so this and a later ``import scipy.integrate``
-    share one module object.
-    """
-    full = f"scipy.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        directory = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[:-1])
-        spec = importlib.machinery.PathFinder.find_spec(full, [directory])
-        if spec is not None:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[full] = module
-    if module is None or not all(hasattr(module, attr) for attr in needed):
-        raise ImportError(f"{full} with {', '.join(needed)} is missing from scipy "
-                          f"{scipy.__version__}; relaxor needs scipy >= 1.17")
-    return module
-
-
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
@@ -254,7 +224,7 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     One call of Hairer's compiled DOP853, scipy's ``_dop.dopri853`` with
     the settings of ``scipy.integrate.ode``'s "dop853", steps from 0 to
     ``times[-1]`` with steps of at most ``max_step`` (0: no cap).  Only
-    that extension and the tableau's file are loaded (``_scipy_module``),
+    that extension and the tableau's file are loaded (``scipy_module``),
     never the ``scipy.integrate`` package.  The increasing ``times`` are
     then taken together: each sample starts from the last accepted step
     point at or before its time and takes one 12-stage step of the
@@ -290,7 +260,7 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     work[5] = max_step
     iwork = np.zeros(21, dtype=np.int32)
     try:
-        t, _, idid = _scipy_module("integrate._dop", "dopri853").dopri853(
+        t, _, idid = scipy_module("integrate._dop", "dopri853").dopri853(
             field, 0.0, y0, float(times[-1]), rtol, atol, keep, 1, work, iwork,
             _MAX_STEPS, -1, ())
         if idid < 0:
@@ -316,7 +286,7 @@ def _sample(field, step_t, step_y, times):
     t, y = step_t[i], step_y[i].T
     h = times - t
     # the 12 stages of the step, as ``scipy.integrate.DOP853`` takes them
-    tableau = _scipy_module("integrate._ivp.dop853_coefficients", "N_STAGES", "A", "B", "C")
+    tableau = scipy_module("integrate._ivp.dop853_coefficients", "N_STAGES", "A", "B", "C")
     n = tableau.N_STAGES
     k = np.empty((n, *y.shape))
     for s, (a, c) in enumerate(zip(tableau.A[:n, :n], tableau.C[:n])):

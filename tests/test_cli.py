@@ -427,20 +427,24 @@ def _fresh_run(argv, cwd) -> tuple[int, set]:
 
 
 _SCIPY_PARTS = {"scipy.special", "scipy.integrate", "scipy.spatial", "scipy.optimize"}
+# the Lambert W layer loads the compiled file of its ufuncs, not the
+# scipy.special package
+_UFUNCS = {"scipy.special._special_ufuncs"}
 # the stepper loads its two scipy files, not the scipy.integrate package and
 # the subpackages its __init__ loads
 _STEPPER = {"scipy.integrate._dop", "scipy.integrate._ivp.dop853_coefficients"}
-_NOT_BESIDE_THE_STEPPER = {"scipy.integrate", "scipy.optimize", "scipy.linalg",
-                           "scipy.sparse", "scipy.spatial"}
+_NOT_BESIDE_THE_STEPPER = {"scipy.special", "scipy.integrate", "scipy.optimize",
+                           "scipy.linalg", "scipy.sparse", "scipy.spatial"}
+_SCAN_1X1 = ["scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
+             "--guess", "p2A=0.49", "--guess", "zB=1.4"]
 
 
 @pytest.mark.parametrize("argv,needed,unloaded", [
-    (None, set(), _SCIPY_PARTS),
+    (None, set(), _SCIPY_PARTS | _UFUNCS),
     (["classify", "--input", "orbit/construct.orbit.json"], set(),
-     {"scipy.special", "scipy.integrate"}),
-    (["scan", "--pin1", "p1A=1.81:1.81:1", "--pin2", "zA=1.35:1.35:1",
-      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {"scipy.special"}, {"scipy.integrate"}),
-    (["construct"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
+     _SCIPY_PARTS | _UFUNCS),
+    (_SCAN_1X1, _UFUNCS, _NOT_BESIDE_THE_STEPPER),
+    (["construct"], _STEPPER | _UFUNCS, _NOT_BESIDE_THE_STEPPER),
     (["simulate", "--t-end", "1"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
     (["continue", "--schedule", "0.1:1,0.2:1"], _STEPPER, _NOT_BESIDE_THE_STEPPER),
 ], ids=["import", "classify", "scan", "construct", "simulate", "continue"])
@@ -482,6 +486,37 @@ def test_scipy_integrate_imported_after_the_stepper_shares_its_modules(tmp_path)
               "sol = scipy.integrate.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],\n"
               "                                method='DOP853', rtol=1e-10, atol=1e-12)\n"
               "assert sol.success and abs(sol.y[0, -1] - math.exp(-1.0)) < 1e-9\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=_child_env())
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_special_imported_after_a_scan_shares_its_ufuncs(tmp_path):
+    # the Lambert W layer registers the compiled ufunc file under its scipy
+    # name; the package must share it and give the library's values
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from relaxor.cli import main\n"
+              "from relaxor.lambertw import Branch, lambert_w, w_plus_one\n"
+              "from relaxor.model import fast_heteroclinic\n"
+              f"assert main({[*_SCAN_1X1, '--out', 'out']!r}) == 0\n"
+              "loaded = sys.modules['scipy.special._special_ufuncs']\n"
+              "assert 'scipy.special' not in sys.modules\n"
+              "x, s = np.linspace(-0.35, 2.0, 9), np.linspace(0.01, 0.99, 9)\n"
+              "tau = np.linspace(-5.0, 5.0, 9)\n"
+              "ours = (lambert_w(Branch.PRINCIPAL, x), w_plus_one(Branch.LOWER, s),\n"
+              "        fast_heteroclinic(tau, 1.5, 0.5))\n"
+              "import scipy.special\n"
+              "assert sys.modules['scipy.special._special_ufuncs'] is loaded\n"
+              "assert scipy.special._ufuncs._lambertw is loaded._lambertw\n"
+              "assert scipy.special.expit is loaded.expit\n"
+              "theirs = (scipy.special.lambertw(x).real,\n"
+              "          scipy.special.lambertw((s - 1.0) / np.e, -1).real + 1.0,\n"
+              "          scipy.special.expit(tau))\n"
+              "again = (lambert_w(Branch.PRINCIPAL, x), w_plus_one(Branch.LOWER, s),\n"
+              "         fast_heteroclinic(tau, 1.5, 0.5))\n"
+              "assert all(np.array_equal(a, b) and np.array_equal(a, c)\n"
+              "           for a, b, c in zip(ours, theirs, again))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=_child_env())
     assert done.returncode == 0, done.stderr

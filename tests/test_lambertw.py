@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relaxor import Branch, BranchDomainError, lambert_w
 from relaxor.lambertw import w_plus_one
+from relaxor.model import fast_heteroclinic
 import relaxor.lambertw as lambertw_module
 
 
@@ -163,6 +164,30 @@ def test_lambert_w_matches_high_precision_oracle():
             assert lambert_w(branch, x) == pytest.approx(truth, rel=rel), (branch, s)
     for branch in Branch:
         assert lambert_w(branch, -1.0 / math.e) == -1.0
+
+
+def test_scipy_side_is_bitwise_scipy_special():
+    # above the series cutoff both functions call the ufunc behind
+    # scipy.special.lambertw as that wrapper does, and fast_heteroclinic is expit
+    from scipy import special
+
+    s = np.concatenate([[1.0001e-4], np.geomspace(2e-4, 0.5, 40),
+                        1.0 - np.geomspace(1e-2, 1e-15, 14)])
+    x = (s - 1.0) / math.e
+    assert np.all(math.e * x + 1.0 > 1e-4)
+    for branch in Branch:
+        want = special.lambertw(x, branch.value).real
+        assert np.array_equal(lambert_w(branch, x), want)
+        assert np.array_equal(w_plus_one(branch, s), want + 1.0)
+        for offset, value, w in zip(s, x, want):
+            assert lambert_w(branch, float(value)) == w
+            assert w_plus_one(branch, float(offset)) == w + 1.0
+    k = -((np.arange(s.size) + np.array([[0], [1]])) % 2)  # both branches in each row
+    assert np.array_equal(w_plus_one(k, s), special.lambertw(x, k).real + 1.0)
+    tau = np.linspace(-40.0, 40.0, 161)
+    for p1, p2 in ((1.3, 0.7), (0.4, 2.2)):
+        assert np.array_equal(fast_heteroclinic(tau, p1, p2), special.expit((p1 - p2) * tau))
+        assert fast_heteroclinic(0.37, p1, p2) == special.expit((p1 - p2) * 0.37)
 
 
 def test_w_plus_one_signs_and_zero():

@@ -437,7 +437,7 @@ def test_solver_rejects_collapsed_orbits():
 
 def test_solver_validates_pinning():
     p = Params(0.5, 0.4)
-    with pytest.raises(Exception):
+    with pytest.raises(ParameterDomainError, match="pin exactly two"):
         solve_jump_points({"p1A": 1.8}, {"p2A": 0.5, "zB": 1.4, "zA": 1.3}, p)
     # the balanced solve pins zA = zB itself and needs a guess for all four
     guess = {k: v for k, v in BALANCED_GUESS.items() if k != "zB"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import ode, solve_ivp
 
 import relaxor.simulate
+from relaxor._scipy import scipy_module
 from relaxor import (
     Params, ParameterDomainError, SimConfig, State, StiffnessError, Trajectory,
     assemble_singular_orbit, closeness_check, coexistence_equilibrium, continue_in_eps,
@@ -480,10 +481,11 @@ def test_default_schedule_matches_protocol():
 
 
 @pytest.mark.parametrize("name,needed", [("integrate._no_such_file", "dopri853"),
-                                         ("integrate._dop", "no_such_driver")],
-                         ids=["file", "attribute"])
+                                         ("integrate._dop", "no_such_driver"),
+                                         ("special._special_ufuncs", "no_such_ufunc")],
+                         ids=["file", "attribute", "ufunc"])
 def test_a_missing_scipy_part_names_the_scipy_version(name, needed):
     import scipy
 
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__}; relaxor needs"):
-        relaxor.simulate._scipy_module(name, needed)
+        scipy_module(name, needed)
