@@ -128,7 +128,7 @@ _OPTIONS = {
     "scan": {
         **_PARAMS,
         "pin1": (_grid, "p1A=1.4:2.6:20", "first pinned grid NAME=LO:HI:N"),
-        "pin2": (_grid, "zA=1.1:1.7:20", "second pinned grid NAME=LO:HI:N"),
+        "pin2": (_grid, "zA=1.12:1.68:20", "second pinned grid NAME=LO:HI:N"),
         "seed": (_seed, "hybrid", "preset supplying the free-coordinate guess"),
         **_GUESS,
     },

@@ -18,11 +18,17 @@ closed form with the Lambert W function; travel times are integrals with
 inverse-square-root singularities at the extremal prey values, evaluated
 in the flow phase of the level orbit with one fixed Gauss-Legendre rule
 per half orbit under the sine map that cancels those singularities.
+
+The pure chart work below the existence residual -- the level-orbit
+extrema and each chart's half of the residual -- is memoized in small
+bounded caches on private helpers, keyed by the exact input floats; an
+exception is not cached, so a domain miss raises again on every call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -60,6 +66,10 @@ _MAX_ITER = 60           # Newton steps before the solver gives up
 _MAX_TRIALS = 8          # damped trial steps per Newton step (lambda >= 2**-7)
 _TWO_PI = 2.0 * math.pi
 _EXTREMA_BRANCHES = np.array([Branch.PRINCIPAL.value, Branch.LOWER.value])  # pmin, pmax
+# entries kept by each memo of pure chart work (_extrema, _m1_half, _m0_half);
+# a Newton step under balanced's (zA, zB) pins needs 2 per half to reuse the
+# unmoved half in both Jacobian columns
+_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,11 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
 
 def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
     """Extremal prey values (min, max) of the level orbit through ``a`` on ``man``."""
+    return _extrema(man, a, p)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
     sigma, mu = _chart(man, p)
     s = -math.expm1(min(_g_prey(sigma, mu, a, sigma), 0.0))
     if s <= _DEGENERATE_TOL:
@@ -175,7 +190,7 @@ def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, 
     where sin(phi) > 0 and on W-1 where sin(phi) < 0.
     """
     sigma, mu = _chart(man, p)
-    pmin, pmax = extrema(man, anchor, p)
+    pmin, pmax = _extrema(man, anchor, p)
 
     def flow_phase(point: tuple[float, float]) -> float:
         prey, z = point
@@ -189,7 +204,8 @@ def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, 
 
     def integrand(x, d_lo, d_hi, half):
         # g vanishes at both extrema; take it from the nearer one
-        g = mu * np.where(d_lo <= d_hi, _dphi(pmin, d_lo), _dphi(pmax, -d_hi))
+        near_min = d_lo <= d_hi
+        g = mu * _dphi(np.where(near_min, pmin, pmax), np.where(near_min, d_lo, -d_hi))
         s = -np.expm1(np.minimum(g, 0.0))
         return 1.0 / (sigma * w_plus_one(-(half % 2), s) * x)
 
@@ -283,15 +299,40 @@ class JumpPair:
                 f"(dH0={dh0:.3e}, dH1={dh1:.3e})")
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _m1_half(p1A: float, zA: float, zB: float, p: Params) -> tuple[float, float, float]:
+    """(p1B, ln(p1A/p1B), q = 1 route time) of the chart half on M1."""
+    # W0 puts p1B left of the predator nullcline on q = 1: p1 grows at
+    # rate 1 from p1B back to p1A over T0; the q = 1 route runs A -> B
+    a = Anchor(p1A, zA)
+    p1B = eliminate(ManifoldTag.M1, a, zB, Branch.PRINCIPAL, p)
+    route = _route_time(ManifoldTag.M1, (p1A, zA), (p1B, zB), a, p)
+    return p1B, math.log(p1A / p1B), route
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _m0_half(p2A: float, zA: float, zB: float, p: Params) -> tuple[float, float, float]:
+    """(p2B, ln(p2B/p2A)/r, q = 0 route time) of the chart half on M0."""
+    # W-1 puts p2B right of the predator nullcline on q = 0: p2 grows at
+    # rate r from p2A to p2B over T1; the q = 0 route runs B -> A
+    a = Anchor(p2A, zA)
+    p2B = eliminate(ManifoldTag.M0, a, zB, Branch.LOWER, p)
+    route = _route_time(ManifoldTag.M0, (p2B, zB), (p2A, zA), a, p)
+    return p2B, math.log(p2B / p2A) / p.r, route
+
+
 def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
-    """The one jump-pair builder: B by elimination, T0 and T1 from the exponential prey."""
-    # W0 puts p1B left of the predator nullcline on q = 1 and W-1 puts p2B
-    # right of it on q = 0: the geometry of a downward jump (p1B < p2B).
-    # p2 grows at rate r from p2A to p2B over T1, p1 at rate 1 from p1B to p1A over T0
-    p2B = eliminate(ManifoldTag.M0, Anchor(p2A, zA), zB, Branch.LOWER, p)
-    p1B = eliminate(ManifoldTag.M1, Anchor(p1A, zA), zB, Branch.PRINCIPAL, p)
-    return JumpPair(p1A, p2A, zA, p1B, p2B, zB,
-                    t0=math.log(p1A / p1B), t1=math.log(p2B / p2A) / p.r)
+    """The one jump-pair builder: B by elimination, T0 and T1 from the exponential prey.
+
+    The M1 half depends only on (p1A, zA, zB) and the M0 half only on
+    (p2A, zA, zB); each is memoized, so a Jacobian column that moves one
+    half's inputs reuses the other, and the pair at convergence reuses the
+    last residual's halves.  Their branches, W0 on q = 1 and W-1 on
+    q = 0, give the geometry of a downward jump (p1B < p2B).
+    """
+    p1B, t0, _ = _m1_half(p1A, zA, zB, p)
+    p2B, t1, _ = _m0_half(p2A, zA, zB, p)
+    return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0=t0, t1=t1)
 
 
 def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
@@ -308,10 +349,9 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     """
     if min(p1A, p2A, zA, zB) <= 0.0:
         raise ParameterDomainError("jump coordinates must be positive")
-    pair = _pair_from_unknowns(p1A, p2A, zA, zB, p)
-    t1 = _route_time(ManifoldTag.M1, (p1A, zA), (pair.p1b, zB), Anchor(p1A, zA), p)
-    t0 = _route_time(ManifoldTag.M0, (pair.p2b, zB), (p2A, zA), Anchor(p2A, zA), p)
-    return pair.t1 - t1, pair.t0 - t0
+    _, t0, route1 = _m1_half(p1A, zA, zB, p)
+    _, t1, route0 = _m0_half(p2A, zA, zB, p)
+    return t1 - route1, t0 - route0
 
 
 def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:

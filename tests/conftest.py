@@ -29,6 +29,10 @@ REFERENCE_ORBITS = {
 # the paper's printed predpreyprey zB, which breaks the q=0 first integral
 PRINTED_PREDPREYPREY_ZB = 1.39
 
+# criterion 9's 20x20 scan box as (pin, lo, hi, points) per axis, the form
+# the CLI parses its --pin1/--pin2 grids into
+CRITERION_9_BOX = (("p1A", 1.4, 2.6, 20), ("zA", 1.12, 1.68, 20))
+
 # pure prey-prey antiphase member at (r, m) = (0.5, 0.4); no predator
 # extremum at the upward jump because p1A and p2A both sit below 1
 ANTIPHASE_SEED = {"pin": {"p1A": 0.99, "zA": 1.75},

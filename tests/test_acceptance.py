@@ -25,7 +25,7 @@ from relaxor import (
 )
 from relaxor.model import ManifoldTag, h0, h1
 
-from conftest import PRINTED_PREDPREYPREY_ZB, REFERENCE_ORBITS
+from conftest import CRITERION_9_BOX, PRINTED_PREDPREYPREY_ZB, REFERENCE_ORBITS
 
 
 @contextmanager
@@ -251,7 +251,7 @@ def test_criterion_8_taxonomy(reference_orbits, antiphase_orbit):
 def test_criterion_9_family_scan():
     with criterion(9, "20x20 family scan", 300.0):
         p = Params(0.5, 0.4)
-        grid = (np.linspace(1.4, 2.6, 20), np.linspace(1.12, 1.68, 20))
+        grid = tuple(np.linspace(lo, hi, n) for _, lo, hi, n in CRITERION_9_BOX)
         table = scan_family(p, grid, {"p2A": 0.49, "zB": 1.40})
         assert len(table) >= 50
         antiphase_rows = 0

@@ -18,6 +18,7 @@ from relaxor.cli import (_COMMANDS, _OPTIONS, _PROJECTIONS, SEEDS, _resolve,
                          _trajectory_names, _write_trajectory, build_parser, main)
 from relaxor.errors import InvalidInputError
 from relaxor.simulate import continue_in_eps
+from conftest import CRITERION_9_BOX
 
 
 def run(*argv):
@@ -327,6 +328,16 @@ def test_scan_single_point(tmp_path, capsys):
     header = (out / "scan.family.csv").read_text().splitlines()[0]
     assert header.startswith("r,m,pin_p1A,pin_zA,p1A")
     assert (out / "scan.p1A_zA.svg").exists()
+
+
+def test_default_scan_is_the_criterion_9_scan(monkeypatch):
+    # the default grids are the box the acceptance scan and the benchmark use
+    options = _OPTIONS["scan"]
+    assert tuple(options[k][0](options[k][1]) for k in ("pin1", "pin2")) == CRITERION_9_BOX
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    assert [(lo, hi) for _, lo, hi, _ in CRITERION_9_BOX] == [workloads.BOX_P1A,
+                                                              workloads.BOX_ZA]
 
 
 def test_scan_nonpositive_pin_is_input_error(tmp_path, capsys):

@@ -18,9 +18,16 @@ from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1, slow_rhs
 import relaxor.orbit as orbit_module
 from relaxor.orbit import _chart, _route_time
+from relaxor.cli import SEEDS
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
 
 M0, M1 = ManifoldTag.M0, ManifoldTag.M1
+
+
+def _clear_memos():
+    """Empty the orbit module's memos of chart work."""
+    for memo in (orbit_module._extrema, orbit_module._m1_half, orbit_module._m0_half):
+        memo.cache_clear()
 
 
 # ------------------------------------------------------------ level inversions
@@ -313,7 +320,8 @@ def test_route_there_and_back_takes_one_period():
 
 
 def test_route_over_both_extrema_evaluates_lambert_w_once(monkeypatch):
-    # the extrema come from one call and the whole route from one more
+    # on a cold memo the extrema come from one call and the whole route
+    # from one more; a warm repeat takes the extrema from the memo
     p = Params(0.5, 0.4)
     a = Anchor(1.8, 1.0)
     pmin, pmax = extrema(M1, a, p)
@@ -328,11 +336,18 @@ def test_route_over_both_extrema_evaluates_lambert_w_once(monkeypatch):
         return w_plus_one(branch, s)
 
     monkeypatch.setattr(orbit_module, "w_plus_one", counted)
+    _clear_memos()
     assert extrema(M1, a, p) == (pmin, pmax)
     assert calls == [[-1, 0]]
     calls.clear()
+    _clear_memos()
     assert _route_time(M1, start, end, a, p) == expected
     assert calls == [[-1, 0], [-1, 0]]
+    calls.clear()
+    assert extrema(M1, a, p) == (pmin, pmax)
+    assert calls == []
+    assert _route_time(M1, start, end, a, p) == expected
+    assert calls == [[-1, 0]]
 
 
 @pytest.mark.parametrize("man", [M1, M0])
@@ -456,6 +471,38 @@ def residual_calls(monkeypatch):
 
     monkeypatch.setattr(orbit_module, "existence_residual", counted)
     return calls
+
+
+def test_solve_reuses_the_chart_half_a_jacobian_column_leaves_alone(monkeypatch,
+                                                                   residual_calls):
+    # pinned at (p1A, zA), the column in p2A leaves the M1 half's inputs
+    # (p1A, zA, zB) unmoved, and the converged pair reuses both halves
+    route = orbit_module._route_time
+    routes = {M0: 0, M1: 0}
+
+    def counted(man, *args):
+        routes[man] += 1
+        return route(man, *args)
+
+    monkeypatch.setattr(orbit_module, "_route_time", counted)
+    _clear_memos()
+    seed = SEEDS["hybrid"]
+    solve_jump_points(seed["pin"], seed["guess"], Params(0.5, 0.4))
+    assert routes[M1] < len(residual_calls)
+    assert routes[M0] == len(residual_calls)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_solve_on_warm_memos_equals_a_cold_solve(name):
+    seed = SEEDS[name]
+    p = Params(0.5, 0.4)
+    _clear_memos()
+    cold = solve_jump_points(seed["pin"], seed["guess"], p)
+    # the repeat meets its own last iterates in the memos
+    warm = solve_jump_points(seed["pin"], seed["guess"], p)
+    assert warm == cold and warm.residual == cold.residual
+    free = {k: cold.as_dict()[k] for k in seed["guess"]}
+    assert solve_jump_points(seed["pin"], free, p) == cold
 
 
 @pytest.mark.parametrize("p2a,miss", [
