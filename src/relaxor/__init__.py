@@ -8,7 +8,7 @@ resulting oscillation patterns.
 
 from .errors import (
     RelaxorError, InvalidInputError, ParameterDomainError, SingularScalingError,
-    UnsupportedManifoldError, BranchDomainError, OffOrbitError, DegenerateOrbitError,
+    BranchDomainError, OffOrbitError, DegenerateOrbitError,
     NoSolutionError, InconsistentEndpointsError, NonConvergenceError,
     InadmissibleOrbitError, InconsistentJumpPairError, StiffnessError,
     InsufficientDataError,

@@ -22,10 +22,6 @@ class SingularScalingError(InvalidInputError):
     """Rescaling is undefined (e.g. zero prey-2 preference)."""
 
 
-class UnsupportedManifoldError(InvalidInputError):
-    """Operation requested on a manifold it is not defined for."""
-
-
 class BranchDomainError(InvalidInputError):
     """Lambert W argument outside the requested branch domain."""
 

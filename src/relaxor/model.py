@@ -12,7 +12,8 @@ trait q collapses onto the union of three hyperplanes: q = 0 (the
 predator eats only prey 2), q = 1 (only prey 1), and the switching plane
 p1 = p2.  On q = 0 the pair (p2, z) is a Lotka-Volterra oscillator with
 first integral H0 while p1 grows exponentially; on q = 1 the roles of the
-prey swap and (p1, z) conserves H1.
+prey swap and (p1, z) conserves H1.  The switching plane has no slow flow
+and no ``ManifoldTag``.
 
 All functions here are pure and thread-safe.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import scipy_module
-from .errors import ParameterDomainError, SingularScalingError, UnsupportedManifoldError
+from .errors import ParameterDomainError, SingularScalingError
 
 __all__ = [
     "UnscaledParams", "Params", "State", "ManifoldTag", "ScalingMap",
@@ -37,11 +38,22 @@ __all__ = [
 
 
 class ManifoldTag(enum.Enum):
-    """Branch of the critical manifold."""
+    """Slow branch of the critical manifold, where (prey, z) oscillate around (1, sigma)."""
 
-    M0 = "M0"    # q = 0
-    M1 = "M1"    # q = 1
-    MSW = "Msw"  # p1 = p2 (switching plane)
+    M0 = 0.0, 1  # q = 0: (p2, z) around (1, r)
+    M1 = 1.0, 0  # q = 1: (p1, z) around (1, 1)
+
+    def __init__(self, trait: float, prey: int):
+        self.trait = trait  # the branch's trait value q
+        self.prey = prey    # index in (p1, p2, z) of the oscillating prey
+
+    def centre(self, p: Params) -> float:
+        """Predator level sigma of the oscillator's centre (1, sigma)."""
+        return p.r if self is ManifoldTag.M0 else 1.0
+
+    def level(self, prey, z, p: Params):
+        """Conserved level m (ln prey - prey) + sigma ln z - z of the oscillator."""
+        return p.m * np.log(prey) - p.m * prey + self.centre(p) * np.log(z) - z
 
 
 @dataclass(frozen=True)
@@ -220,22 +232,14 @@ def full_rhs(s, p: Params, eps: float) -> np.ndarray:
     return np.array(vector_field(p, eps)(0.0, _as_state4(s)))
 
 
-_SLOW_TRAIT = {ManifoldTag.M0: 0.0, ManifoldTag.M1: 1.0}
-
-
 def slow_rhs(s3, p: Params, man: ManifoldTag) -> np.ndarray:
     """Reduced slow vector field for (p1, p2, z) on M0 or M1.
 
     The first three components of ``vector_field`` at q = 0 or q = 1,
     where the trait equation vanishes for any eps.
     """
-    q = _SLOW_TRAIT.get(man)
-    if q is None:
-        raise UnsupportedManifoldError(
-            "the slow flow is only defined on M0 and M1; the switching plane "
-            "carries no reduced dynamics")
     p1, p2, z = (float(v) for v in s3)
-    return np.array(vector_field(p, 1.0)(0.0, np.array([p1, p2, z, q]))[:3])
+    return np.array(vector_field(p, 1.0)(0.0, np.array([p1, p2, z, man.trait]))[:3])
 
 
 def fast_heteroclinic(tau, p1: float, p2: float):
@@ -252,12 +256,12 @@ def fast_heteroclinic(tau, p1: float, p2: float):
 
 def h0(p2, z, p: Params):
     """First integral of the (p2, z) oscillation on M0."""
-    return p.m * np.log(p2) - p.m * p2 + p.r * np.log(z) - z
+    return ManifoldTag.M0.level(p2, z, p)
 
 
 def h1(p1, z, p: Params):
     """First integral of the (p1, z) oscillation on M1."""
-    return p.m * np.log(p1) - p.m * p1 + np.log(z) - z
+    return ManifoldTag.M1.level(p1, z, p)
 
 
 def full_integral(s, p: Params, eps: float):
@@ -284,11 +288,7 @@ def conserved_quantity(man: ManifoldTag, s3, p: Params) -> float:
     p1, p2, z = (float(v) for v in s3)
     if min(p1, p2, z) <= 0.0:
         raise ParameterDomainError("densities must be positive")
-    if man is ManifoldTag.M0:
-        return float(h0(p2, z, p))
-    if man is ManifoldTag.M1:
-        return float(h1(p1, z, p))
-    raise UnsupportedManifoldError("no conserved quantity is defined on the switching plane")
+    return float(man.level((p1, p2)[man.prey], z, p))
 
 
 def coexistence_equilibrium(p: Params) -> State:

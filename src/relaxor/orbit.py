@@ -40,7 +40,6 @@ from .errors import (
     BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
     InconsistentEndpointsError, InconsistentJumpPairError, NoSolutionError,
     NonConvergenceError, OffOrbitError, ParameterDomainError,
-    UnsupportedManifoldError,
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, vector_field
@@ -98,13 +97,7 @@ def _chart(man: ManifoldTag, p: Params) -> tuple[float, float]:
 
     mu = m / sigma is the exponent tying the prey factor to the predator factor.
     """
-    if man is ManifoldTag.M1:
-        sigma = 1.0
-    elif man is ManifoldTag.M0:
-        sigma = p.r
-    else:
-        raise UnsupportedManifoldError(
-            "the Lotka-Volterra charts live on M0 and M1; the switching plane has none")
+    sigma = man.centre(p)
     return sigma, p.m / sigma
 
 
@@ -215,15 +208,10 @@ def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, 
 def _travel_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, float],
                  p: Params) -> float:
     """Slow time from ``start`` to ``end`` on the chart of ``man``, anchored at the start."""
-    sigma, mu = _chart(man, p)
-
-    def level(prey, z):
-        y = z / sigma
-        return mu * _phi(prey) + np.log(y) - y
-
     p_s, z_s = start
     p_e, z_e = end
-    drift = abs(level(p_s, z_s) - level(p_e, z_e))
+    # in units of the chart's level mu (ln p - p) + ln(z/sigma) - z/sigma
+    drift = abs(man.level(p_s, z_s, p) - man.level(p_e, z_e, p)) / man.centre(p)
     if drift > _LEVEL_TOL:
         raise InconsistentEndpointsError(
             f"endpoints lie on different conserved levels (drift {drift:.3e})")
@@ -631,12 +619,21 @@ class SingularOrbit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SingularOrbit":
-        return cls(
+        orbit = cls(
             params=Params(d["r"], d["m"]),
             jumps=JumpPair.from_dict(d["jumps"]),
             t_m1=np.asarray(d["t_m1"]), y_m1=np.asarray(d["y_m1"]),
             t_m0=np.asarray(d["t_m0"]), y_m0=np.asarray(d["y_m0"]),
         )
+        if not np.all(np.diff(orbit.times) > 0.0):  # also refuses NaN times
+            raise ParameterDomainError("orbit times must increase strictly across both segments")
+        j = orbit.jumps
+        positive = np.concatenate([[j.t0, j.t1], j.a_point(), j.b_point(),
+                                   orbit.slow_points().ravel()])
+        if not np.all(np.isfinite(positive) & (positive > 0.0)):
+            raise ParameterDomainError(
+                "orbit times T0, T1 and densities p1, p2, z must be finite and positive")
+        return orbit
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -648,7 +645,7 @@ class SingularOrbit:
             return cls.from_dict(json.load(fh))
 
 
-def _integrate_slow_segment(y0: np.ndarray, duration: float, q: float,
+def _integrate_slow_segment(y0: np.ndarray, duration: float, man: ManifoldTag,
                             p: Params, samples: int) -> tuple[np.ndarray, np.ndarray]:
     # the full field at q exactly 1 or 0, where q' is exactly 0: q never
     # moves and the first three components are the slow flow of slow_rhs
@@ -658,7 +655,7 @@ def _integrate_slow_segment(y0: np.ndarray, duration: float, q: float,
         return InconsistentJumpPairError(
             f"slow segment integration failed at t={t:g}: {reason}")
 
-    states, _, _ = dop853_samples(vector_field(p, 1.0), np.append(y0, q),
+    states, _, _ = dop853_samples(vector_field(p, 1.0), np.append(y0, man.trait),
                                    times, 1e-12, 1e-12, 0.0, failed)
     return times, states[:, :3]
 
@@ -680,10 +677,10 @@ def assemble_singular_orbit(j: JumpPair, p: Params,
     if samples_per_segment < 2:
         raise ParameterDomainError(
             f"need at least two samples per slow segment, got {samples_per_segment}")
-    t1, y1 = _integrate_slow_segment(j.a_point(), j.t1, 1.0, p,
+    t1, y1 = _integrate_slow_segment(j.a_point(), j.t1, ManifoldTag.M1, p,
                                      samples_per_segment)
     miss1 = np.max(np.abs(y1[-1] - j.b_point()))
-    t0, y0 = _integrate_slow_segment(j.b_point(), j.t0, 0.0, p,
+    t0, y0 = _integrate_slow_segment(j.b_point(), j.t0, ManifoldTag.M0, p,
                                      samples_per_segment)
     miss0 = np.max(np.abs(y0[-1] - j.a_point()))
     if max(miss0, miss1) > 1e-6:

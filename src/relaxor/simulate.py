@@ -156,8 +156,12 @@ class Trajectory:
             cfg = SimConfig(**d["config"])
         except TypeError as err:  # missing, unknown or non-numeric settings
             raise ParameterDomainError(f"malformed trajectory config: {err}") from err
-        return cls(times=np.asarray(d["times"]), states=np.asarray(d["states"]),
-                   params=Params(d["r"], d["m"]), config=cfg)
+        tr = cls(times=np.asarray(d["times"]), states=np.asarray(d["states"]),
+                 params=Params(d["r"], d["m"]), config=cfg)
+        # q goes unchecked: integrate's samples may lie up to abs_tol outside [0, 1]
+        if not np.all(np.isfinite(tr.states[:, :3]) & (tr.states[:, :3] > 0.0)):
+            raise ParameterDomainError("trajectory densities p1, p2, z must be finite and positive")
+        return tr
 
     @classmethod
     def from_json(cls, path) -> "Trajectory":

@@ -757,6 +757,50 @@ def test_classify_refuses_non_finite_numbers(tmp_path, capsys, kind, constant):
     assert not (tmp_path / "out" / "classify.report.json").exists()
 
 
+def _edit_zero_periods(doc):
+    doc["jumps"]["T0"] = doc["jumps"]["T1"] = 0.0
+
+
+def _edit_backward_t_m1(doc):
+    doc["t_m1"].reverse()
+
+
+def _edit_negative_orbit_density(doc):
+    doc["y_m0"][0][1] = -1.9379
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_edit_zero_periods, "orbit times T0, T1 and densities p1, p2, z must be finite and positive"),
+    (_edit_backward_t_m1, "orbit times must increase strictly across both segments"),
+    (_edit_negative_orbit_density,
+     "orbit times T0, T1 and densities p1, p2, z must be finite and positive"),
+], ids=["zero-periods", "backward-t_m1", "negative-density"])
+def test_classify_refuses_an_orbit_the_library_cannot_write(tmp_path, capsys, edit, message):
+    doc = json.loads(_ORBIT_DOC)
+    edit(doc)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "classify.report.json").exists()
+
+
+def test_classify_refuses_a_trajectory_with_negative_densities(tmp_path, capsys):
+    # an input error, not the numerical failure "need both an up and a down
+    # trait crossing" that classifying it would report
+    assert run("simulate", "--t-end", "5", "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "simulate.trajectory.json").read_text())
+    for row in doc["states"]:
+        row[0] = -row[0]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "error: trajectory densities p1, p2, z must be finite and positive\n")
+    assert not (tmp_path / "out" / "classify.report.json").exists()
+
+
 # a 4x4 grid on which the hybrid guess leaves some points without a row
 _GIVE_UP_SCAN = ("scan", "--pin1", "p1A=1.55:2.45:4", "--pin2", "zA=1.19:1.61:4",
                  "--seed", "hybrid")

@@ -6,11 +6,12 @@ from scipy.integrate import solve_ivp
 
 from relaxor import (
     ManifoldTag, Params, ParameterDomainError, SimConfig, SingularScalingError, State,
-    UnscaledParams, UnsupportedManifoldError, characteristic_roots,
+    UnscaledParams, characteristic_roots,
     coexistence_equilibrium, conserved_quantity, fast_heteroclinic, full_integral,
     full_rhs, integrate, rescale, slow_rhs, vector_field,
 )
 from relaxor.model import h0, h1
+from relaxor.orbit import _chart
 
 from conftest import numpy_scalar_field
 
@@ -120,6 +121,15 @@ def test_full_rhs_rejects_singular_limit():
     p = Params(0.5, 0.4)
     with pytest.raises(ParameterDomainError, match="slow_rhs"):
         full_rhs(np.array([1, 1, 1, 0.5]), p, eps=0.0)
+
+
+def test_full_rhs_rejects_negative_eps_and_a_state_that_is_not_4_components():
+    p = Params(0.5, 0.4)
+    with pytest.raises(ParameterDomainError, match=r"require eps > 0, got -0.1"):
+        full_rhs(np.array([1, 1, 1, 0.5]), p, eps=-0.1)
+    for state in ((1.0, 1.0, 1.0), np.ones((2, 4))):
+        with pytest.raises(ParameterDomainError, match="expected a 4-component state"):
+            full_rhs(state, p, eps=0.1)
 
 
 def test_vector_field_bitwise_equals_numpy_scalar_formula():
@@ -250,11 +260,6 @@ def test_slow_rhs_lv_equilibria_and_decoupled_growth():
     assert np.allclose(slow_rhs((2.0, 1.0, 0.5), p, ManifoldTag.M0), [2.0, 0.0, 0.0])
 
 
-def test_slow_rhs_rejects_switching_plane():
-    with pytest.raises(UnsupportedManifoldError):
-        slow_rhs((1.0, 1.0, 1.0), Params(0.5, 0.4), ManifoldTag.MSW)
-
-
 # ---------------------------------------------------------------- fast layer
 
 def test_fast_heteroclinic_gauge_and_limits():
@@ -295,8 +300,6 @@ def test_conserved_quantity_rejects_bad_input():
     p = Params(0.5, 0.4)
     with pytest.raises(ParameterDomainError):
         conserved_quantity(ManifoldTag.M0, (1.0, -0.5, 1.0), p)
-    with pytest.raises(UnsupportedManifoldError):
-        conserved_quantity(ManifoldTag.MSW, (1.0, 1.0, 1.0), p)
 
 
 @pytest.mark.parametrize("man", [ManifoldTag.M0, ManifoldTag.M1])
@@ -366,6 +369,32 @@ def test_params_and_state_require_finite_values(value):
         densities[k] = value
         with pytest.raises(ParameterDomainError, match="finite and positive"):
             State(*densities, 0.5)
+
+
+def test_manifold_facts_give_the_written_out_formulas_bitwise():
+    # the slow manifolds' formulas written out one manifold at a time; the
+    # facts that ManifoldTag states once must give them bit for bit
+    assert list(ManifoldTag) == [ManifoldTag.M0, ManifoldTag.M1]
+    rng = np.random.default_rng(20261020)
+    for p in (Params(0.5, 0.4), Params(0.8, 1.0)):
+        r, m = p.r, p.m
+        assert _chart(ManifoldTag.M1, p) == (1.0, m)
+        assert _chart(ManifoldTag.M0, p) == (r, m / r)
+        prey, z = rng.uniform(1e-3, 5.0, (2, 500))
+        assert h0(prey, z, p).tobytes() == (
+            m * np.log(prey) - m * prey + r * np.log(z) - z).tobytes()
+        assert h1(prey, z, p).tobytes() == (
+            m * np.log(prey) - m * prey + np.log(z) - z).tobytes()
+        for p1, p2, z in rng.uniform(1e-3, 5.0, (200, 3)).tolist():
+            y3 = (p1, p2, z)
+            assert conserved_quantity(ManifoldTag.M0, y3, p) == float(
+                m * np.log(p2) - m * p2 + r * np.log(z) - z)
+            assert conserved_quantity(ManifoldTag.M1, y3, p) == float(
+                m * np.log(p1) - m * p1 + np.log(z) - z)
+            for man, q in ((ManifoldTag.M0, 0.0), (ManifoldTag.M1, 1.0)):
+                expected = np.array([(1.0 - q * z) * p1, (r - (1.0 - q) * z) * p2,
+                                     (q * p1 + (1.0 - q) * p2 - 1.0) * m * z])
+                assert slow_rhs(y3, p, man).tobytes() == expected.tobytes()
 
 
 def test_h0_h1_match_conserved_quantity():

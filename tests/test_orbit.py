@@ -12,7 +12,7 @@ from relaxor import (
     NoSolutionError, NonConvergenceError, OffOrbitError, Params, SingularOrbit,
     assemble_singular_orbit, ParameterDomainError, eliminate, existence_residual,
     extrema, lv_branch, scan_family, solve_balanced_orbit, solve_jump_points,
-    trait_pressure_balance, UnsupportedManifoldError, travel_time_M0, travel_time_M1,
+    trait_pressure_balance, travel_time_M0, travel_time_M1,
 )
 from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1, slow_rhs
@@ -78,17 +78,6 @@ def test_lv_branch_off_orbit_error():
     _, pmax = extrema(M1, a, p)
     with pytest.raises(OffOrbitError):
         lv_branch(M1, pmax * 1.2, a, Branch.LOWER, p)
-
-
-def test_chart_calls_reject_switching_plane():
-    p = Params(0.5, 0.4)
-    a = Anchor(2.41, 1.18)
-    with pytest.raises(UnsupportedManifoldError):
-        extrema(ManifoldTag.MSW, a, p)
-    with pytest.raises(UnsupportedManifoldError):
-        lv_branch(ManifoldTag.MSW, a.p, a, Branch.LOWER, p)
-    with pytest.raises(UnsupportedManifoldError):
-        eliminate(ManifoldTag.MSW, a, 1.0, Branch.LOWER, p)
 
 
 def test_branch_inversion_level_property(rng):
@@ -545,6 +534,52 @@ def test_solver_gives_up_at_the_fold_within_its_line_search_budget(residual_call
         assert item in str(err.value)
 
 
+_HYBRID_PIN, _HYBRID_GUESS = {"p1A": 1.81, "zA": 1.35}, {"p2A": 0.49, "zB": 1.40}
+
+
+def _assert_gave_up(err, message, residual, iterations, x):
+    assert str(err.value).startswith(message + " (")
+    assert err.value.residual == residual
+    assert err.value.iterations == iterations
+    assert np.array_equal(err.value.x, x)
+
+
+def test_solver_gives_up_on_a_singular_jacobian(monkeypatch):
+    # a residual that no unknown moves has a zero difference Jacobian
+    monkeypatch.setattr(orbit_module, "existence_residual", lambda *args: (0.5, -0.25))
+    with pytest.raises(NonConvergenceError) as err:
+        solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, Params(0.5, 0.4))
+    _assert_gave_up(err, "singular Jacobian", 0.5, 0, [0.49, 1.40])
+
+
+def test_solver_gives_up_when_no_difference_step_is_solvable(monkeypatch):
+    # the guess is solvable, but both difference steps of its first column miss
+    guess = (1.81, 0.49, 1.35, 1.40)
+
+    def residual_at_the_guess_only(*args):
+        if args[:4] != guess:
+            raise NoSolutionError("off the guess")
+        return (0.5, -0.25)
+
+    monkeypatch.setattr(orbit_module, "existence_residual", residual_at_the_guess_only)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, Params(0.5, 0.4))
+    _assert_gave_up(err, "cannot difference the residual at the current iterate",
+                    0.5, 0, [0.49, 1.40])
+
+
+def test_solver_gives_up_after_its_iteration_budget(monkeypatch):
+    # the hybrid solve needs more than two Newton steps
+    monkeypatch.setattr(orbit_module, "_MAX_ITER", 2)
+    p = Params(0.5, 0.4)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, p)
+    p2a, zb = err.value.x
+    last = float(np.max(np.abs(existence_residual(1.81, p2a, 1.35, zb, p))))
+    assert last > 1e-10
+    _assert_gave_up(err, "no convergence within the iteration budget", last, 2, [p2a, zb])
+
+
 def test_jump_pair_check_and_serialization(reference_pairs):
     p, pair = reference_pairs["hybrid"]
     pair.check(p)
@@ -555,6 +590,11 @@ def test_jump_pair_check_and_serialization(reference_pairs):
                    pair.zb * 1.05, pair.t0, pair.t1)
     with pytest.raises(InconsistentEndpointsError):
         bad.check(p)
+    for t0, t1 in ((-pair.t0, pair.t1), (pair.t0, 0.0)):
+        backwards = JumpPair(pair.p1a, pair.p2a, pair.za, pair.p1b, pair.p2b,
+                             pair.zb, t0, t1)
+        with pytest.raises(InadmissibleOrbitError, match="slow travel times must be positive"):
+            backwards.check(p)
 
 
 # --------------------------------------------------------------- family scan

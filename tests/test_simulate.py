@@ -132,6 +132,13 @@ def test_trajectory_refuses_nan_times(params_default):
         Trajectory.from_dict(doc)
 
 
+def test_trajectory_refuses_states_that_are_not_n_by_4(params_default):
+    cfg = SimConfig(eps=0.1, t_end=1.0)
+    for states in (np.ones((3, 3)), np.ones((2, 4)), np.ones(12)):
+        with pytest.raises(ParameterDomainError, match=r"states must be \(n, 4\) matching times"):
+            Trajectory([0.0, 0.5, 1.0], states, params_default, cfg)
+
+
 def test_trajectory_orders_times_whose_gaps_overflow(params_default):
     # the gap from -1e292 to the largest double is beyond float64
     big = np.finfo(float).max
