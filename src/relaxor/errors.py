@@ -5,6 +5,9 @@ code 2); everything else under ``RelaxorError`` is a numerical failure
 (CLI exit code 1).
 """
 
+import math
+import numbers
+
 
 class RelaxorError(Exception):
     """Base class for all package errors."""
@@ -16,6 +19,22 @@ class InvalidInputError(RelaxorError, ValueError):
 
 class ParameterDomainError(InvalidInputError):
     """Model parameters or state violate their invariants."""
+
+
+def require_positive(what: str, values) -> None:
+    """The one rule for densities, durations and scales: each of ``values`` is finite and > 0.
+
+    ``values`` holds plain numbers, not arrays; NaN fails the rule.
+    """
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise ParameterDomainError(f"{what} must be finite and positive")
+
+
+def require_samples(what: str, n) -> None:
+    """Refuse a sample count ``n`` that is not a Python or numpy integer of at least 2."""
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ParameterDomainError(f"need a whole number of at least two {what}, got {n!r}")
 
 
 class SingularScalingError(InvalidInputError):

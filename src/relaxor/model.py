@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import scipy_module
-from .errors import ParameterDomainError, SingularScalingError
+from .errors import ParameterDomainError, SingularScalingError, require_positive
 
 __all__ = [
     "UnscaledParams", "Params", "State", "ManifoldTag", "ScalingMap",
@@ -66,8 +66,7 @@ class Params:
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ParameterDomainError(f"require 0 < r < 1, got r={self.r}")
-        if not 0.0 < self.m < math.inf:
-            raise ParameterDomainError(f"require finite m > 0, got m={self.m}")
+        require_positive("m", (self.m,))
 
 
 @dataclass(frozen=True)
@@ -87,26 +86,16 @@ class UnscaledParams:
     q2: float
     V: float = 1.0
     eps_raw: float = 0.0
-    beta1: float = 1.0
-    beta2: float = 1.0
 
     def __post_init__(self):
-        if min(self.r1, self.r2, self.e, self.m) <= 0.0:
-            raise ParameterDomainError("r1, r2, e, m must all be positive")
+        require_positive("r1, r2, e, m and V", (self.r1, self.r2, self.e, self.m, self.V))
         if not (0.0 <= self.q2 <= 1.0):
             raise ParameterDomainError(f"require q2 in [0, 1], got {self.q2}")
-        if self.V <= 0.0:
-            raise ParameterDomainError("V must be positive")
         if self.eps_raw < 0.0:
             raise ParameterDomainError("eps_raw must be non-negative")
         if not self.r1 > self.r2:
             raise ParameterDomainError(
                 f"prey trade-off requires r1 > r2, got r1={self.r1}, r2={self.r2}")
-        if self.beta1 != self.beta2:
-            raise ParameterDomainError("beta1 and beta2 must coincide")
-        if self.beta1 != 1.0:
-            raise ParameterDomainError(
-                "predation rates are normalized to 1 (rescale z to absorb them)")
 
 
 @dataclass(frozen=True)
@@ -119,8 +108,7 @@ class State:
     q: float
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.p1, self.p2, self.z)):
-            raise ParameterDomainError("densities p1, p2, z must be finite and positive")
+        require_positive("densities p1, p2, z", (self.p1, self.p2, self.z))
         if not (0.0 <= self.q <= 1.0):
             raise ParameterDomainError(f"require q in [0, 1], got q={self.q}")
 
@@ -286,8 +274,7 @@ def full_integral(s, p: Params, eps: float):
 def conserved_quantity(man: ManifoldTag, s3, p: Params) -> float:
     """Evaluate the conserved quantity of the slow flow on M0 or M1."""
     p1, p2, z = (float(v) for v in s3)
-    if min(p1, p2, z) <= 0.0:
-        raise ParameterDomainError("densities must be positive")
+    require_positive("densities p1, p2, z", (p1, p2, z))
     return float(man.level((p1, p2)[man.prey], z, p))
 
 

@@ -39,7 +39,8 @@ import numpy as np
 from .errors import (
     BranchDomainError, DegenerateOrbitError, InadmissibleOrbitError,
     InconsistentEndpointsError, InconsistentJumpPairError, NoSolutionError,
-    NonConvergenceError, OffOrbitError, ParameterDomainError,
+    NonConvergenceError, OffOrbitError, ParameterDomainError, require_positive,
+    require_samples,
 )
 from .lambertw import Branch, w_plus_one
 from .model import ManifoldTag, Params, h0, h1, vector_field
@@ -79,8 +80,7 @@ class Anchor:
     z: float
 
     def __post_init__(self):
-        if self.p <= 0.0 or self.z <= 0.0:
-            raise ParameterDomainError("anchor densities must be positive")
+        require_positive("anchor densities", (self.p, self.z))
 
 
 def _phi(p):
@@ -210,9 +210,10 @@ def _travel_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float,
     """Slow time from ``start`` to ``end`` on the chart of ``man``, anchored at the start."""
     p_s, z_s = start
     p_e, z_e = end
+    require_positive("travel-time end points", (p_s, z_s, p_e, z_e))
     # in units of the chart's level mu (ln p - p) + ln(z/sigma) - z/sigma
     drift = abs(man.level(p_s, z_s, p) - man.level(p_e, z_e, p)) / man.centre(p)
-    if drift > _LEVEL_TOL:
+    if not drift <= _LEVEL_TOL:
         raise InconsistentEndpointsError(
             f"endpoints lie on different conserved levels (drift {drift:.3e})")
     if abs(p_s - p_e) <= 1e-12 * max(p_s, p_e) and abs(z_s - z_e) <= 1e-12 * max(z_s, z_e):
@@ -278,7 +279,7 @@ class JumpPair:
             raise InadmissibleOrbitError(
                 "jump admissibility requires p1 > p2 at A and p1 < p2 at B")
         if not (self.t0 > 0.0 and self.t1 > 0.0):
-            raise InadmissibleOrbitError("slow travel times must be positive")
+            raise InadmissibleOrbitError("jump admissibility requires T0 > 0 and T1 > 0")
         dh0 = abs(h0(self.p2a, self.za, p) - h0(self.p2b, self.zb, p))
         dh1 = abs(h1(self.p1a, self.za, p) - h1(self.p1b, self.zb, p))
         if dh0 > _LEVEL_TOL or dh1 > _LEVEL_TOL:
@@ -335,8 +336,7 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     through A; the eliminations put B on that level by construction, so
     the level-drift check of ``_travel_time`` is skipped.
     """
-    if min(p1A, p2A, zA, zB) <= 0.0:
-        raise ParameterDomainError("jump coordinates must be positive")
+    require_positive("jump coordinates", (p1A, p2A, zA, zB))
     _, t0, route1 = _m1_half(p1A, zA, zB, p)
     _, t1, route0 = _m0_half(p2A, zA, zB, p)
     return t1 - route1, t0 - route0
@@ -357,8 +357,8 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
 
     Raises NonConvergenceError with the last iterate's diagnostics if the
     iteration fails; InadmissibleOrbitError if it converges to a point
-    violating the jump directions; ParameterDomainError for a nonpositive
-    pin.
+    violating the jump directions; ParameterDomainError for a pin or guess
+    that is not finite and positive.
     """
     pinned_names = tuple(pinned)
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pinned_names)
@@ -366,6 +366,7 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
         raise ParameterDomainError(
             f"pin exactly two of {UNKNOWN_NAMES} and guess the remaining two; "
             f"got pinned={sorted(pinned)}, guess={sorted(guess)}")
+    require_positive("pinned and guessed coordinates", [*pinned.values(), *guess.values()])
 
     def unknowns(x: np.ndarray) -> list:
         vals = dict(pinned)
@@ -627,12 +628,8 @@ class SingularOrbit:
         )
         if not np.all(np.diff(orbit.times) > 0.0):  # also refuses NaN times
             raise ParameterDomainError("orbit times must increase strictly across both segments")
-        j = orbit.jumps
-        positive = np.concatenate([[j.t0, j.t1], j.a_point(), j.b_point(),
-                                   orbit.slow_points().ravel()])
-        if not np.all(np.isfinite(positive) & (positive > 0.0)):
-            raise ParameterDomainError(
-                "orbit times T0, T1 and densities p1, p2, z must be finite and positive")
+        require_positive("orbit times T0, T1 and densities p1, p2, z",
+                         [*orbit.jumps.as_dict().values(), *orbit.slow_points().ravel().tolist()])
         return orbit
 
     def to_json(self, path) -> None:
@@ -672,11 +669,11 @@ def assemble_singular_orbit(j: JumpPair, p: Params,
     The q=1 segment starts at A and must land on B after time T1 (and the
     q=0 segment back on A after T0) to within 1e-6 per slow coordinate;
     otherwise the jump pair does not close up and an
-    InconsistentJumpPairError is raised.
+    InconsistentJumpPairError is raised.  A sample count below 2 or not
+    whole, or a T0 or T1 not finite and > 0, raises ParameterDomainError.
     """
-    if samples_per_segment < 2:
-        raise ParameterDomainError(
-            f"need at least two samples per slow segment, got {samples_per_segment}")
+    require_samples("samples per slow segment", samples_per_segment)
+    require_positive("slow travel times T0, T1", (j.t0, j.t1))
     t1, y1 = _integrate_slow_segment(j.a_point(), j.t1, ManifoldTag.M1, p,
                                      samples_per_segment)
     miss1 = np.max(np.abs(y1[-1] - j.b_point()))

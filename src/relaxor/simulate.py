@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from ._scipy import scipy_module
-from .errors import ParameterDomainError, StiffnessError
+from .errors import ParameterDomainError, StiffnessError, require_positive, require_samples
 from .model import Params, State, full_integral, vector_field
 
 if TYPE_CHECKING:  # orbit imports this module's stepper
@@ -41,7 +41,8 @@ class SimConfig:
 
     ``max_step = None`` resolves to half the fast-layer width eps/2,
     which keeps the trait transitions resolved at any tolerance.  eps,
-    t_end and a set max_step must be finite and positive.
+    t_end and a set max_step must be finite and positive, and n_samples
+    a whole number of at least 2.
     """
 
     eps: float
@@ -52,17 +53,13 @@ class SimConfig:
     n_samples: int = 2000
 
     def __post_init__(self):
-        for name, value in (("eps", self.eps), ("t_end", self.t_end)):
-            if not 0.0 < value < math.inf:
-                raise ParameterDomainError(f"require finite {name} > 0, got {value}")
-        if self.max_step is not None and not 0.0 < self.max_step < math.inf:
-            raise ParameterDomainError(
-                f"require finite max_step > 0 or None, got {self.max_step}")
+        # an unset max_step resolves to eps/2, which passes with eps
+        require_positive("eps, t_end and max_step",
+                         (self.eps, self.t_end, self.resolved_max_step()))
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (0.0 < tol < 1.0):
                 raise ParameterDomainError(f"require 0 < {name} < 1, got {tol}")
-        if self.n_samples < 2:
-            raise ParameterDomainError("need at least two output samples")
+        require_samples("output samples", self.n_samples)
 
     def resolved_max_step(self) -> float:
         return 0.5 * self.eps if self.max_step is None else self.max_step
@@ -159,8 +156,7 @@ class Trajectory:
         tr = cls(times=np.asarray(d["times"]), states=np.asarray(d["states"]),
                  params=Params(d["r"], d["m"]), config=cfg)
         # q goes unchecked: integrate's samples may lie up to abs_tol outside [0, 1]
-        if not np.all(np.isfinite(tr.states[:, :3]) & (tr.states[:, :3] > 0.0)):
-            raise ParameterDomainError("trajectory densities p1, p2, z must be finite and positive")
+        require_positive("trajectory densities p1, p2, z", tr.states[:, :3].ravel().tolist())
         return tr
 
     @classmethod
@@ -333,12 +329,10 @@ def iter_continue_in_eps(s0, p: Params,
     """
     if schedule is None:
         schedule = default_continuation_schedule()
+    require_positive("schedule eps values and durations", itertools.chain.from_iterable(schedule))
     eps_values = [e for e, _ in schedule]
-    if not all(0.0 < v < math.inf for entry in schedule for v in entry) or any(
-            b < a for a, b in zip(eps_values, eps_values[1:])):
-        raise ParameterDomainError(
-            "schedule eps values and durations must be finite and positive, "
-            "and eps values non-decreasing")
+    if any(b < a for a, b in zip(eps_values, eps_values[1:])):
+        raise ParameterDomainError("schedule eps values must be non-decreasing")
 
     current = s0
     for index, (eps, duration) in enumerate(schedule):
@@ -395,14 +389,16 @@ def closeness_check(tr, orbit: SingularOrbit, horizon: float | None = None) -> f
     trajectory), the minimum Euclidean distance of (p1, p2, z) to the
     orbit's sampled point set is taken; the supremum over samples is
     returned.  The trait coordinate is excluded: it degenerates along the
-    fast jumps, where the slow coordinates are the meaningful measure.
+    fast jumps, where the slow coordinates are the meaningful measure.  A
+    horizon outside [times[0], times[-1]] raises ParameterDomainError.
     """
     times = np.asarray(tr.times)
     if horizon is None:
         horizon = float(times[-1])
-    if horizon > times[-1] + 1e-12:
+    if not times[0] <= horizon <= times[-1] + 1e-12:  # also refuses a NaN horizon
         raise ParameterDomainError(
-            f"horizon {horizon:g} exceeds the trajectory duration {times[-1]:g}")
+            f"horizon {horizon:g} lies outside the sampled times "
+            f"[{times[0]:g}, {times[-1]:g}]")
     mask = times <= horizon
     points = np.asarray(tr.states)[mask, :3]
     tree = scipy.spatial.cKDTree(orbit.slow_points())

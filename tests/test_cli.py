@@ -349,6 +349,15 @@ def test_scan_nonpositive_pin_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_negative_guess_is_input_error(tmp_path, capsys):
+    code = run("construct", "--pin", "p1A=1.81", "--pin", "zA=1.35",
+               "--guess", "p2A=-0.49", "--guess", "zB=1.4", "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: pinned and guessed coordinates must be finite and positive\n")
+    assert not (tmp_path / "c" / "manifest.json").exists()
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("r = 0.8\nm = 1.0\nseed = predpreyprey\n# comment\n")

@@ -79,18 +79,11 @@ def test_rescale_rejects_zero_preference():
 
 @pytest.mark.parametrize("change", [
     {"r2": 0.0}, {"e": -1.0}, {"m": 0.0}, {"q2": 1.5}, {"q2": -0.1}, {"V": 0.0},
-    {"eps_raw": -0.01},
+    {"eps_raw": -0.01}, {"e": np.nan}, {"V": np.nan}, {"r1": np.inf},
 ])
 def test_unscaled_params_refuse_values_outside_their_domain(change):
     with pytest.raises(ParameterDomainError):
         UnscaledParams(**{"r1": 1.0, "r2": 0.5, "m": 0.4, "e": 1.0, "q2": 1.0, **change})
-
-
-def test_unscaled_params_require_unit_predation_rates():
-    with pytest.raises(ParameterDomainError):
-        UnscaledParams(r1=1.0, r2=0.5, m=0.4, e=1.0, q2=1.0, beta1=1.0, beta2=2.0)
-    with pytest.raises(ParameterDomainError):
-        UnscaledParams(r1=1.0, r2=0.5, m=0.4, e=1.0, q2=1.0, beta1=2.0, beta2=2.0)
 
 
 # ---------------------------------------------------------------- vector field
@@ -300,6 +293,9 @@ def test_conserved_quantity_rejects_bad_input():
     p = Params(0.5, 0.4)
     with pytest.raises(ParameterDomainError):
         conserved_quantity(ManifoldTag.M0, (1.0, -0.5, 1.0), p)
+    for man in ManifoldTag:
+        with pytest.raises(ParameterDomainError, match="densities p1, p2, z must be finite"):
+            conserved_quantity(man, (1.0, np.nan, 1.0), p)
 
 
 @pytest.mark.parametrize("man", [ManifoldTag.M0, ManifoldTag.M1])
@@ -362,7 +358,7 @@ def test_params_and_state_invariants():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_params_and_state_require_finite_values(value):
-    with pytest.raises(ParameterDomainError, match="finite m"):
+    with pytest.raises(ParameterDomainError, match="m must be finite and positive"):
         Params(0.5, value)
     for k in range(3):
         densities = [1.2, 0.9, 1.4]

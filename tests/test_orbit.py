@@ -32,7 +32,7 @@ def _clear_memos():
 
 # ------------------------------------------------------------ level inversions
 
-@pytest.mark.parametrize("prey,z", [(0.0, 1.0), (1.0, -0.5)])
+@pytest.mark.parametrize("prey,z", [(0.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)])
 def test_anchor_refuses_nonpositive_densities(prey, z):
     with pytest.raises(ParameterDomainError):
         Anchor(prey, z)
@@ -224,6 +224,15 @@ def test_travel_time_zero_and_level_mismatch():
         travel_time_M0((2.27, 1.39), (2.27, 1.20), p)
 
 
+@pytest.mark.parametrize("travel_time,end", [
+    (travel_time_M1, (1.2, np.nan)), (travel_time_M1, (1.3, -1.0)),
+    (travel_time_M0, (-1.0, 1.0)), (travel_time_M1, (np.nan, 1.0)),
+])
+def test_travel_time_refuses_an_end_point_that_is_not_finite_and_positive(travel_time, end):
+    with pytest.raises(ParameterDomainError, match="end points must be finite and positive"):
+        travel_time((1.2, 1.0), end, Params(0.5, 0.4))
+
+
 def test_travel_time_matches_ode_oracle_on_hybrid_segment(reference_pairs):
     p, pair = reference_pairs["hybrid"]
     t_quad = travel_time_M1((pair.p1a, pair.za), (pair.p1b, pair.zb), p)
@@ -367,6 +376,11 @@ def test_route_to_an_end_just_upstream_takes_no_time():
 
 # ------------------------------------------------------- existence conditions
 
+def test_existence_residual_refuses_a_nan_coordinate():
+    with pytest.raises(ParameterDomainError, match="jump coordinates must be finite"):
+        existence_residual(1.8, 0.49, 1.35, np.nan, Params(0.5, 0.4))
+
+
 def test_existence_residual_small_at_consistent_reference_values():
     # the reference tuples are consistent with the conserved quantities;
     # their residuals sit inside the rounding budget
@@ -509,6 +523,14 @@ def test_solver_counts_a_domain_miss_as_a_miss(p2a, miss):
         solve_jump_points({"p1A": -1.85, "zA": 1.47}, {"p2A": p2a, "zB": 1.4}, p)
 
 
+@pytest.mark.parametrize("guess", [{"p2A": -0.49, "zB": 1.4}, {"p2A": 0.49, "zB": np.nan}])
+def test_solver_refuses_a_guess_that_is_not_finite_and_positive(residual_calls, guess):
+    # bad input, refused before the first residual
+    with pytest.raises(ParameterDomainError, match="guessed coordinates must be finite"):
+        solve_jump_points({"p1A": 1.81, "zA": 1.35}, guess, Params(0.5, 0.4))
+    assert residual_calls == []
+
+
 def test_w0_elimination_refuses_a_prey_that_rounds_to_zero():
     # far out on the q = 1 chart exp(g) underflows and W0 rounds p1B to 0:
     # no B exists, and the jump-pair builder must not reach ln(p1A / p1B)
@@ -593,7 +615,7 @@ def test_jump_pair_check_and_serialization(reference_pairs):
     for t0, t1 in ((-pair.t0, pair.t1), (pair.t0, 0.0)):
         backwards = JumpPair(pair.p1a, pair.p2a, pair.za, pair.p1b, pair.p2b,
                              pair.zb, t0, t1)
-        with pytest.raises(InadmissibleOrbitError, match="slow travel times must be positive"):
+        with pytest.raises(InadmissibleOrbitError, match="requires T0 > 0 and T1 > 0"):
             backwards.check(p)
 
 
@@ -654,6 +676,9 @@ def test_scan_raises_on_nonpositive_pin(params_default):
     # bad input fails loudly instead of silently dropping the grid point
     with pytest.raises(ParameterDomainError):
         scan_family(params_default, (np.array([-1.0, 1.8]), np.array([1.35])),
+                    {"p2A": 0.49, "zB": 1.40})
+    with pytest.raises(ParameterDomainError, match="finite and positive"):
+        scan_family(params_default, (np.array([np.nan, 1.8]), np.array([1.35])),
                     {"p2A": 0.49, "zB": 1.40})
 
 
@@ -718,11 +743,27 @@ def test_assembled_presets_match_solve_ivp_over_the_slow_field(preset_orbits):
         assert np.max(np.abs(orbit.y_m0 - y0[1:])) < 1e-10, name
 
 
-@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("samples", [0, 1, 2.5, np.nan])
 def test_assemble_needs_two_samples_per_segment(reference_pairs, samples):
     p, pair = reference_pairs["hybrid"]
     with pytest.raises(ParameterDomainError, match="at least two samples"):
         assemble_singular_orbit(pair, p, samples_per_segment=samples)
+
+
+def test_assemble_takes_a_numpy_integer_sample_count(reference_pairs):
+    p, pair = reference_pairs["hybrid"]
+    orbit = assemble_singular_orbit(pair, p, samples_per_segment=np.int64(3))
+    assert (len(orbit.t_m1), len(orbit.t_m0)) == (3, 2)
+
+
+@pytest.mark.parametrize("key", ["T0", "T1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_assemble_refuses_a_travel_time_that_is_not_finite_and_positive(reference_pairs,
+                                                                         key, value):
+    p, pair = reference_pairs["hybrid"]
+    bad = JumpPair.from_dict({**pair.as_dict(), key: value})
+    with pytest.raises(ParameterDomainError, match="T0, T1 must be finite and positive"):
+        assemble_singular_orbit(bad, p)
 
 
 def test_assemble_rejects_inconsistent_pair(params_default, reference_pairs):

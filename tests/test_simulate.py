@@ -103,8 +103,9 @@ def test_closeness_of_orbit_to_itself(reference_orbits):
     p, pair, orbit = reference_orbits["hybrid"]
     fake = SimpleNamespace(times=orbit.times, states=orbit.states)
     assert closeness_check(fake, orbit) < 1e-12
-    with pytest.raises(ParameterDomainError):
-        closeness_check(fake, orbit, horizon=2.0 * orbit.period)
+    for horizon in (2.0 * orbit.period, math.nan, -1.0):
+        with pytest.raises(ParameterDomainError, match="outside the sampled times"):
+            closeness_check(fake, orbit, horizon=horizon)
 
 
 def test_trajectory_json_round_trip_is_bit_exact(tmp_path, params_default):
@@ -449,8 +450,16 @@ def test_chain_yields_each_run_before_integrating_the_next(monkeypatch, params_d
     ("max_step", -1.0), ("max_step", 0.0), ("max_step", math.nan), ("max_step", math.inf),
 ])
 def test_sim_config_requires_finite_positive_values(name, value):
-    with pytest.raises(ParameterDomainError, match=f"finite {name} > 0"):
+    with pytest.raises(ParameterDomainError,
+                       match="eps, t_end and max_step must be finite and positive"):
         SimConfig(**{"eps": 0.1, "t_end": 1.0, name: value})
+
+
+@pytest.mark.parametrize("n_samples", [1, 2.5, math.nan, "2000"])
+def test_sim_config_requires_a_whole_sample_count_of_at_least_two(n_samples):
+    with pytest.raises(ParameterDomainError, match="whole number of at least two"):
+        SimConfig(eps=0.1, t_end=1.0, n_samples=n_samples)
+    assert SimConfig(eps=0.1, t_end=1.0, n_samples=np.int64(2)).n_samples == 2
 
 
 @pytest.mark.parametrize("schedule", [
