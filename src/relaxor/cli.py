@@ -294,6 +294,7 @@ def _error_record(err: RelaxorError) -> dict:
     if isinstance(err, NonConvergenceError):
         record["residual"] = err.residual
         record["iterations"] = err.iterations
+        record["residual_evaluations"] = err.evaluations
         record["x"] = None if err.x is None else [float(v) for v in err.x]
     return record
 
@@ -307,6 +308,8 @@ def cmd_construct(args) -> dict:
     manifest = _Manifest(args, names)
     with manifest.phase("solve"):
         pair = solve_jump_points(args.pin, args.guess, params)
+    manifest.entry["newton_iterations"] = pair.iterations
+    manifest.entry["residual_evaluations"] = pair.residual_evaluations
     with manifest.phase("assemble"):
         orbit = assemble_singular_orbit(pair, params, samples_per_segment=args.samples)
 
@@ -338,6 +341,8 @@ def cmd_scan(args) -> dict:
     with manifest.phase("scan"):
         table = scan_family(params, (np.linspace(*grid1), np.linspace(*grid2)),
                             args.guess, pin_names=(name1, name2))
+    manifest.entry["newton_iterations"] = table.iterations
+    manifest.entry["residual_evaluations"] = table.residual_evaluations
 
     with manifest.phase("write"):
         json_path, csv_path, *svg_paths = manifest.claim(*names)

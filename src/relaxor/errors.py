@@ -69,13 +69,15 @@ class InconsistentEndpointsError(RelaxorError):
 class NonConvergenceError(RelaxorError):
     """Iterative solver failed to converge; carries last-iterate diagnostics.
 
-    The diagnostics that are set are appended to the message.
+    The diagnostics that are set, apart from the count of residual
+    ``evaluations`` spent, are appended to the message.
     """
 
-    def __init__(self, message, residual=None, iterations=None, x=None):
+    def __init__(self, message, residual=None, iterations=None, x=None, evaluations=None):
         self.residual = residual
         self.iterations = iterations
         self.x = x
+        self.evaluations = evaluations
         details = []
         if residual is not None:
             details.append(f"residual {residual:.3e}")

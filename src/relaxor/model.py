@@ -215,8 +215,7 @@ def full_rhs(s, p: Params, eps: float) -> np.ndarray:
         raise ParameterDomainError(
             "eps = 0 is the singular limit; use slow_rhs on M0/M1 and "
             "fast_heteroclinic for the layer dynamics instead")
-    if eps < 0.0:
-        raise ParameterDomainError(f"require eps > 0, got {eps}")
+    require_positive("eps", (eps,))
     return np.array(vector_field(p, eps)(0.0, _as_state4(s)))
 
 
@@ -227,6 +226,7 @@ def slow_rhs(s3, p: Params, man: ManifoldTag) -> np.ndarray:
     where the trait equation vanishes for any eps.
     """
     p1, p2, z = (float(v) for v in s3)
+    require_positive("densities p1, p2, z", (p1, p2, z))
     return np.array(vector_field(p, 1.0)(0.0, np.array([p1, p2, z, man.trait]))[:3])
 
 

@@ -23,6 +23,12 @@ The pure chart work below the existence residual -- the level-orbit
 extrema and each chart's half of the residual -- is memoized in small
 bounded caches on private helpers, keyed by the exact input floats; an
 exception is not cached, so a domain miss raises again on every call.
+
+The family scan is a predictor-corrector continuation: each grid point
+starts from the secant extrapolation of two converged points before it,
+and its first Newton step reuses the Jacobian its nearer neighbour
+converged with (Allgower and Georg, "Introduction to Numerical
+Continuation Methods", 1990).
 """
 
 from __future__ import annotations
@@ -249,9 +255,13 @@ class JumpPair:
     zb: float
     t0: float
     t1: float
-    # sup norm of the travel-time residuals at which solve_jump_points
-    # accepted the pair; NaN for a pair built any other way
+    # solver statistics of the solve that accepted the pair: the sup norm
+    # of its travel-time residuals, its Newton steps and its residual
+    # evaluations; NaN and None for a pair built any other way
     residual: float = field(default=math.nan, init=False, repr=False, compare=False)
+    iterations: int | None = field(default=None, init=False, repr=False, compare=False)
+    residual_evaluations: int | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @property
     def period(self) -> float:
@@ -348,17 +358,34 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     ``pinned`` fixes two of {p1A, p2A, zA, zB}; ``guess`` seeds the other
     two.  A damped Newton iteration with a forward-difference Jacobian
     drives the travel-time residuals below 1e-10 (sup norm) within 60 steps;
-    the returned pair carries that sup norm as ``residual``.  Each step
+    the returned pair carries that sup norm as ``residual``, the Newton
+    steps taken as ``iterations`` and the existence-residual evaluations
+    spent as ``residual_evaluations``.  Each step
     backtracks over at most 8 step lengths (down to 2**-7 of the Newton
     step): near a fold of the eliminations the iteration creeps, and it
     gives up there instead of paying for ever shorter steps.  An iterate
     outside the domain of the eliminations, the level orbits or the Lambert
     W branches counts as a failed trial step.
 
-    Raises NonConvergenceError with the last iterate's diagnostics if the
-    iteration fails; InadmissibleOrbitError if it converges to a point
-    violating the jump directions; ParameterDomainError for a pin or guess
-    that is not finite and positive.
+    Raises NonConvergenceError with the last iterate's diagnostics and the
+    evaluations spent if the iteration fails; InadmissibleOrbitError if it
+    converges to a point violating the jump directions; ParameterDomainError
+    for a pin or guess that is not finite and positive.
+    """
+    pair, _ = _newton(pinned, guess, p)
+    pair.check(p)
+    return pair
+
+
+def _newton(pinned: dict, guess: dict, p: Params,
+            jac: np.ndarray | None = None) -> tuple[JumpPair, np.ndarray | None]:
+    """Newton core of ``solve_jump_points``: the unchecked pair and its last Jacobian.
+
+    A given ``jac`` (a neighbour's converged Jacobian) drives the first
+    step at full length; if that step fails the descent test, the step is
+    taken again from a freshly differenced Jacobian at the same iterate.
+    The returned Jacobian is the one the last step was taken with, or
+    ``jac`` if the guess needed no step.
     """
     pinned_names = tuple(pinned)
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pinned_names)
@@ -368,14 +395,21 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
             f"got pinned={sorted(pinned)}, guess={sorted(guess)}")
     require_positive("pinned and guessed coordinates", [*pinned.values(), *guess.values()])
 
+    def descends(r_new, norm: float, lam: float) -> bool:
+        return r_new is not None and np.max(np.abs(r_new)) < norm * (1.0 - 1e-4 * lam)
+
     def unknowns(x: np.ndarray) -> list:
         vals = dict(pinned)
         vals.update(zip(free_names, x))
         return [vals[n] for n in UNKNOWN_NAMES]
 
+    evaluations = 0
+
     def residual(x: np.ndarray):
+        nonlocal evaluations
         if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
             return None
+        evaluations += 1
         try:
             return np.array(existence_residual(*unknowns(x), p))
         except (NoSolutionError, OffOrbitError, DegenerateOrbitError, BranchDomainError):
@@ -384,15 +418,26 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     x = np.array([guess[n] for n in free_names], dtype=float)
     r = residual(x)
     if r is None:
-        raise NonConvergenceError("initial guess is outside the solvable domain", x=x)
+        raise NonConvergenceError("initial guess is outside the solvable domain", x=x,
+                                  evaluations=evaluations)
 
+    stale = jac
     for iteration in range(_MAX_ITER):
         norm = np.max(np.abs(r))
         if norm < _SOLVE_TOL:
             pair = _pair_from_unknowns(*unknowns(x), p)
-            pair.check(p)
-            object.__setattr__(pair, "residual", float(norm))
-            return pair
+            for name, value in (("residual", float(norm)), ("iterations", iteration),
+                                ("residual_evaluations", evaluations)):
+                object.__setattr__(pair, name, value)
+            return pair, jac
+
+        if stale is not None:
+            x_new = x + np.linalg.solve(stale, -r)
+            r_new = residual(x_new)
+            stale = None
+            if descends(r_new, norm, 1.0):
+                x, r = x_new, r_new
+                continue
 
         jac = np.empty((2, 2))
         for k in range(2):
@@ -407,28 +452,28 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
             else:
                 raise NonConvergenceError(
                     "cannot difference the residual at the current iterate",
-                    residual=norm, iterations=iteration, x=x)
+                    residual=norm, iterations=iteration, x=x, evaluations=evaluations)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            raise NonConvergenceError("singular Jacobian", residual=norm,
-                                      iterations=iteration, x=x) from None
+            raise NonConvergenceError("singular Jacobian", residual=norm, iterations=iteration,
+                                      x=x, evaluations=evaluations) from None
 
         lam = 1.0
         for _ in range(_MAX_TRIALS):
             x_new = x + lam * delta
             r_new = residual(x_new)
-            if r_new is not None and np.max(np.abs(r_new)) < norm * (1.0 - 1e-4 * lam):
+            if descends(r_new, norm, lam):
                 x, r = x_new, r_new
                 break
             lam *= 0.5
         else:
-            raise NonConvergenceError(
-                "line search stalled", residual=norm, iterations=iteration, x=x)
+            raise NonConvergenceError("line search stalled", residual=norm,
+                                      iterations=iteration, x=x, evaluations=evaluations)
 
     raise NonConvergenceError("no convergence within the iteration budget",
                               residual=float(np.max(np.abs(r))),
-                              iterations=_MAX_ITER, x=x)
+                              iterations=_MAX_ITER, x=x, evaluations=evaluations)
 
 
 def trait_pressure_balance(j: JumpPair, p: Params) -> tuple[float, float]:
@@ -484,10 +529,17 @@ class FamilyRow:
 
 @dataclass
 class FamilyTable:
-    """Converged, admissible jump pairs over a grid of the pinned parameters."""
+    """Converged, admissible jump pairs over a grid of the pinned parameters.
+
+    ``iterations`` and ``residual_evaluations`` total the Newton steps and
+    existence-residual evaluations of every solve the scan made, failed
+    solves included.
+    """
 
     pin_names: tuple[str, str]
     rows: list[FamilyRow] = field(default_factory=list)
+    iterations: int = 0
+    residual_evaluations: int = 0
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -517,50 +569,81 @@ class FamilyTable:
 
 def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict,
                 pin_names: tuple[str, str] = ("p1A", "zA")) -> FamilyTable:
-    """Continuation scan of the orbit family over a grid of pinned values.
+    """Predictor-corrector continuation of the orbit family over a grid of pinned values.
 
-    Grid points are visited in a serpentine order; each solve is seeded
-    with the free coordinates of the nearest previously converged
-    neighbor (falling back to ``seed_guess``).  Only converged, admissible
-    jump pairs become rows; an empty table is a valid outcome.  Each point
-    without a row is logged at INFO with its pins, the number of seeds
-    tried and the last error.  Rows are ordered by grid index regardless
-    of the visit order.  Invalid input, such as a nonpositive pin or a
-    misnamed guess, raises ParameterDomainError instead of dropping grid
-    points.
+    Grid points are visited in a serpentine order.  Each point is first
+    solved from a predicted guess, the secant extrapolation 2 x1 - x2 of
+    the free coordinates of the two points before it in its row's
+    visiting order, or else of the two points before it in its column;
+    the prediction needs both to have converged and is skipped unless
+    positive.  Next come the free coordinates of each previously
+    converged neighbor, then ``seed_guess``.  A solve seeded from
+    converged points (x1 for the prediction) takes its first Newton step
+    with the Jacobian of their last step, and differences a fresh one
+    at the same iterate if that step does not descend; a solve from
+    ``seed_guess`` runs exactly as ``solve_jump_points``.  Only
+    converged, admissible jump pairs become rows; an empty table is a
+    valid outcome.  Each point without a row is logged at INFO with its
+    pins, the number of seeds tried and the last error.  Rows are ordered
+    by grid index regardless of the visit order, and the table totals the
+    solver work of the whole grid.  Invalid input, such as a nonpositive
+    pin or a misnamed guess, raises ParameterDomainError instead of
+    dropping grid points.
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
-    solutions: dict[tuple[int, int], FamilyRow] = {}
+    # converged points: their free coordinates and the Jacobian of their last step
+    solved: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+    table = FamilyTable(pin_names)
+    rows: dict[tuple[int, int], FamilyRow] = {}
+
+    def prediction(i: int, j: int, back: int):
+        """(secant guess, x1's Jacobian) at (i, j), or None."""
+        for n1, n2 in (((i, j - back), (i, j - 2 * back)), ((i - 1, j), (i - 2, j))):
+            if n1 in solved and n2 in solved:
+                x1, jac = solved[n1]
+                x = 2.0 * x1 - solved[n2][0]
+                return (dict(zip(free_names, x.tolist())), jac) if np.all(x > 0.0) else None
+        return None
 
     for i, v1 in enumerate(values1):
-        j_order = range(len(values2)) if i % 2 == 0 else reversed(range(len(values2)))
+        back = 1 if i % 2 == 0 else -1  # step from a point to the one visited before it
+        j_order = range(len(values2)) if back == 1 else reversed(range(len(values2)))
         for j in j_order:
             v2 = values2[j]
-            seeds = []
-            for ni, nj in ((i, j - 1), (i, j + 1), (i - 1, j)):
-                row = solutions.get((ni, nj))
-                if row is not None:
-                    d = row.jump.as_dict()
-                    seeds.append({k: d[k] for k in free_names})
-            seeds.append(dict(seed_guess))
+            predicted = prediction(i, j, back)
+            seeds = [] if predicted is None else [predicted]
+            for n in ((i, j - 1), (i, j + 1), (i - 1, j)):
+                if n in solved:
+                    x, jac = solved[n]
+                    seeds.append((dict(zip(free_names, x.tolist())), jac))
+            seeds.append((dict(seed_guess), None))
             pinned = {pin_names[0]: float(v1), pin_names[1]: float(v2)}
-            for guess in seeds:
+            for guess, jac in seeds:
                 try:
-                    pair = solve_jump_points(pinned, guess, p)
+                    pair, jac = _newton(pinned, guess, p, jac)
+                    table.iterations += pair.iterations
+                    table.residual_evaluations += pair.residual_evaluations
+                    pair.check(p)
                 except (NonConvergenceError, InadmissibleOrbitError,
                         InconsistentEndpointsError, NoSolutionError,
                         DegenerateOrbitError) as err:
+                    if isinstance(err, NonConvergenceError):
+                        table.iterations += err.iterations or 0
+                        table.residual_evaluations += err.evaluations
                     # text, not the error: its traceback would hold this frame
                     last_error = f"{type(err).__name__}: {err}"
                     continue
-                solutions[(i, j)] = FamilyRow(r=p.r, m=p.m, pinned=pinned, jump=pair)
+                rows[(i, j)] = FamilyRow(r=p.r, m=p.m, pinned=pinned, jump=pair)
+                d = pair.as_dict()
+                solved[(i, j)] = np.array([d[k] for k in free_names]), jac
                 break
             else:
                 _log.info("scan point %s: no row after %d seeds; last error %s",
                           pinned, len(seeds), last_error)
 
-    return FamilyTable(pin_names, [row for _, row in sorted(solutions.items())])
+    table.rows = [row for _, row in sorted(rows.items())]
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,39 @@ def test_manifest_records_solver_statistics_of_each_run(tmp_path, capsys, monkey
         assert isinstance(steps, int) and 12 * steps + 2 <= rhs_evals
 
 
+def test_construct_and_scan_manifests_record_the_newton_work(tmp_path, capsys, monkeypatch):
+    # existence-residual calls counted by a wrapper on the orbit module's binding
+    calls = []
+    residual = relaxor.orbit.existence_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(relaxor.orbit, "existence_residual", counted)
+    out = tmp_path / "runs"
+    assert run("construct", "--seed", "hybrid", "--samples", "20", "--out", str(out)) == 0
+    construct_calls = len(calls)
+    capsys.readouterr()
+    # zA = 1.19 is a give-up: every seed tried there fails
+    assert run("scan", "--pin1", "p1A=1.85:1.85:1", "--pin2", "zA=1.33:1.19:2",
+               "--out", str(out)) == 0
+    scan_calls = len(calls) - construct_calls
+    assert json.loads(capsys.readouterr().out)["rows"] == 1
+    construct, scan = json.loads((out / "manifest.json").read_text())["runs"]
+
+    p, seed = relaxor.Params(0.5, 0.4), SEEDS["hybrid"]
+    pair = relaxor.solve_jump_points(seed["pin"], seed["guess"], p)
+    assert construct["residual_evaluations"] == construct_calls == pair.residual_evaluations
+    assert construct["newton_iterations"] == pair.iterations > 0
+    table = relaxor.scan_family(p, (np.array([1.85]), np.array([1.33, 1.19])), seed["guess"])
+    assert scan["residual_evaluations"] == scan_calls == table.residual_evaluations
+    assert scan["newton_iterations"] == table.iterations
+    # the failed solves at zA = 1.19 are counted too
+    [row] = table.rows
+    assert row.jump.residual_evaluations < scan_calls
+
+
 def test_scan_single_point(tmp_path, capsys):
     out = tmp_path / "scan"
     assert run("scan", "--r", "0.5", "--m", "0.4",
@@ -912,6 +945,8 @@ def test_failed_runs_record_their_error_in_the_manifest(tmp_path, capsys):
     error = construct["error"]
     assert error["class"] == "NonConvergenceError"
     assert isinstance(error["iterations"], int) and error["iterations"] > 0
+    assert isinstance(error["residual_evaluations"], int)
+    assert error["residual_evaluations"] > 3 * error["iterations"]
     assert len(error["x"]) == 2 and all(isinstance(v, float) for v in error["x"])
     assert f"residual {error['residual']:.3e}" in error["message"]
     assert f"iterations {error['iterations']}" in error["message"]

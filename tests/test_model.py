@@ -118,11 +118,28 @@ def test_full_rhs_rejects_singular_limit():
 
 def test_full_rhs_rejects_negative_eps_and_a_state_that_is_not_4_components():
     p = Params(0.5, 0.4)
-    with pytest.raises(ParameterDomainError, match=r"require eps > 0, got -0.1"):
+    with pytest.raises(ParameterDomainError, match="eps must be finite and positive"):
         full_rhs(np.array([1, 1, 1, 0.5]), p, eps=-0.1)
     for state in ((1.0, 1.0, 1.0), np.ones((2, 4))):
         with pytest.raises(ParameterDomainError, match="expected a 4-component state"):
             full_rhs(state, p, eps=0.1)
+
+
+def test_full_rhs_refuses_every_eps_that_is_not_finite_and_positive():
+    # eps = 0 keeps its own message, which names slow_rhs
+    p = Params(0.5, 0.4)
+    for eps in (np.nan, np.inf, -np.inf, -0.1, -0.0):
+        message = "slow_rhs" if eps == 0.0 else "eps must be finite and positive"
+        with pytest.raises(ParameterDomainError, match=message):
+            full_rhs(State(1.2, 0.9, 1.4, 0.5), p, eps)
+
+
+def test_slow_rhs_refuses_a_density_that_is_not_finite_and_positive():
+    p = Params(0.5, 0.4)
+    for man in ManifoldTag:
+        for s3 in ((np.nan, -1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, np.inf), (-0.5, 1.0, 1.0)):
+            with pytest.raises(ParameterDomainError, match="densities p1, p2, z must be finite"):
+                slow_rhs(s3, p, man)
 
 
 def test_vector_field_bitwise_equals_numpy_scalar_formula():

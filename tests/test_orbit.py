@@ -432,6 +432,18 @@ def test_solver_at_converged_point_returns_immediately(reference_pairs, monkeypa
                               {"p2A": pair.p2a, "zB": pair.zb}, p)
     assert len(calls) == 1
     assert again.p2b == pytest.approx(pair.p2b, rel=1e-10)
+    assert (again.iterations, again.residual_evaluations) == (0, 1)
+
+
+def test_solver_reports_its_newton_work(residual_calls):
+    pair = solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, Params(0.5, 0.4))
+    assert pair.residual_evaluations == len(residual_calls)
+    # each step differences two columns and tries at least one step length
+    assert 1 <= pair.iterations and 3 * pair.iterations + 1 <= pair.residual_evaluations
+    # a pair built any other way has no statistics, and they are not compared
+    built = JumpPair.from_dict(pair.as_dict())
+    assert (built.iterations, built.residual_evaluations) == (None, None)
+    assert built == pair and "iterations" not in repr(pair)
 
 
 @pytest.mark.parametrize("name,tol", [("predpreyprey", 0.02), ("predp2", 0.02),
@@ -550,7 +562,9 @@ def test_solver_gives_up_at_the_fold_within_its_line_search_budget(residual_call
         solve_jump_points({"p1A": 1.55, "zA": 1.33}, {"p2A": 0.49, "zB": 1.40},
                           Params(0.5, 0.4))
     assert len(residual_calls) <= 45
+    assert err.value.evaluations == len(residual_calls)
     assert err.value.residual > 1e-10 and err.value.iterations >= 1
+    assert "evaluations" not in str(err.value)
     assert len(err.value.x) == 2
     for item in ("residual ", "iterations ", "x ["):
         assert item in str(err.value)
@@ -644,17 +658,84 @@ def test_scan_rows_pass_residual_recheck(params_default):
 
 def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
     # a machine-independent work guard: the 4x4 grid of the scan benchmark,
-    # with its 4 give-ups, in at most 220 residual evaluations
+    # with its 4 give-ups, in at most 195 residual evaluations (192 measured;
+    # zeroth-order continuation took 220)
     table = scan_family(params_default,
                         (np.linspace(1.55, 2.45, 4), np.linspace(1.19, 1.61, 4)),
                         {"p2A": 0.49, "zB": 1.40})
     assert len(table) == 12
-    assert len(residual_calls) <= 220
+    assert len(residual_calls) <= 195
+    # the table totals every solve, the failed ones included
+    assert table.residual_evaluations == len(residual_calls)
+    assert 0 < table.iterations < table.residual_evaluations
     # the residual column is the one the solver converged on
     for row in table.rows:
         d = row.jump.as_dict()
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
         assert row.jump.residual == float(np.max(np.abs(res)))
+
+
+_NEWTON = orbit_module._newton
+
+
+def _recording_newton(monkeypatch, change_jac=None):
+    """Record each scan solve as (pins, guess, Jacobian handed in, Jacobian returned).
+
+    ``change_jac`` replaces a handed-in Jacobian before the solve uses it.
+    """
+    solves = []
+
+    def recorded(pinned, guess, p, jac=None):
+        solve = [dict(pinned), dict(guess), jac, None]
+        solves.append(solve)
+        if jac is not None and change_jac is not None:
+            jac = change_jac(jac)
+        pair, solve[3] = _NEWTON(pinned, guess, p, jac)
+        return pair, solve[3]
+
+    monkeypatch.setattr(orbit_module, "_newton", recorded)
+    return solves
+
+
+def test_scan_seeds_a_row_point_with_the_secant_prediction(params_default, monkeypatch):
+    solves = _recording_newton(monkeypatch)
+    table = scan_family(params_default, (np.array([2.15]), np.array([1.40, 1.47, 1.54])),
+                        {"p2A": 0.49, "zB": 1.40})
+    assert len(table) == 3 and len(solves) == 3
+    first, second, _ = (row.jump for row in table.rows)
+    # the first point starts from the guess, the second from the first's
+    # coordinates and Jacobian, the third from 2 x1 - x2 and x1's Jacobian
+    assert solves[0][1:3] == [{"p2A": 0.49, "zB": 1.40}, None]
+    assert solves[1][1] == {"p2A": first.p2a, "zB": first.zb}
+    assert solves[1][2] is solves[0][3]
+    assert solves[2][0] == {"p1A": 2.15, "zA": 1.54}
+    assert solves[2][1] == {"p2A": 2.0 * second.p2a - first.p2a,
+                            "zB": 2.0 * second.zb - first.zb}
+    assert solves[2][2] is solves[1][3]
+
+
+def test_scan_falls_back_to_a_fresh_jacobian_when_the_reused_one_does_not_descend(
+        params_default, monkeypatch):
+    # a reversed Jacobian turns the first step uphill: the solve then takes
+    # the iterates of a solve that reuses no Jacobian, at one more evaluation
+    grid = (np.linspace(2.15, 2.45, 2), np.linspace(1.33, 1.61, 3))
+    seed = {"p2A": 0.49, "zB": 1.40}
+    cold = _recording_newton(monkeypatch, change_jac=lambda jac: None)
+    cold_table = scan_family(params_default, grid, seed)
+    _recording_newton(monkeypatch, change_jac=lambda jac: -jac)
+    reversed_table = scan_family(params_default, grid, seed)
+    # a point's last solve is the one that gave its row
+    last_cold = {tuple(pinned.values()): (guess, jac) for pinned, guess, jac, _ in cold}
+    assert sum(jac is not None for guess, jac in last_cold.values()) == 5
+    assert len(reversed_table) == len(cold_table) == 6
+    for fallback, row in zip(reversed_table.rows, cold_table.rows):
+        guess, reused = last_cold[tuple(row.pinned.values())]
+        assert fallback.jump == row.jump
+        assert fallback.jump.iterations == row.jump.iterations
+        assert (fallback.jump.residual_evaluations
+                == row.jump.residual_evaluations + (reused is not None))
+        # and the same pair as solve_jump_points from that guess
+        assert solve_jump_points(row.pinned, guess, params_default) == row.jump
 
 
 def test_scan_logs_each_point_without_a_row(caplog, params_default):
