@@ -48,24 +48,39 @@ class Branch(enum.Enum):
         return "W0" if self is Branch.PRINCIPAL else "W-1"
 
 
+# each branch's scipy index as the C ``long`` the ufunc takes: a scalar call
+# with a ready 0-d array skips a conversion
+_LONG_INDEX = {b: np.asarray(b.value, dtype=np.dtype("long")) for b in Branch}
+
+
+def _lambertw_ufunc():
+    """The compiled ufunc behind ``scipy.special.lambertw``.
+
+    The loader's cache makes the lookup one dictionary read per call.
+    """
+    return scipy_module("special._special_ufuncs", "_lambertw")._lambertw
+
+
 def _scipy_lambertw(x, k):
     """``scipy.special.lambertw(x, k).real``, without the ``scipy.special`` package.
 
     Calls the ufunc that wrapper calls, with the same arguments: ``k`` as a
-    C ``long`` array and its default ``tol = 1e-8``.  The loader's cache
-    makes the lookup of the ufunc one dictionary read per call.
+    C ``long`` array and its default ``tol = 1e-8``.
     """
-    ufunc = scipy_module("special._special_ufuncs", "_lambertw")._lambertw
-    return ufunc(x, np.asarray(k, dtype=np.dtype("long")), 1e-8).real
+    return _lambertw_ufunc()(x, np.asarray(k, dtype=np.dtype("long")), 1e-8).real
 
 
 def _series_plus_one(lower, s: np.ndarray) -> np.ndarray:
     """Branch-point series for ``W(-(1-s)/e) + 1``, exact to ~1e-15 for s < 1e-4."""
-    # W(-1/e + p^2/(2e)) + 1 = p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
-    # with p signed: positive for W0, negative for W-1 (``lower``).  Clipping
-    # keeps the values finite where the caller selects scipy's instead.
+    # Clipping keeps the values finite where the caller selects scipy's instead.
     p = np.sqrt(2.0 * np.minimum(s, _SERIES_CUTOFF))
-    p = np.where(lower, -p, p)
+    return _series_in_p(np.where(lower, -p, p))
+
+
+def _series_in_p(p):
+    # W(-1/e + p^2/(2e)) + 1 = p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
+    # with p signed: positive for W0, negative for W-1.  The same operations
+    # on a float and on an array element give the same bits.
     return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
                 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0
                 + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0)))))))
@@ -127,8 +142,12 @@ def w_plus_one(branch, s):
 
     ``branch`` is a ``Branch`` or an array of scipy branch indices
     (0 for W0, -1 for W-1) broadcast against ``s``.  Positive on the
-    principal branch, negative on the lower branch.
+    principal branch, negative on the lower branch.  A ``Branch`` with a
+    float ``s`` in [0, 1) is answered on floats, several times faster
+    than through arrays and bitwise the same.
     """
+    if isinstance(branch, Branch) and isinstance(s, float) and 0.0 <= s < 1.0:
+        return _w_plus_one_float(branch, s)
     k = branch.value if isinstance(branch, Branch) else np.asarray(branch)
     s = np.maximum(np.asarray(s, dtype=float), 0.0)
     # Negative s is clipped above, so only the far end of the domain can be
@@ -150,3 +169,16 @@ def w_plus_one(branch, s):
     if near.any():
         out = np.where(near, _series_plus_one(k == Branch.LOWER.value, s), out)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _w_plus_one_float(branch: Branch, s: float) -> float:
+    """``w_plus_one`` of one offset in [0, 1), on floats: bitwise the array path.
+
+    The array path's operations, on one element, without its array
+    conversions and masks; the ufunc's scalar call runs the same compiled
+    loop.
+    """
+    if s < _SERIES_CUTOFF:
+        p = math.sqrt(2.0 * s)
+        return _series_in_p(-p if branch is Branch.LOWER else p)
+    return float(_lambertw_ufunc()((s - 1.0) / _E, _LONG_INDEX[branch], 1e-8).real) + 1.0

@@ -14,10 +14,13 @@ Both Lotka-Volterra charts -- (p1, z) around (1, 1) on q = 1 and (p2, z)
 around (1, r) on q = 0 -- share one set of functions that take the
 manifold tag; ``_chart`` gives the tag's predator center level ``sigma``
 and prey exponent ``mu = m / sigma``.  Level curves are inverted in
-closed form with the Lambert W function; travel times are integrals with
-inverse-square-root singularities at the extremal prey values, evaluated
-in the flow phase of the level orbit with one fixed Gauss-Legendre rule
-per half orbit under the sine map that cancels those singularities.
+closed form with the Lambert W function; travel times are integrals in
+log prey with inverse-square-root singularities at the extremal prey
+values, evaluated in the flow phase of the level orbit with one fixed
+Gauss-Legendre rule per half orbit under the sine map that cancels those
+singularities.  In ln p the 1/p factor of dp / p is gone, so the rule
+keeps its accuracy on large level orbits, whose prey minimum may be 1e-8
+of the maximum.
 
 The pure chart work below the existence residual -- the level-orbit
 extrema and each chart's half of the residual -- is memoized in small
@@ -93,9 +96,10 @@ def _phi(p):
     return np.log(p) - p
 
 
-def _dphi(p_end: float, offset):
-    # phi(p_end) - phi(p_end + offset), accurate for tiny offsets
-    return -np.log1p(offset / p_end) + offset
+def _dphi(p_end: float, delta):
+    # phi(p_end) - phi(p) at the log offset delta = ln p - ln p_end, accurate
+    # for tiny offsets
+    return p_end * np.expm1(delta) - delta
 
 
 def _chart(man: ManifoldTag, p: Params) -> tuple[float, float]:
@@ -111,7 +115,10 @@ def _g_prey(sigma: float, mu: float, a: Anchor, z: float) -> float:
     """log(e * |W argument|) for the prey inversion at predator level ``z``."""
     ya = a.z / sigma
     yb = z / sigma
-    return 1.0 + _phi(a.p) + (math.log(ya / yb) + yb - ya) / mu
+    # 1 + phi(a.p) and the predator term as logs less differences, which
+    # round no sum to 1 first: near the chart's centre g keeps its relative
+    # accuracy, and so do the extrema's offsets from 1
+    return (math.log(a.p) - (a.p - 1.0)) + (math.log(ya / yb) - (ya - yb)) / mu
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +151,19 @@ def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
     sigma, mu = _chart(man, p)
-    s = -math.expm1(min(_g_prey(sigma, mu, a, sigma), 0.0))
+    g = min(_g_prey(sigma, mu, a, sigma), 0.0)
+    s = -math.expm1(g)
     if s <= _DEGENERATE_TOL:
         raise DegenerateOrbitError(f"anchor ({a.p}, {a.z}) sits at the center of the "
                                    "chart; the level orbit degenerates to a point")
-    pmin, pmax = 1.0 - w_plus_one(_EXTREMA_BRANCHES, s)
-    if pmin <= 0.0:
-        raise NoSolutionError(
-            f"the prey minimum of the level orbit through ({a.p}, "
-            f"{a.z}) underflows to 0")
-    return float(pmin), float(pmax)
+    w_min, w_max = w_plus_one(_EXTREMA_BRANCHES, s)
+    # 1 - w_min cancels as pmin -> 0, and 1 - w_max inherits the rounding of
+    # s - 1 as pmax grows.  Both extrema solve ln p - (p - 1) = g: pmin =
+    # exp(g - w_min) shrinks the absolute error of 1 - w_min by the factor
+    # pmin, and one Newton step on that equation mends pmax.  W-1 has
+    # refused s = 1, so g > -38 and pmin > 0.
+    hi = float(1.0 - w_max)
+    return math.exp(g - w_min), hi - hi * (math.log(hi) - (hi - 1.0) - g) / (1.0 - hi)
 
 
 def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> float:
@@ -179,14 +189,14 @@ def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, 
     """Time along the first-arrival route on the level orbit through ``anchor``.
 
     A point's flow phase phi in [0, 2 pi) grows along the flow, with
-    p = c - h cos(phi) over the extrema [pmin, pmax]: the lower half
-    (z < sigma, W0) runs over [0, pi] and the upper half (W-1) over
-    [pi, 2 pi], so an end at an extremum has one phase whichever half
-    it is filed under.  The route runs from the start's phase a up to
-    the first phase b of the end; an end less than 1e-12 upstream of
-    the start counts as reached.  The time is one integral of
-    dp / (sigma w p) over [a, b], with w = 1 - z/sigma taken on W0
-    where sin(phi) > 0 and on W-1 where sin(phi) < 0.
+    ln p = c - h cos(phi) over the log extrema [ln pmin, ln pmax]: the
+    lower half (z < sigma, W0) runs over [0, pi] and the upper half (W-1)
+    over [pi, 2 pi], so an end at an extremum has one phase whichever half
+    it is filed under.  The route runs from the start's phase a up to the
+    first phase b of the end; an end less than 1e-12 upstream of the start
+    counts as reached.  The time is one integral of du / (sigma w) over
+    [a, b] in u = ln p, with w = 1 - z/sigma taken on W0 where sin(phi) > 0
+    and on W-1 where sin(phi) < 0.
     """
     sigma, mu = _chart(man, p)
     pmin, pmax = _extrema(man, anchor, p)
@@ -201,14 +211,14 @@ def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, 
     if b - a > _TWO_PI - 1e-12:
         b -= _TWO_PI
 
-    def integrand(x, d_lo, d_hi, half):
+    def integrand(d_lo, d_hi, half):
         # g vanishes at both extrema; take it from the nearer one
         near_min = d_lo <= d_hi
         g = mu * _dphi(np.where(near_min, pmin, pmax), np.where(near_min, d_lo, -d_hi))
-        s = -np.expm1(np.minimum(g, 0.0))
-        return 1.0 / (sigma * w_plus_one(-(half % 2), s) * x)
+        # w_plus_one clips the few ulps of s < 0 that rounding may leave
+        return 1.0 / w_plus_one(-(half % 2), -np.expm1(g))
 
-    return sine_gauss(integrand, pmin, pmax, a, b)
+    return sine_gauss(integrand, pmin, pmax, a, b) / sigma
 
 
 def _travel_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, float],

@@ -195,3 +195,28 @@ def test_w_plus_one_signs_and_zero():
     assert w_plus_one(Branch.LOWER, 0.0) == 0.0
     assert w_plus_one(Branch.PRINCIPAL, 1e-6) > 0.0
     assert w_plus_one(Branch.LOWER, 1e-6) < 0.0
+
+
+def test_w_plus_one_float_path_is_bitwise_its_array_path():
+    # a Branch with a float offset in [0, 1) is answered on floats
+    rng = np.random.default_rng(7)
+    s = np.concatenate([rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-20.0, -4.0, 2000),
+                        [0.0, 9.999e-5, 1e-4, np.nextafter(1.0, 0.0)]])
+    for branch in Branch:
+        along = w_plus_one(branch, s)
+        alone = [w_plus_one(branch, float(offset)) for offset in s]
+        assert all(type(value) is float for value in alone)
+        assert np.array_equal(alone, along)
+
+
+@pytest.mark.parametrize("offset", [1.0, 1.5, math.inf, math.nan, -0.25])
+def test_w_plus_one_float_path_keeps_the_array_path_domain(offset):
+    for branch in Branch:
+        try:
+            want = w_plus_one(branch, np.array([offset]))[0]
+        except BranchDomainError as err:
+            with pytest.raises(BranchDomainError) as got:
+                w_plus_one(branch, offset)
+            assert (got.value.branch, str(got.value)) == (err.branch, str(err))
+        else:
+            assert w_plus_one(branch, offset) == want

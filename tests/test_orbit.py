@@ -17,6 +17,7 @@ from relaxor import (
 from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1, slow_rhs
 import relaxor.orbit as orbit_module
+import relaxor.quadrature as quadrature_module
 from relaxor.orbit import _chart, _route_time
 from relaxor.cli import SEEDS
 from conftest import BALANCED_GUESS, REFERENCE_ORBITS
@@ -133,6 +134,24 @@ def test_extrema_m0_level_residual_and_fixed_point():
         extrema(M0, Anchor(1.0, p.r), p)
 
 
+@pytest.mark.parametrize("man", [M1, M0])
+def test_extrema_match_high_precision_on_large_and_near_degenerate_levels(man):
+    # through (pmax, sigma) up to pmax 30, where pmin is 3e-12 and 1 - (W0 + 1)
+    # would cancel, and next to the centre, where the series serves
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = Params(0.5, 0.4)
+    sigma, mu = _chart(man, p)
+    anchors = [Anchor(pmax, sigma) for pmax in (2.0, 5.0, 8.0, 12.0, 20.0, 30.0)]
+    anchors += [Anchor(1.0 + 2e-6, sigma), Anchor(1.0, 1.00001 * sigma)]
+    for a in anchors:
+        ya = mpmath.mpf(a.z) / mpmath.mpf(sigma)
+        level = mpmath.log(a.p) - a.p + (mpmath.log(ya) + 1 - ya) / mpmath.mpf(mu)
+        # ln p - p = level at both extrema: p = -W(-e^level) on W0 and W-1
+        want = [float(-mpmath.lambertw(-mpmath.exp(level), k).real) for k in (0, -1)]
+        assert extrema(man, a, p) == pytest.approx(want, rel=1e-14, abs=0.0), a
+
+
 # -------------------------------------------------------------- eliminations
 
 def test_eliminate_p2b_identity_case():
@@ -189,8 +208,12 @@ def test_eliminate_no_solution_beyond_reach():
 
 # -------------------------------------------------------------- travel times
 
-def _ode_first_arrival(man, p, start, end, t_max=60.0):
-    """Event-stopped integration of the planar slow flow (oracle)."""
+def _ode_first_arrival(man, p, start, end, t_max=60.0, **ivp):
+    """Event-stopped integration of the planar slow flow (oracle).
+
+    ``ivp`` overrides ``solve_ivp``'s method and tolerances (RK45 at
+    rtol = atol = 1e-12).
+    """
     if man is ManifoldTag.M1:
         rhs = lambda t, y: [(1 - y[1]) * y[0], (y[0] - 1) * p.m * y[1]]
         flow_at = lambda y: np.array([(1 - y[1]) * y[0], (y[0] - 1) * p.m * y[1]])
@@ -206,7 +229,8 @@ def _ode_first_arrival(man, p, start, end, t_max=60.0):
 
     crossing.direction = 0.0
     sol = solve_ivp(rhs, (0.0, t_max), np.asarray(start, dtype=float),
-                    events=crossing, rtol=1e-12, atol=1e-12, dense_output=True)
+                    events=crossing, dense_output=True,
+                    **{"rtol": 1e-12, "atol": 1e-12, **ivp})
     scale = np.linalg.norm(target)
     for t_event, y_event in zip(sol.t_events[0], sol.y_events[0]):
         if t_event > 1e-9 and np.linalg.norm(y_event - target) < 1e-3 * scale:
@@ -287,6 +311,35 @@ def test_half_orbit_time_matches_tight_ode_oracle(man, anchor):
     t_ode = min(t for t in sol.t_events[0] if t > 1e-6)
     assert t_route == pytest.approx(t_ode, rel=1e-11)
     assert t_public == pytest.approx(t_ode, rel=1e-11)
+
+
+# periods of the M1 level orbits through (pmax, 1) at (r, m) = (0.5, 0.4):
+# DOP853 in (ln p1, ln z) at rtol = atol = 1e-13
+M1_LARGE_PERIODS = {8.0: 15.989508805, 12.0: 20.351877865, 20.0: 29.033364806}
+
+
+def _period(man, a, p):
+    sigma, _ = _chart(man, p)
+    pmin, pmax = extrema(man, a, p)
+    lo, hi = (pmin, sigma), (pmax, sigma)
+    return _route_time(man, lo, hi, a, p) + _route_time(man, hi, lo, a, p)
+
+
+@pytest.mark.parametrize("pmax", sorted(M1_LARGE_PERIODS))
+def test_m1_period_of_a_large_level_orbit_matches_the_ode(pmax):
+    # pmin is 2.7e-3, 7.4e-5 and 4.1e-8: a spike of 1/p in prey, none in ln p
+    period = _period(M1, Anchor(pmax, 1.0), Params(0.5, 0.4))
+    assert period == pytest.approx(M1_LARGE_PERIODS[pmax], rel=1e-10)
+
+
+@pytest.mark.parametrize("pmax", sorted(M1_LARGE_PERIODS))
+def test_m0_period_of_a_large_level_orbit_matches_the_ode(pmax):
+    p = Params(0.5, 0.4)
+    start = (pmax, p.r)
+    # relative error control only: pmin falls to 1e-9 of pmax
+    t_ode = _ode_first_arrival(M0, p, start, start, method="DOP853", rtol=1e-13,
+                               atol=1e-300)
+    assert _period(M0, Anchor(*start), p) == pytest.approx(t_ode, rel=1e-10)
 
 
 def _random_level(rng, p):
@@ -521,7 +574,7 @@ def test_solve_on_warm_memos_equals_a_cold_solve(name):
 
 
 @pytest.mark.parametrize("p2a,miss", [
-    (1e-16, NoSolutionError),    # the prey minimum of the level through A underflows to 0
+    (1e-200, NoSolutionError),   # the W-1 elimination of p2B leaves (0, inf)
     (3e-17, BranchDomainError),  # the W-1 extremum of that level is out of reach
 ])
 def test_solver_counts_a_domain_miss_as_a_miss(p2a, miss):
@@ -736,6 +789,21 @@ def test_scan_falls_back_to_a_fresh_jacobian_when_the_reused_one_does_not_descen
                 == row.jump.residual_evaluations + (reused is not None))
         # and the same pair as solve_jump_points from that guess
         assert solve_jump_points(row.pinned, guess, params_default) == row.jump
+
+
+def test_wide_box_scan_yields_only_true_rows(params_default, monkeypatch):
+    # p1A up to 12 reaches level orbits with prey minima near 5e-5; every row
+    # must still be an orbit under a rule of 4x the nodes
+    table = scan_family(params_default, (np.linspace(2.6, 12.0, 10), np.linspace(1.0, 1.68, 6)),
+                        SEEDS["hybrid"]["guess"])
+    assert len(table) > 50
+    nodes, weights = np.polynomial.legendre.leggauss(4 * quadrature_module._NODES.size)
+    monkeypatch.setattr(quadrature_module, "_NODES", nodes)
+    monkeypatch.setattr(quadrature_module, "_WEIGHTS", weights)
+    _clear_memos()
+    for row in table.rows:
+        j = row.jump
+        assert max(map(abs, existence_residual(j.p1a, j.p2a, j.za, j.zb, params_default))) < 1e-10
 
 
 def test_scan_logs_each_point_without_a_row(caplog, params_default):
