@@ -92,13 +92,9 @@ class Anchor:
         require_positive("anchor densities", (self.p, self.z))
 
 
-def _phi(p):
-    return np.log(p) - p
-
-
 def _dphi(p_end: float, delta):
-    # phi(p_end) - phi(p) at the log offset delta = ln p - ln p_end, accurate
-    # for tiny offsets
+    # phi(p_end) - phi(p), phi(p) = ln p - p, at the log offset delta =
+    # ln p - ln p_end, accurate for tiny offsets
     return p_end * np.expm1(delta) - delta
 
 
@@ -121,6 +117,20 @@ def _g_prey(sigma: float, mu: float, a: Anchor, z: float) -> float:
     return (math.log(a.p) - (a.p - 1.0)) + (math.log(ya / yb) - (ya - yb)) / mu
 
 
+def _prey_root(b: Branch, g: float, w: float) -> float:
+    """Root p on branch ``b`` of ln p - (p - 1) = g <= 0, from w = W_b(-e^(g - 1)) + 1.
+
+    p = 1 - w cancels as the W0 root goes to 0, and inherits the rounding
+    of s - 1 as the W-1 root grows.  On W0, p = exp(g - w) shrinks the
+    absolute error of 1 - w by the factor p; on W-1 one Newton step on the
+    equation mends it, except where p rounds to 1 and the step is 0 / 0.
+    """
+    if b is Branch.PRINCIPAL:
+        return math.exp(g - w)
+    hi = 1.0 - w
+    return hi if hi == 1.0 else hi - hi * (math.log(hi) - (hi - 1.0) - g) / (1.0 - hi)
+
+
 # ---------------------------------------------------------------------------
 # public chart operations
 # ---------------------------------------------------------------------------
@@ -132,9 +142,10 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
     the closed orbit through the anchor, W0 the lower half.
     """
     sigma, mu = _chart(man, p)
-    # log(e * |W argument|) for the z inversion; <= 0 on the level orbit
+    # log(e * |W argument|) for the z inversion; <= 0 on the level orbit.
+    # Logs less differences, as in _g_prey: no sum rounds to 1 first
     ya = a.z / sigma
-    g = 1.0 + math.log(ya) - ya + mu * (_phi(a.p) - _phi(prey))
+    g = (math.log(ya) - (ya - 1.0)) + mu * (np.log(a.p / prey) - (a.p - prey))
     if np.any(np.asarray(g) > 1e-9):
         raise OffOrbitError(
             f"p={prey} lies outside the extremal range of the level orbit "
@@ -157,13 +168,9 @@ def _extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:
         raise DegenerateOrbitError(f"anchor ({a.p}, {a.z}) sits at the center of the "
                                    "chart; the level orbit degenerates to a point")
     w_min, w_max = w_plus_one(_EXTREMA_BRANCHES, s)
-    # 1 - w_min cancels as pmin -> 0, and 1 - w_max inherits the rounding of
-    # s - 1 as pmax grows.  Both extrema solve ln p - (p - 1) = g: pmin =
-    # exp(g - w_min) shrinks the absolute error of 1 - w_min by the factor
-    # pmin, and one Newton step on that equation mends pmax.  W-1 has
-    # refused s = 1, so g > -38 and pmin > 0.
-    hi = float(1.0 - w_max)
-    return math.exp(g - w_min), hi - hi * (math.log(hi) - (hi - 1.0) - g) / (1.0 - hi)
+    # W-1 has refused s = 1, so g > -38 and pmin > 0
+    return (_prey_root(Branch.PRINCIPAL, g, float(w_min)),
+            _prey_root(Branch.LOWER, g, float(w_max)))
 
 
 def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> float:
@@ -176,12 +183,13 @@ def eliminate(man: ManifoldTag, a: Anchor, z: float, b: Branch, p: Params) -> fl
         raise NoSolutionError(
             f"predator level z={z} is not reached on the level "
             f"orbit through ({a.p}, {a.z})")
-    s = -math.expm1(min(g, 0.0))
-    if s >= 1.0:  # exp(g) underflowed: W0 rounds the prey to 0, W-1 diverges
+    g = min(g, 0.0)
+    s = -math.expm1(g)
+    if s >= 1.0:  # g < -37: W-1 diverges, and the W0 prey falls below 1e-16
         raise NoSolutionError(
             f"conjugate prey coordinate leaves (0, inf) at z={z} on the "
             f"level orbit through ({a.p}, {a.z})")
-    return float(1.0 - w_plus_one(b, s))
+    return _prey_root(b, g, w_plus_one(b, s))
 
 
 def _route_time(man: ManifoldTag, start: tuple[float, float], end: tuple[float, float],
@@ -362,20 +370,46 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     return t1 - route1, t0 - route0
 
 
+def _residual_dzb(p1A: float, p2A: float, zA: float, zB: float,
+                  p: Params) -> np.ndarray | None:
+    """Column d(existence_residual)/d zB in closed form; None where it is unbounded.
+
+    Moving zB slides B along both level orbits through A, which stay put.
+    With z' = m z (prey - 1) at B on each (p1B on q = 1, p2B on q = 0), the
+    q = 1 route grows and the q = 0 route shrinks by dzB / z', and T1 and
+    T0 follow B's prey along its level, d prey / dz = prey' / z'.  p1B and
+    p2B come from the memoized chart halves, so at an iterate whose
+    residual was evaluated the column costs no route.  Where p1B or p2B is
+    1, z' vanishes: zB is a predator extremum of that level orbit and no
+    coordinate along it.
+    """
+    p1B = _m1_half(p1A, zA, zB, p)[0]
+    p2B = _m0_half(p2A, zA, zB, p)[0]
+    rate1 = p.m * zB * (p1B - 1.0)  # z' at B on q = 1
+    rate0 = p.m * zB * (p2B - 1.0)  # z' at B on q = 0
+    if rate1 == 0.0 or rate0 == 0.0:
+        return None
+    return np.array([(p.r - zB) / (p.r * rate0) - 1.0 / rate1,
+                     (zB - 1.0) / rate1 + 1.0 / rate0])
+
+
 def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     """Solve the existence conditions for the two free jump coordinates.
 
     ``pinned`` fixes two of {p1A, p2A, zA, zB}; ``guess`` seeds the other
-    two.  A damped Newton iteration with a forward-difference Jacobian
-    drives the travel-time residuals below 1e-10 (sup norm) within 60 steps;
-    the returned pair carries that sup norm as ``residual``, the Newton
-    steps taken as ``iterations`` and the existence-residual evaluations
-    spent as ``residual_evaluations``.  Each step
-    backtracks over at most 8 step lengths (down to 2**-7 of the Newton
-    step): near a fold of the eliminations the iteration creeps, and it
-    gives up there instead of paying for ever shorter steps.  An iterate
+    two.  A damped Newton iteration drives the travel-time residuals below
+    1e-10 (sup norm) within 60 steps.  Its Jacobian takes the column of a
+    free zB in closed form and forward-differences each free coordinate of
+    A, one residual evaluation per column.  The returned pair carries the
+    sup norm as ``residual``, the Newton steps taken as ``iterations`` and
+    the existence-residual evaluations spent as ``residual_evaluations``.
+    Each step backtracks over at most 8 step lengths (down to 2**-7 of the
+    Newton step): near a fold of the eliminations the iteration creeps, and
+    it gives up there instead of paying for ever shorter steps.  An iterate
     outside the domain of the eliminations, the level orbits or the Lambert
-    W branches counts as a failed trial step.
+    W branches counts as a failed trial step.  Where B sits at a predator
+    extremum (p1B or p2B is 1) the zB column is unbounded, and the solve
+    gives up with a singular Jacobian.
 
     Raises NonConvergenceError with the last iterate's diagnostics and the
     evaluations spent if the iteration fails; InadmissibleOrbitError if it
@@ -393,9 +427,10 @@ def _newton(pinned: dict, guess: dict, p: Params,
 
     A given ``jac`` (a neighbour's converged Jacobian) drives the first
     step at full length; if that step fails the descent test, the step is
-    taken again from a freshly differenced Jacobian at the same iterate.
-    The returned Jacobian is the one the last step was taken with, or
-    ``jac`` if the guess needed no step.
+    taken again from a fresh Jacobian at the same iterate: ``_residual_dzb``
+    gives the column of a free zB, and each other free column is a forward
+    difference.  The returned Jacobian is the one the last step was taken
+    with, or ``jac`` if the guess needed no step.
     """
     pinned_names = tuple(pinned)
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pinned_names)
@@ -450,7 +485,15 @@ def _newton(pinned: dict, guess: dict, p: Params,
                 continue
 
         jac = np.empty((2, 2))
-        for k in range(2):
+        for k, name in enumerate(free_names):
+            if name == "zB":
+                column = _residual_dzb(*unknowns(x), p)
+                if column is None:
+                    raise NonConvergenceError(
+                        "singular Jacobian: zB is a predator extremum of a level orbit",
+                        residual=norm, iterations=iteration, x=x, evaluations=evaluations)
+                jac[:, k] = column
+                continue
             h = 1e-7 * max(abs(x[k]), 1.0)
             for step in (h, -h):
                 xk = x.copy()
@@ -589,8 +632,8 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     positive.  Next come the free coordinates of each previously
     converged neighbor, then ``seed_guess``.  A solve seeded from
     converged points (x1 for the prediction) takes its first Newton step
-    with the Jacobian of their last step, and differences a fresh one
-    at the same iterate if that step does not descend; a solve from
+    with the Jacobian of their last step, and takes a fresh one at the
+    same iterate if that step does not descend; a solve from
     ``seed_guess`` runs exactly as ``solve_jump_points``.  Only
     converged, admissible jump pairs become rows; an empty table is a
     valid outcome.  Each point without a row is logged at INFO with its

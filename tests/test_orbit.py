@@ -152,6 +152,44 @@ def test_extrema_match_high_precision_on_large_and_near_degenerate_levels(man):
         assert extrema(man, a, p) == pytest.approx(want, rel=1e-14, abs=0.0), a
 
 
+@pytest.mark.parametrize("man,a,z", [
+    # tiny W0 and large W-1 roots, where 1 - (W + 1) cancels or inherits
+    # the rounding of s - 1
+    (M1, Anchor(12.0, 1.0), 1.0), (M1, Anchor(20.0, 1.0), 1.0),
+    (M1, Anchor(30.0, 1.0), 1.0), (M1, Anchor(30.0, 1.0), 0.8),
+    (M0, Anchor(1e-9, 0.3), 0.45), (M0, Anchor(0.3, 0.7), 0.6),
+])
+def test_eliminate_matches_high_precision_on_both_branches(man, a, z):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = Params(0.5, 0.4)
+    sigma, mu = _chart(man, p)
+    ya, yb = mpmath.mpf(a.z) / sigma, mpmath.mpf(z) / sigma
+    # the prey solves ln p - (p - 1) = g: p = -W(-e^(g - 1)) on W0 and W-1
+    g = mpmath.log(a.p) - (mpmath.mpf(a.p) - 1) + (mpmath.log(ya / yb) - (ya - yb)) / mu
+    for b in (Branch.PRINCIPAL, Branch.LOWER):
+        want = float(-mpmath.lambertw(-mpmath.exp(g - 1), b.value).real)
+        assert eliminate(man, a, z, b, p) == pytest.approx(want, rel=1e-14, abs=0.0), b
+
+
+@pytest.mark.parametrize("man", [M1, M0])
+@pytest.mark.parametrize("prey,rel", [(1.000002, 1e-10), (1.0001, 1e-11)])
+def test_lv_branch_offset_matches_high_precision_next_to_the_centre(man, prey, rel):
+    # 1 - z/sigma at prey 1 on the level through (prey, sigma): g is a
+    # difference of size ~(prey - 1)^2, which no rounded sum may swamp
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = Params(0.5, 0.4)
+    sigma, mu = _chart(man, p)
+    a = Anchor(prey, sigma)
+    # z / sigma solves ln y - (y - 1) = g with g = mu (ln prey - (prey - 1))
+    g = mpmath.mpf(mu) * (mpmath.log(prey) - (mpmath.mpf(prey) - 1))
+    for b in (Branch.PRINCIPAL, Branch.LOWER):
+        want = float(1 + mpmath.lambertw(-mpmath.exp(g - 1), b.value).real)
+        got = 1.0 - lv_branch(man, 1.0, a, b, p) / sigma
+        assert got == pytest.approx(want, rel=rel, abs=0.0), b
+
+
 # -------------------------------------------------------------- eliminations
 
 def test_eliminate_p2b_identity_case():
@@ -198,6 +236,15 @@ def test_eliminate_p1b_identity_and_conjugate():
     target = 0.7 * np.exp(-0.7)
     ref = brentq(lambda x: x * np.exp(-x) - target, 1.0, 50.0, xtol=1e-13)
     assert conj == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("man", [M1, M0])
+def test_eliminate_at_a_predator_extremum_gives_prey_one(man):
+    # through (1, z) the level meets z only at prey 1, where g = 0 and both
+    # branches meet: the W-1 Newton step would be 0 / 0 there
+    p = Params(0.5, 0.4)
+    for b in (Branch.PRINCIPAL, Branch.LOWER):
+        assert eliminate(man, Anchor(1.0, 1.3), 1.3, b, p) == 1.0
 
 
 def test_eliminate_no_solution_beyond_reach():
@@ -491,12 +538,32 @@ def test_solver_at_converged_point_returns_immediately(reference_pairs, monkeypa
 def test_solver_reports_its_newton_work(residual_calls):
     pair = solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, Params(0.5, 0.4))
     assert pair.residual_evaluations == len(residual_calls)
-    # each step differences two columns and tries at least one step length
-    assert 1 <= pair.iterations and 3 * pair.iterations + 1 <= pair.residual_evaluations
+    # the guess, then per step one differenced column (p2A; the zB column is
+    # closed-form) and one full-length trial
+    assert (pair.iterations, pair.residual_evaluations) == (3, 7)
     # a pair built any other way has no statistics, and they are not compared
     built = JumpPair.from_dict(pair.as_dict())
     assert (built.iterations, built.residual_evaluations) == (None, None)
     assert built == pair and "iterations" not in repr(pair)
+
+
+@pytest.mark.parametrize("name", ["hybrid", "predp2", "clockwise"])
+def test_closed_form_zb_column_matches_a_central_difference(reference_pairs, name):
+    p, pair = reference_pairs[name]
+    h = 1e-5 * pair.zb
+    ahead, behind = (np.array(existence_residual(pair.p1a, pair.p2a, pair.za, pair.zb + step, p))
+                     for step in (h, -h))
+    column = orbit_module._residual_dzb(pair.p1a, pair.p2a, pair.za, pair.zb, p)
+    assert column == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-7, abs=0.0)
+
+
+def test_balanced_preset_differences_both_columns(residual_calls, params_default):
+    # pinned at zA = zB, no free unknown has a closed-form column: the
+    # guess, then per step two differenced columns and one full-length trial
+    seed = SEEDS["balanced"]
+    pair = solve_jump_points(seed["pin"], seed["guess"], params_default)
+    assert (pair.iterations, pair.residual_evaluations) == (3, 10)
+    assert len(residual_calls) == 10
 
 
 @pytest.mark.parametrize("name,tol", [("predpreyprey", 0.02), ("predp2", 0.02),
@@ -597,8 +664,9 @@ def test_solver_refuses_a_guess_that_is_not_finite_and_positive(residual_calls, 
 
 
 def test_w0_elimination_refuses_a_prey_that_rounds_to_zero():
-    # far out on the q = 1 chart exp(g) underflows and W0 rounds p1B to 0:
-    # no B exists, and the jump-pair builder must not reach ln(p1A / p1B)
+    # far out on the q = 1 chart s = 1 - exp(g) rounds to 1, where p1B falls
+    # below 1e-16: no B is taken, and the jump-pair builder must not reach
+    # ln(p1A / p1B)
     p = Params(0.5, 0.4)
     with pytest.raises(NoSolutionError):
         eliminate(M1, Anchor(50.0, 0.5), 0.6, Branch.PRINCIPAL, p)
@@ -614,7 +682,9 @@ def test_solver_gives_up_at_the_fold_within_its_line_search_budget(residual_call
     with pytest.raises(NonConvergenceError, match="line search stalled") as err:
         solve_jump_points({"p1A": 1.55, "zA": 1.33}, {"p2A": 0.49, "zB": 1.40},
                           Params(0.5, 0.4))
-    assert len(residual_calls) <= 45
+    # 34 measured; 39 while the zB column was differenced as well
+    assert len(residual_calls) <= 36
+    assert err.value.iterations == 4 and f"{err.value.residual:.3e}" == "2.014e-01"
     assert err.value.evaluations == len(residual_calls)
     assert err.value.residual > 1e-10 and err.value.iterations >= 1
     assert "evaluations" not in str(err.value)
@@ -639,6 +709,22 @@ def test_solver_gives_up_on_a_singular_jacobian(monkeypatch):
     with pytest.raises(NonConvergenceError) as err:
         solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, Params(0.5, 0.4))
     _assert_gave_up(err, "singular Jacobian", 0.5, 0, [0.49, 1.40])
+
+
+@pytest.mark.parametrize("half", ["_m1_half", "_m0_half"])
+def test_solver_gives_up_where_zb_is_a_predator_extremum(monkeypatch, half):
+    # p1B or p2B at 1 puts B at a predator extremum of its level orbit, where
+    # the closed-form zB column divides by z' = 0
+    chart_half = getattr(orbit_module, half)
+    monkeypatch.setattr(orbit_module, half, lambda *args: (1.0, *chart_half(*args)[1:]))
+    p = Params(0.5, 0.4)
+    norm = float(np.max(np.abs(existence_residual(1.81, 0.49, 1.35, 1.40, p))))
+    with pytest.raises(NonConvergenceError) as err:
+        solve_jump_points(_HYBRID_PIN, _HYBRID_GUESS, p)
+    _assert_gave_up(err, "singular Jacobian: zB is a predator extremum of a level orbit",
+                    norm, 0, [0.49, 1.40])
+    # the guess and the p2A column's difference step
+    assert err.value.evaluations == 2
 
 
 def test_solver_gives_up_when_no_difference_step_is_solvable(monkeypatch):
@@ -711,13 +797,14 @@ def test_scan_rows_pass_residual_recheck(params_default):
 
 def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
     # a machine-independent work guard: the 4x4 grid of the scan benchmark,
-    # with its 4 give-ups, in at most 195 residual evaluations (192 measured;
-    # zeroth-order continuation took 220)
+    # with its 4 give-ups, in at most 150 residual evaluations (146 measured;
+    # 192 while the zB column was differenced, and zeroth-order continuation
+    # took 220)
     table = scan_family(params_default,
                         (np.linspace(1.55, 2.45, 4), np.linspace(1.19, 1.61, 4)),
                         {"p2A": 0.49, "zB": 1.40})
     assert len(table) == 12
-    assert len(residual_calls) <= 195
+    assert len(residual_calls) <= 150
     # the table totals every solve, the failed ones included
     assert table.residual_evaluations == len(residual_calls)
     assert 0 < table.iterations < table.residual_evaluations
