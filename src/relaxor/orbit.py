@@ -117,14 +117,17 @@ def _g_prey(sigma: float, mu: float, a: Anchor, z: float) -> float:
     return (math.log(a.p) - (a.p - 1.0)) + (math.log(ya / yb) - (ya - yb)) / mu
 
 
-def _prey_root(b: Branch, g: float, w: float) -> float:
+def _prey_root(b: Branch, g, w):
     """Root p on branch ``b`` of ln p - (p - 1) = g <= 0, from w = W_b(-e^(g - 1)) + 1.
 
     p = 1 - w cancels as the W0 root goes to 0, and inherits the rounding
     of s - 1 as the W-1 root grows.  On W0, p = exp(g - w) shrinks the
     absolute error of 1 - w by the factor p; on W-1 one Newton step on the
     equation mends it, except where p rounds to 1 and the step is 0 / 0.
+    Arrays g and w give an array, bitwise the float pairs' roots.
     """
+    if isinstance(g, np.ndarray):
+        return np.vectorize(_prey_root, otypes=[float], excluded={0})(b, g, w)
     if b is Branch.PRINCIPAL:
         return math.exp(g - w)
     hi = 1.0 - w
@@ -142,7 +145,7 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
     the closed orbit through the anchor, W0 the lower half.
     """
     sigma, mu = _chart(man, p)
-    # log(e * |W argument|) for the z inversion; <= 0 on the level orbit.
+    # z / sigma solves ln y - (y - 1) = g, with g <= 0 on the level orbit.
     # Logs less differences, as in _g_prey: no sum rounds to 1 first
     ya = a.z / sigma
     g = (math.log(ya) - (ya - 1.0)) + mu * (np.log(a.p / prey) - (a.p - prey))
@@ -150,8 +153,8 @@ def lv_branch(man: ManifoldTag, prey, a: Anchor, b: Branch, p: Params):
         raise OffOrbitError(
             f"p={prey} lies outside the extremal range of the level orbit "
             f"through ({a.p}, {a.z})")
-    s = -np.expm1(np.minimum(g, 0.0))
-    return sigma * (1.0 - w_plus_one(b, s))
+    g = np.minimum(g, 0.0)
+    return sigma * _prey_root(b, g, w_plus_one(b, -np.expm1(g)))
 
 
 def extrema(man: ManifoldTag, a: Anchor, p: Params) -> tuple[float, float]:

@@ -234,6 +234,10 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     some sample starts from are kept, so memory grows with the number of
     samples, not with the number of steps.
 
+    ``field`` keeps ``model.vector_field``'s contract: a (4,) state may give
+    the same float64 (4,) buffer on every call, which the stepper copies
+    at once, and a (4, n) array gives a fresh (4, n) array.
+
     Returns the (n, 4) states, the accepted steps and the right-hand-side
     calls.  A failed stepper call raises ``failure(t, reason)``.
 

@@ -163,8 +163,45 @@ def test_vector_field_on_many_states_bitwise_equals_stacked_single_calls():
         field = vector_field(p, eps)
         many = np.array(field(0.0, states.T))
         assert many.shape == (4, len(states))
-        stacked = np.array([field(0.0, y) for y in states]).T
+        # a (4,) call returns the field's own buffer: copy each one to keep it
+        stacked = np.array([np.array(field(0.0, y)) for y in states]).T
         assert many.tobytes() == stacked.tobytes()
+
+
+def test_a_single_state_call_returns_the_field_buffer_overwritten_by_the_next():
+    field = vector_field(Params(0.5, 0.4), 0.025)
+    first = field(0.0, np.array([1.3, 0.7, 1.1, 0.6]))
+    kept = first.copy()
+    second = field(0.0, np.array([0.9, 1.2, 1.4, 0.2]))
+    assert second is first
+    assert first.dtype == np.float64 and first.shape == (4,)
+    assert not np.array_equal(first, kept)
+    # a second field has its own buffer
+    assert vector_field(Params(0.5, 0.4), 0.025)(0.0, np.array([1.3, 0.7, 1.1, 0.6])) is not first
+
+
+def test_many_state_calls_return_fresh_arrays():
+    field = vector_field(Params(0.5, 0.4), 0.025)
+    states = np.array([[1.3, 0.9], [0.7, 1.2], [1.1, 1.4], [0.6, 0.2]])
+    first = field(0.0, states)
+    kept = first.copy()
+    second = field(0.0, states[:, ::-1].copy())
+    assert second is not first and not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    single = field(0.0, states[:, 0])
+    assert not np.shares_memory(first, single)
+
+
+def test_full_and_slow_rhs_results_survive_later_calls():
+    p = Params(0.5, 0.4)
+    first = full_rhs(np.array([1.3, 0.7, 1.1, 0.6]), p, eps=0.1)
+    kept = first.copy()
+    second = full_rhs(np.array([0.9, 1.2, 1.4, 0.2]), p, eps=0.1)
+    assert first.tobytes() == kept.tobytes() and not np.shares_memory(first, second)
+    slow = slow_rhs((1.3, 0.7, 1.1), p, ManifoldTag.M1)
+    kept = slow.copy()
+    slow_rhs((0.9, 1.2, 1.4), p, ManifoldTag.M1)
+    assert slow.tobytes() == kept.tobytes()
 
 
 def test_slow_rhs_bitwise_equals_numpy_scalar_formula_on_slow_planes():

@@ -190,6 +190,31 @@ def test_lv_branch_offset_matches_high_precision_next_to_the_centre(man, prey, r
         assert got == pytest.approx(want, rel=rel, abs=0.0), b
 
 
+@pytest.mark.parametrize("man", [M1, M0])
+@pytest.mark.parametrize("z_anchor", [30.0, 20.0])
+def test_lv_branch_matches_high_precision_on_both_branches_of_large_levels(man, z_anchor):
+    # through (1, z_anchor sigma): a W0 predator down to 1.4e-12 sigma, where
+    # 1 - (W + 1) cancels, and a W-1 one up to 30 sigma, where it inherits
+    # the rounding of s - 1 (8.2e-6 and 4.5e-8 relative through (1, 30)
+    # before _prey_root's forms; under 2e-15 with them)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = Params(0.5, 0.4)
+    sigma, mu = _chart(man, p)
+    a = Anchor(1.0, z_anchor * sigma)
+    prey = np.array([1.0, 0.9, 1.1])
+    ya = mpmath.mpf(a.z) / sigma
+    for b in (Branch.PRINCIPAL, Branch.LOWER):
+        got = lv_branch(man, prey, a, b, p)
+        for x, z in zip(prey.tolist(), got.tolist()):
+            # z / sigma solves ln y - (y - 1) = g: y = -W(-e^(g - 1)) on W0 and W-1
+            g = (mpmath.log(ya) - (ya - 1)) + mu * (-mpmath.log(x) - (1 - mpmath.mpf(x)))
+            want = float(-mpmath.lambertw(-mpmath.exp(g - 1), b.value).real * sigma)
+            assert z == pytest.approx(want, rel=1e-14, abs=0.0), (b, x)
+            # an array of prey and each prey alone give the same bits
+            assert lv_branch(man, x, a, b, p) == z
+
+
 # -------------------------------------------------------------- eliminations
 
 def test_eliminate_p2b_identity_case():

@@ -280,10 +280,11 @@ def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_defau
 
 @pytest.mark.slow
 def test_integrate_keeps_no_step_record_alive(params_default):
-    # scipy's dop853 wrapper leaks a reference to the step recorder on each
-    # run; a record and sample list left filled would stay alive (a kept
-    # point for each of the 2,000 steps here, 40 bytes each, and 2,001
-    # sample times), an emptied recorder leaves under 1 kB
+    # scipy's dop853 wrapper leaks a reference to the step recorder and the
+    # field of each run; a record and sample list left filled would stay
+    # alive (a kept point for each of the 2,000 steps here, 40 bytes each,
+    # and 2,001 sample times), an emptied recorder and the field with its
+    # (4,) buffer leave 2,128 B per run over these 4 runs (1,584 over 20)
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.01, t_end=10.0)
     integrate(s0, params_default, cfg)
@@ -299,7 +300,7 @@ def test_integrate_keeps_no_step_record_alive(params_default):
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert grown / 4 < 20_000
+    assert grown / 4 < 4_000
 
 
 @pytest.mark.slow
