@@ -28,10 +28,9 @@ bounded caches on private helpers, keyed by the exact input floats; an
 exception is not cached, so a domain miss raises again on every call.
 
 The family scan is a predictor-corrector continuation: each grid point
-starts from the secant extrapolation of two converged points before it,
-and its first Newton step reuses the Jacobian its nearer neighbour
-converged with (Allgower and Georg, "Introduction to Numerical
-Continuation Methods", 1990).
+starts from the secant extrapolation of two converged points before it
+(Allgower and Georg, "Introduction to Numerical Continuation Methods",
+1990).
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ _MAX_ITER = 60           # Newton steps before the solver gives up
 _MAX_TRIALS = 8          # damped trial steps per Newton step (lambda >= 2**-7)
 _TWO_PI = 2.0 * math.pi
 _EXTREMA_BRANCHES = np.array([Branch.PRINCIPAL.value, Branch.LOWER.value])  # pmin, pmax
-# entries kept by each memo of pure chart work (_extrema, _m1_half, _m0_half);
-# a Newton step under balanced's (zA, zB) pins needs 2 per half to reuse the
-# unmoved half in both Jacobian columns
+# entries kept by the memo of level-orbit extrema (_extrema), and per chart by
+# the memo of chart halves (_half); a Newton step under balanced's (zA, zB)
+# pins needs 2 per chart to reuse the unmoved half in both Jacobian columns
 _MEMO_SIZE = 4
 
 
@@ -319,26 +318,24 @@ class JumpPair:
                 f"(dH0={dh0:.3e}, dH1={dh1:.3e})")
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _m1_half(p1A: float, zA: float, zB: float, p: Params) -> tuple[float, float, float]:
-    """(p1B, ln(p1A/p1B), q = 1 route time) of the chart half on M1."""
-    # W0 puts p1B left of the predator nullcline on q = 1: p1 grows at
-    # rate 1 from p1B back to p1A over T0; the q = 1 route runs A -> B
-    a = Anchor(p1A, zA)
-    p1B = eliminate(ManifoldTag.M1, a, zB, Branch.PRINCIPAL, p)
-    route = _route_time(ManifoldTag.M1, (p1A, zA), (p1B, zB), a, p)
-    return p1B, math.log(p1A / p1B), route
+@functools.lru_cache(maxsize=2 * _MEMO_SIZE)
+def _half(man: ManifoldTag, prey_a: float, zA: float, zB: float,
+          p: Params) -> tuple[float, float, float]:
+    """(prey at B, growth time, route time) of the chart half on ``man``.
 
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _m0_half(p2A: float, zA: float, zB: float, p: Params) -> tuple[float, float, float]:
-    """(p2B, ln(p2B/p2A)/r, q = 0 route time) of the chart half on M0."""
-    # W-1 puts p2B right of the predator nullcline on q = 0: p2 grows at
-    # rate r from p2A to p2B over T1; the q = 0 route runs B -> A
-    a = Anchor(p2A, zA)
-    p2B = eliminate(ManifoldTag.M0, a, zB, Branch.LOWER, p)
-    route = _route_time(ManifoldTag.M0, (p2B, zB), (p2A, zA), a, p)
-    return p2B, math.log(p2B / p2A) / p.r, route
+    M1 gives (p1B, T0 = ln(p1A/p1B), q = 1 route time), M0 gives
+    (p2B, T1 = ln(p2B/p2A)/r, q = 0 route time).
+    """
+    # W0 puts p1B left of the predator nullcline on q = 1, W-1 puts p2B
+    # right of it on q = 0.  The route runs A -> B on q = 1 and B -> A on
+    # q = 0, and the chart's prey grows at rate sigma over the other
+    # segment, from the route's end back to its start
+    a = Anchor(prey_a, zA)
+    on_m1 = man is ManifoldTag.M1
+    prey_b = eliminate(man, a, zB, Branch.PRINCIPAL if on_m1 else Branch.LOWER, p)
+    start, end = ((prey_a, zA), (prey_b, zB)) if on_m1 else ((prey_b, zB), (prey_a, zA))
+    route = _route_time(man, start, end, a, p)
+    return prey_b, math.log(start[0] / end[0]) / man.centre(p), route
 
 
 def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
@@ -350,8 +347,8 @@ def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
     last residual's halves.  Their branches, W0 on q = 1 and W-1 on
     q = 0, give the geometry of a downward jump (p1B < p2B).
     """
-    p1B, t0, _ = _m1_half(p1A, zA, zB, p)
-    p2B, t1, _ = _m0_half(p2A, zA, zB, p)
+    p1B, t0, _ = _half(ManifoldTag.M1, p1A, zA, zB, p)
+    p2B, t1, _ = _half(ManifoldTag.M0, p2A, zA, zB, p)
     return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0=t0, t1=t1)
 
 
@@ -368,8 +365,8 @@ def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
     the level-drift check of ``_travel_time`` is skipped.
     """
     require_positive("jump coordinates", (p1A, p2A, zA, zB))
-    _, t0, route1 = _m1_half(p1A, zA, zB, p)
-    _, t1, route0 = _m0_half(p2A, zA, zB, p)
+    _, t0, route1 = _half(ManifoldTag.M1, p1A, zA, zB, p)
+    _, t1, route0 = _half(ManifoldTag.M0, p2A, zA, zB, p)
     return t1 - route1, t0 - route0
 
 
@@ -386,8 +383,8 @@ def _residual_dzb(p1A: float, p2A: float, zA: float, zB: float,
     1, z' vanishes: zB is a predator extremum of that level orbit and no
     coordinate along it.
     """
-    p1B = _m1_half(p1A, zA, zB, p)[0]
-    p2B = _m0_half(p2A, zA, zB, p)[0]
+    p1B = _half(ManifoldTag.M1, p1A, zA, zB, p)[0]
+    p2B = _half(ManifoldTag.M0, p2A, zA, zB, p)[0]
     rate1 = p.m * zB * (p1B - 1.0)  # z' at B on q = 1
     rate0 = p.m * zB * (p2B - 1.0)  # z' at B on q = 0
     if rate1 == 0.0 or rate0 == 0.0:
@@ -419,22 +416,13 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     converges to a point violating the jump directions; ParameterDomainError
     for a pin or guess that is not finite and positive.
     """
-    pair, _ = _newton(pinned, guess, p)
+    pair = _newton(pinned, guess, p)
     pair.check(p)
     return pair
 
 
-def _newton(pinned: dict, guess: dict, p: Params,
-            jac: np.ndarray | None = None) -> tuple[JumpPair, np.ndarray | None]:
-    """Newton core of ``solve_jump_points``: the unchecked pair and its last Jacobian.
-
-    A given ``jac`` (a neighbour's converged Jacobian) drives the first
-    step at full length; if that step fails the descent test, the step is
-    taken again from a fresh Jacobian at the same iterate: ``_residual_dzb``
-    gives the column of a free zB, and each other free column is a forward
-    difference.  The returned Jacobian is the one the last step was taken
-    with, or ``jac`` if the guess needed no step.
-    """
+def _newton(pinned: dict, guess: dict, p: Params) -> JumpPair:
+    """Newton core of ``solve_jump_points``: the unchecked pair."""
     pinned_names = tuple(pinned)
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pinned_names)
     if len(pinned_names) != 2 or len(free_names) != 2 or set(guess) != set(free_names):
@@ -442,9 +430,6 @@ def _newton(pinned: dict, guess: dict, p: Params,
             f"pin exactly two of {UNKNOWN_NAMES} and guess the remaining two; "
             f"got pinned={sorted(pinned)}, guess={sorted(guess)}")
     require_positive("pinned and guessed coordinates", [*pinned.values(), *guess.values()])
-
-    def descends(r_new, norm: float, lam: float) -> bool:
-        return r_new is not None and np.max(np.abs(r_new)) < norm * (1.0 - 1e-4 * lam)
 
     def unknowns(x: np.ndarray) -> list:
         vals = dict(pinned)
@@ -460,7 +445,7 @@ def _newton(pinned: dict, guess: dict, p: Params,
         evaluations += 1
         try:
             return np.array(existence_residual(*unknowns(x), p))
-        except (NoSolutionError, OffOrbitError, DegenerateOrbitError, BranchDomainError):
+        except (NoSolutionError, DegenerateOrbitError, BranchDomainError):
             return None
 
     x = np.array([guess[n] for n in free_names], dtype=float)
@@ -469,7 +454,6 @@ def _newton(pinned: dict, guess: dict, p: Params,
         raise NonConvergenceError("initial guess is outside the solvable domain", x=x,
                                   evaluations=evaluations)
 
-    stale = jac
     for iteration in range(_MAX_ITER):
         norm = np.max(np.abs(r))
         if norm < _SOLVE_TOL:
@@ -477,15 +461,7 @@ def _newton(pinned: dict, guess: dict, p: Params,
             for name, value in (("residual", float(norm)), ("iterations", iteration),
                                 ("residual_evaluations", evaluations)):
                 object.__setattr__(pair, name, value)
-            return pair, jac
-
-        if stale is not None:
-            x_new = x + np.linalg.solve(stale, -r)
-            r_new = residual(x_new)
-            stale = None
-            if descends(r_new, norm, 1.0):
-                x, r = x_new, r_new
-                continue
+            return pair
 
         jac = np.empty((2, 2))
         for k, name in enumerate(free_names):
@@ -519,7 +495,7 @@ def _newton(pinned: dict, guess: dict, p: Params,
         for _ in range(_MAX_TRIALS):
             x_new = x + lam * delta
             r_new = residual(x_new)
-            if descends(r_new, norm, lam):
+            if r_new is not None and np.max(np.abs(r_new)) < norm * (1.0 - 1e-4 * lam):
                 x, r = x_new, r_new
                 break
             lam *= 0.5
@@ -632,34 +608,32 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     the free coordinates of the two points before it in its row's
     visiting order, or else of the two points before it in its column;
     the prediction needs both to have converged and is skipped unless
-    positive.  Next come the free coordinates of each previously
-    converged neighbor, then ``seed_guess``.  A solve seeded from
-    converged points (x1 for the prediction) takes its first Newton step
-    with the Jacobian of their last step, and takes a fresh one at the
-    same iterate if that step does not descend; a solve from
-    ``seed_guess`` runs exactly as ``solve_jump_points``.  Only
-    converged, admissible jump pairs become rows; an empty table is a
-    valid outcome.  Each point without a row is logged at INFO with its
-    pins, the number of seeds tried and the last error.  Rows are ordered
-    by grid index regardless of the visit order, and the table totals the
-    solver work of the whole grid.  Invalid input, such as a nonpositive
-    pin or a misnamed guess, raises ParameterDomainError instead of
-    dropping grid points.
+    positive.  Next come the free coordinates of the point before it in
+    its row and of the point beside it in the row before, where these
+    converged, then ``seed_guess``.  Each seed is solved exactly as
+    ``solve_jump_points`` solves it.  Only converged, admissible jump
+    pairs become rows; an empty table is a valid outcome.  Each point
+    without a row is logged at INFO with its pins, the number of seeds
+    tried and the last error.  Rows are ordered by grid index regardless
+    of the visit order, and the table totals the solver work of the
+    whole grid.  Invalid input, such as a nonpositive pin or a misnamed
+    guess, raises ParameterDomainError instead of dropping grid points.
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
-    # converged points: their free coordinates and the Jacobian of their last step
-    solved: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+    solved: dict[tuple[int, int], np.ndarray] = {}  # free coordinates of converged points
     table = FamilyTable(pin_names)
     rows: dict[tuple[int, int], FamilyRow] = {}
 
+    def guess_at(x: np.ndarray) -> dict:
+        return dict(zip(free_names, x.tolist()))
+
     def prediction(i: int, j: int, back: int):
-        """(secant guess, x1's Jacobian) at (i, j), or None."""
+        """Secant guess at (i, j), or None."""
         for n1, n2 in (((i, j - back), (i, j - 2 * back)), ((i - 1, j), (i - 2, j))):
             if n1 in solved and n2 in solved:
-                x1, jac = solved[n1]
-                x = 2.0 * x1 - solved[n2][0]
-                return (dict(zip(free_names, x.tolist())), jac) if np.all(x > 0.0) else None
+                x = 2.0 * solved[n1] - solved[n2]
+                return guess_at(x) if np.all(x > 0.0) else None
         return None
 
     for i, v1 in enumerate(values1):
@@ -669,21 +643,17 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             v2 = values2[j]
             predicted = prediction(i, j, back)
             seeds = [] if predicted is None else [predicted]
-            for n in ((i, j - 1), (i, j + 1), (i - 1, j)):
-                if n in solved:
-                    x, jac = solved[n]
-                    seeds.append((dict(zip(free_names, x.tolist())), jac))
-            seeds.append((dict(seed_guess), None))
+            seeds += [guess_at(solved[n]) for n in ((i, j - back), (i - 1, j)) if n in solved]
+            seeds.append(dict(seed_guess))
             pinned = {pin_names[0]: float(v1), pin_names[1]: float(v2)}
-            for guess, jac in seeds:
+            for guess in seeds:
                 try:
-                    pair, jac = _newton(pinned, guess, p, jac)
+                    pair = _newton(pinned, guess, p)
                     table.iterations += pair.iterations
                     table.residual_evaluations += pair.residual_evaluations
                     pair.check(p)
                 except (NonConvergenceError, InadmissibleOrbitError,
-                        InconsistentEndpointsError, NoSolutionError,
-                        DegenerateOrbitError) as err:
+                        InconsistentEndpointsError) as err:
                     if isinstance(err, NonConvergenceError):
                         table.iterations += err.iterations or 0
                         table.residual_evaluations += err.evaluations
@@ -692,7 +662,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
                     continue
                 rows[(i, j)] = FamilyRow(r=p.r, m=p.m, pinned=pinned, jump=pair)
                 d = pair.as_dict()
-                solved[(i, j)] = np.array([d[k] for k in free_names]), jac
+                solved[(i, j)] = np.array([d[k] for k in free_names])
                 break
             else:
                 _log.info("scan point %s: no row after %d seeds; last error %s",

@@ -27,7 +27,7 @@ M0, M1 = ManifoldTag.M0, ManifoldTag.M1
 
 def _clear_memos():
     """Empty the orbit module's memos of chart work."""
-    for memo in (orbit_module._extrema, orbit_module._m1_half, orbit_module._m0_half):
+    for memo in (orbit_module._extrema, orbit_module._half):
         memo.cache_clear()
 
 
@@ -736,12 +736,17 @@ def test_solver_gives_up_on_a_singular_jacobian(monkeypatch):
     _assert_gave_up(err, "singular Jacobian", 0.5, 0, [0.49, 1.40])
 
 
-@pytest.mark.parametrize("half", ["_m1_half", "_m0_half"])
-def test_solver_gives_up_where_zb_is_a_predator_extremum(monkeypatch, half):
+@pytest.mark.parametrize("man", [M0, M1])
+def test_solver_gives_up_where_zb_is_a_predator_extremum(monkeypatch, man):
     # p1B or p2B at 1 puts B at a predator extremum of its level orbit, where
     # the closed-form zB column divides by z' = 0
-    chart_half = getattr(orbit_module, half)
-    monkeypatch.setattr(orbit_module, half, lambda *args: (1.0, *chart_half(*args)[1:]))
+    chart_half = orbit_module._half
+
+    def half_with_prey_one(m, *args):
+        half = chart_half(m, *args)
+        return (1.0, *half[1:]) if m is man else half
+
+    monkeypatch.setattr(orbit_module, "_half", half_with_prey_one)
     p = Params(0.5, 0.4)
     norm = float(np.max(np.abs(existence_residual(1.81, 0.49, 1.35, 1.40, p))))
     with pytest.raises(NonConvergenceError) as err:
@@ -822,9 +827,9 @@ def test_scan_rows_pass_residual_recheck(params_default):
 
 def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
     # a machine-independent work guard: the 4x4 grid of the scan benchmark,
-    # with its 4 give-ups, in at most 150 residual evaluations (146 measured;
-    # 192 while the zB column was differenced, and zeroth-order continuation
-    # took 220)
+    # with its 4 give-ups, in at most 150 residual evaluations (148 measured;
+    # 146 while a solve could start from its neighbour's Jacobian, 192 while
+    # the zB column was differenced, and zeroth-order continuation took 220)
     table = scan_family(params_default,
                         (np.linspace(1.55, 2.45, 4), np.linspace(1.19, 1.61, 4)),
                         {"p2A": 0.49, "zB": 1.40})
@@ -843,20 +848,19 @@ def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
 _NEWTON = orbit_module._newton
 
 
-def _recording_newton(monkeypatch, change_jac=None):
-    """Record each scan solve as (pins, guess, Jacobian handed in, Jacobian returned).
-
-    ``change_jac`` replaces a handed-in Jacobian before the solve uses it.
-    """
+def _recording_newton(monkeypatch):
+    """Record each scan solve as (pins, guess, pair or NonConvergenceError)."""
     solves = []
 
-    def recorded(pinned, guess, p, jac=None):
-        solve = [dict(pinned), dict(guess), jac, None]
+    def recorded(pinned, guess, p):
+        solve = [dict(pinned), dict(guess), None]
         solves.append(solve)
-        if jac is not None and change_jac is not None:
-            jac = change_jac(jac)
-        pair, solve[3] = _NEWTON(pinned, guess, p, jac)
-        return pair, solve[3]
+        try:
+            solve[2] = _NEWTON(pinned, guess, p)
+        except NonConvergenceError as err:
+            solve[2] = err
+            raise
+        return solve[2]
 
     monkeypatch.setattr(orbit_module, "_newton", recorded)
     return solves
@@ -869,38 +873,42 @@ def test_scan_seeds_a_row_point_with_the_secant_prediction(params_default, monke
     assert len(table) == 3 and len(solves) == 3
     first, second, _ = (row.jump for row in table.rows)
     # the first point starts from the guess, the second from the first's
-    # coordinates and Jacobian, the third from 2 x1 - x2 and x1's Jacobian
-    assert solves[0][1:3] == [{"p2A": 0.49, "zB": 1.40}, None]
+    # coordinates, the third from 2 x1 - x2
+    assert solves[0][1] == {"p2A": 0.49, "zB": 1.40}
     assert solves[1][1] == {"p2A": first.p2a, "zB": first.zb}
-    assert solves[1][2] is solves[0][3]
     assert solves[2][0] == {"p1A": 2.15, "zA": 1.54}
     assert solves[2][1] == {"p2A": 2.0 * second.p2a - first.p2a,
                             "zB": 2.0 * second.zb - first.zb}
-    assert solves[2][2] is solves[1][3]
+    # each seed is solved as solve_jump_points solves it
+    for (pinned, guess, pair), row in zip(solves, table.rows):
+        alone = solve_jump_points(pinned, guess, params_default)
+        assert alone == pair == row.jump and alone.iterations == pair.iterations
 
 
-def test_scan_falls_back_to_a_fresh_jacobian_when_the_reused_one_does_not_descend(
-        params_default, monkeypatch):
-    # a reversed Jacobian turns the first step uphill: the solve then takes
-    # the iterates of a solve that reuses no Jacobian, at one more evaluation
-    grid = (np.linspace(2.15, 2.45, 2), np.linspace(1.33, 1.61, 3))
-    seed = {"p2A": 0.49, "zB": 1.40}
-    cold = _recording_newton(monkeypatch, change_jac=lambda jac: None)
-    cold_table = scan_family(params_default, grid, seed)
-    _recording_newton(monkeypatch, change_jac=lambda jac: -jac)
-    reversed_table = scan_family(params_default, grid, seed)
-    # a point's last solve is the one that gave its row
-    last_cold = {tuple(pinned.values()): (guess, jac) for pinned, guess, jac, _ in cold}
-    assert sum(jac is not None for guess, jac in last_cold.values()) == 5
-    assert len(reversed_table) == len(cold_table) == 6
-    for fallback, row in zip(reversed_table.rows, cold_table.rows):
-        guess, reused = last_cold[tuple(row.pinned.values())]
-        assert fallback.jump == row.jump
-        assert fallback.jump.iterations == row.jump.iterations
-        assert (fallback.jump.residual_evaluations
-                == row.jump.residual_evaluations + (reused is not None))
-        # and the same pair as solve_jump_points from that guess
-        assert solve_jump_points(row.pinned, guess, params_default) == row.jump
+@pytest.mark.parametrize("pin_names,grid,guess,count", [
+    # around the balanced preset, with no closed-form Jacobian column; both
+    # grids have points where a seed or every seed fails
+    (("zA", "zB"), (np.linspace(1.46, 1.51, 3), np.linspace(1.46, 1.51, 3)),
+     SEEDS["balanced"]["guess"], 5),
+    (("p1A", "zB"), (np.linspace(1.6, 2.2, 4), np.linspace(1.30, 1.50, 4)),
+     {"p2A": 0.49, "zA": 1.35}, 12),
+], ids=["zA-zB", "p1A-zB"])
+def test_scans_under_other_pins_yield_true_rows_and_total_their_solves(
+        params_default, monkeypatch, residual_calls, pin_names, grid, guess, count):
+    solves = _recording_newton(monkeypatch)
+    table = scan_family(params_default, grid, guess, pin_names)
+    assert len(table) == count
+    for row in table.rows:
+        assert set(row.pinned) == set(pin_names)
+        j = row.jump
+        j.check(params_default)
+        assert max(map(abs, existence_residual(j.p1a, j.p2a, j.za, j.zb, params_default))) < 1e-10
+    # every solve, failed or not, counts toward the table's totals
+    assert len(solves) > len(table)
+    work = [(s.iterations or 0, s.evaluations) if isinstance(s, NonConvergenceError)
+            else (s.iterations, s.residual_evaluations) for _, _, s in solves]
+    assert table.iterations == sum(w[0] for w in work)
+    assert table.residual_evaluations == sum(w[1] for w in work) == len(residual_calls)
 
 
 def test_wide_box_scan_yields_only_true_rows(params_default, monkeypatch):
