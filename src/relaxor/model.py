@@ -15,8 +15,10 @@ first integral H0 while p1 grows exponentially; on q = 1 the roles of the
 prey swap and (p1, z) conserves H1.  The switching plane has no slow flow
 and no ``ManifoldTag``.
 
-All functions here are pure and thread-safe, but a ``vector_field`` field
-writes into its own buffer: two threads must not call one field at once.
+All functions here are pure and thread-safe, but a field of
+``vector_field`` or ``field_binder`` writes into its own buffer: two
+threads must not call one field at once.  The stepper's one field, which
+``field_binder`` rebinds for each run, serves one integration at a time.
 """
 
 from __future__ import annotations
@@ -187,23 +189,19 @@ def _as_state4(s) -> np.ndarray:
     return y
 
 
-def vector_field(p: Params, eps: float):
-    """The full system as ``f(t, y) -> (p1', p2', z', q')`` in slow time.
+def field_binder():
+    """A new field of the four equations and the function that rebinds it.
 
-    This is the one definition of the four equations; ``full_rhs`` checks
-    its arguments and evaluates it, and the integrators call it unchecked.
-    ``y`` is a float ndarray of shape (4,) or (4, n).  A (4,) state is
-    unpacked to Python floats, whose arithmetic is the same IEEE
-    arithmetic as on numpy scalars, and its derivatives are written
-    through a memoryview into the one float64 (4,) buffer the field owns.
-    The result of a (4,) call is that buffer, overwritten by the next
-    (4,) call: a caller that keeps it must copy it.  Handed that buffer
-    instead of a tuple to convert, scipy's DOP853 takes 0.68-0.83 µs per
-    callback, not 0.91-1.01 µs (eps 0.025, t_end 50, 48,002 calls, on 2
-    shared x86-64 cores).  A (4, n) array of n states gives a fresh (4, n)
-    array, bitwise equal to n stacked (4,) calls.
+    Returns ``bind``: ``bind(p, eps)`` sets the field's r, m and eps and
+    returns the field, the same function object on every call.  The four
+    equations are written here once; ``vector_field`` binds a new field
+    each time, and ``simulate.dop853_samples`` rebinds one field that every
+    stepper run in the process shares, because scipy's compiled DOP853
+    keeps every callback it is handed for the life of the process.  Left
+    out of ``__all__``: outside the stepper a field comes from
+    ``vector_field``.
     """
-    r, m = p.r, p.m
+    r = m = eps = math.nan
     buf = np.empty(4)
     view = memoryview(buf)
 
@@ -221,7 +219,37 @@ def vector_field(p: Params, eps: float):
         o[3] = q * u * (p1 - p2) / eps
         return out
 
-    return rhs
+    def bind(p: Params, e: float):
+        nonlocal r, m, eps
+        r, m, eps = p.r, p.m, e
+        return rhs
+
+    return bind
+
+
+def vector_field(p: Params, eps: float):
+    """The full system as ``f(t, y) -> (p1', p2', z', q')`` in slow time.
+
+    A new field with its own buffer, independent of every other field; the
+    equations are ``field_binder``'s.  ``full_rhs`` checks its arguments
+    and evaluates it.  The integrators do not call this: every run in the
+    process steps one shared field that ``simulate.dop853_samples``
+    rebinds to the run's r, m and eps, with the same equations and
+    contract.  The stepper is not re-entrant and integrates one run at a
+    time, and so does that field.
+
+    ``y`` is a float ndarray of shape (4,) or (4, n).  A (4,) state is
+    unpacked to Python floats, whose arithmetic
+    is the same IEEE arithmetic as on numpy scalars, and its derivatives
+    are written through a memoryview into the one float64 (4,) buffer the
+    field owns.  The result of a (4,) call is that buffer, overwritten by
+    the next (4,) call: a caller that keeps it must copy it.  Handed that
+    buffer instead of a tuple to convert, scipy's DOP853 takes 0.68-0.83 µs
+    per callback, not 0.91-1.01 µs (eps 0.025, t_end 50, 48,002 calls, on
+    2 shared x86-64 cores).  A (4, n) array of n states gives a fresh
+    (4, n) array, bitwise equal to n stacked (4,) calls.
+    """
+    return field_binder()(p, eps)
 
 
 def full_rhs(s, p: Params, eps: float) -> np.ndarray:

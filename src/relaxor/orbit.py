@@ -51,7 +51,7 @@ from .errors import (
     require_samples,
 )
 from .lambertw import Branch, w_plus_one
-from .model import ManifoldTag, Params, h0, h1, vector_field
+from .model import ManifoldTag, Params, h0, h1
 from .quadrature import phase, sine_gauss
 from .simulate import dop853_samples, solve_ivp  # solve_ivp: perfbench/tracing.py wraps it here
 
@@ -761,7 +761,7 @@ def _integrate_slow_segment(y0: np.ndarray, duration: float, man: ManifoldTag,
         return InconsistentJumpPairError(
             f"slow segment integration failed at t={t:g}: {reason}")
 
-    states, _, _ = dop853_samples(vector_field(p, 1.0), np.append(y0, man.trait),
+    states, _, _ = dop853_samples(p, 1.0, np.append(y0, man.trait),
                                    times, 1e-12, 1e-12, 0.0, failed)
     return times, states[:, :3]
 
@@ -771,7 +771,7 @@ def assemble_singular_orbit(j: JumpPair, p: Params,
     """Integrate the two slow segments and concatenate them into an orbit.
 
     Each segment is stepped once with ``simulate.dop853_samples``, the
-    library's one DOP853 driver, on the full ``vector_field`` with q held
+    library's one DOP853 driver, on the full system with q held
     at exactly 1 or 0 (rtol = atol = 1e-12, no step cap) and sampled at
     ``samples_per_segment`` equally spaced times.
 

@@ -23,7 +23,7 @@ import scipy
 
 from ._scipy import scipy_module
 from .errors import ParameterDomainError, StiffnessError, require_positive, require_samples
-from .model import Params, State, full_integral, vector_field
+from .model import Params, State, field_binder, full_integral
 
 if TYPE_CHECKING:  # orbit imports this module's stepper
     from .orbit import SingularOrbit
@@ -35,14 +35,22 @@ __all__ = [
 ]
 
 
+# the most steps a run may ask for: a t_end / max_step, the fewest steps the
+# run can take, above this is refused before stepping (the longest run of the
+# tests, presets and benchmark takes 20,000 steps; 10^7 steps make about
+# 1.2e8 right-hand-side calls)
+_STEP_BUDGET = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings for one run.
 
     ``max_step = None`` resolves to half the fast-layer width eps/2,
     which keeps the trait transitions resolved at any tolerance.  eps,
-    t_end and a set max_step must be finite and positive, and n_samples
-    a whole number of at least 2.
+    t_end and a set max_step must be finite and positive, n_samples a
+    whole number of at least 2, and t_end / max_step, the fewest steps the
+    run can take, at most 10^7.
     """
 
     eps: float
@@ -60,6 +68,13 @@ class SimConfig:
             if not (0.0 < tol < 1.0):
                 raise ParameterDomainError(f"require 0 < {name} < 1, got {tol}")
         require_samples("output samples", self.n_samples)
+        max_step = self.resolved_max_step()
+        steps = self.t_end / max_step
+        if steps > _STEP_BUDGET:
+            raise ParameterDomainError(
+                f"t_end {self.t_end:g} at max_step {max_step:g} takes at least "
+                f"{steps:.3g} steps, above the budget of {_STEP_BUDGET:.0e}; "
+                "raise max_step (eps/2 when unset) or shorten t_end")
 
     def resolved_max_step(self) -> float:
         return 0.5 * self.eps if self.max_step is None else self.max_step
@@ -165,7 +180,8 @@ class Trajectory:
             return cls.from_dict(json.load(fh))
 
 
-# the largest step budget the stepper takes (an int32): a run has no step limit
+# the stepper's own step limit, the largest int32, never ends a run;
+# SimConfig holds a run to _STEP_BUDGET before it steps
 _MAX_STEPS = np.iinfo(np.int32).max
 
 # samples taken per sampling pass; bounds its stage array at 1.5 MB
@@ -180,7 +196,7 @@ _DOP853_FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed"
 def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
     """Adaptively integrate the full system from ``s0`` over ``c.t_end``.
 
-    Steps ``vector_field`` once with ``dop853_samples``, the library's one
+    Steps the full system once with ``dop853_samples``, the library's one
     DOP853 driver (``orbit.assemble_singular_orbit`` steps its slow
     segments with it too): Hairer's compiled DOP853 from scipy, loaded
     without the rest of ``scipy.integrate``, an explicit embedded
@@ -207,15 +223,51 @@ def integrate(s0, p: Params, c: SimConfig) -> Trajectory:
             f"{reason}; lower the eps floor or tighten max_step")
 
     states, steps, rhs_evals = dop853_samples(
-        vector_field(p, c.eps), y0, times, c.rel_tol, c.abs_tol,
-        c.resolved_max_step(), stalled)
+        p, c.eps, y0, times, c.rel_tol, c.abs_tol, c.resolved_max_step(), stalled)
     return Trajectory(times=times, states=states, params=p, config=c,
                       steps=steps, rhs_evals=rhs_evals)
 
 
-def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
-                   failure) -> tuple[np.ndarray, int, int]:
-    """Step the 4-D ``field`` once from ``y0`` at t = 0 and sample it at ``times``.
+def _step_recorder():
+    """The stepper's solout ``keep(t, y)`` and ``start(times)``, which resets it in place.
+
+    ``keep`` keeps the accepted step points that some sample of the
+    increasing ``times`` starts from; ``start`` empties the record, takes
+    ``times`` as the sample times and returns the record, a flat array of
+    t, p1, p2, z, q per kept point.
+    """
+    due = [math.inf]  # the sample times, then a sentinel
+    k = 0  # the first sample at or after the last kept step point
+    record = array.array("d")
+
+    def keep(t, y):
+        nonlocal k
+        if due[k] >= t:
+            del record[-5:]  # no sample starts from the last kept point, if any
+        while due[k] < t:
+            k += 1
+        record.append(t)
+        record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
+
+    def start(times):
+        nonlocal k
+        due[:] = [*times, math.inf]
+        k = 0
+        del record[:]
+        return record
+
+    return keep, start
+
+
+# scipy's compiled dopri853 never releases a callback it is handed, so every
+# run steps this one field and records its steps with this one recorder
+_bind_field = field_binder()
+_keep, _start_record = _step_recorder()
+
+
+def dop853_samples(p: Params, eps: float, y0, times, rtol: float, atol: float,
+                   max_step: float, failure) -> tuple[np.ndarray, int, int]:
+    """Step the full system at ``p``, ``eps`` once from ``y0`` at t = 0; sample it at ``times``.
 
     The library's one DOP853 driver, behind ``integrate`` and
     ``orbit.assemble_singular_orbit``; left out of ``__all__``, so a
@@ -228,53 +280,41 @@ def dop853_samples(field, y0, times, rtol: float, atol: float, max_step: float,
     never the ``scipy.integrate`` package.  The increasing ``times`` are
     then taken together: each sample starts from the last accepted step
     point at or before its time and takes one 12-stage step of the
-    stepper's own 8th-order tableau up to it, with ``field`` evaluated on
+    stepper's own 8th-order tableau up to it, with the field evaluated on
     the (4, n) array of many samples at once.  A sample on a step point,
     such as t = 0 or the end, is that step point.  Only the step points
     some sample starts from are kept, so memory grows with the number of
     samples, not with the number of steps.
 
-    ``field`` keeps ``model.vector_field``'s contract: a (4,) state may give
-    the same float64 (4,) buffer on every call, which the stepper copies
-    at once, and a (4, n) array gives a fresh (4, n) array.
+    The compiled wrapper never releases a callback, so every run in the
+    process hands it the same two functions: one ``model.field_binder``
+    field, rebound to ``p`` and ``eps`` here, and one step recorder, reset
+    in place here and emptied after the run.  A run leaves nothing alive.
 
     Returns the (n, 4) states, the accepted steps and the right-hand-side
     calls.  A failed stepper call raises ``failure(t, reason)``.
 
-    The compiled stepper is not re-entrant: a dop853 integration started
-    inside the right-hand side corrupts the outer one, and two threads
-    must not integrate at once.  Separate calls in sequence, each with its
-    own work arrays, are safe.
+    The compiled stepper is not re-entrant, and neither are the field and
+    the recorder all runs share: a dop853 integration started inside the
+    right-hand side corrupts the outer one, and two threads must not
+    integrate at once.  Separate calls in sequence are safe.
     """
-    due = [*times.tolist(), math.inf]  # the sample times, then a sentinel
-    k = 0  # the first sample at or after the last kept step point
-    record = array.array("d")  # t, p1, p2, z, q of each kept step point
-
-    def keep(t, y):
-        nonlocal k
-        if due[k] >= t:
-            del record[-5:]  # no sample starts from the last kept point, if any
-        while due[k] < t:
-            k += 1
-        record.append(t)
-        record.frombytes(y.tobytes())  # about 0.1 µs; extend(y) takes 0.9 µs
-
+    field = _bind_field(p, eps)
+    record = _start_record(times.tolist())
     work = np.zeros(11 * len(y0) + 21)  # Hairer's WORK; a zero entry takes his default
     work[1:4] = 0.9, 0.3, 6.0  # safety factor and step-ratio bounds, as scipy sets them
     work[5] = max_step
     iwork = np.zeros(21, dtype=np.int32)
     try:
         t, _, idid = scipy_module("integrate._dop", "dopri853").dopri853(
-            field, 0.0, y0, float(times[-1]), rtol, atol, keep, 1, work, iwork,
+            field, 0.0, y0, float(times[-1]), rtol, atol, _keep, 1, work, iwork,
             _MAX_STEPS, -1, ())
         if idid < 0:
             raise failure(t, "dop853: " + _DOP853_FAILURES.get(
                 idid, f"Unexpected istate={idid:d}"))
         points = np.array(record).reshape(-1, 5)
     finally:
-        # the compiled wrapper keeps a reference to ``keep`` after the call,
-        # which would keep the step record and the sample list alive
-        del record[:], due[:]
+        _start_record(())  # between runs the recorder holds no samples and no points
     # Hairer's IWORK(17) and IWORK(19): the right-hand-side calls and the accepted steps
     rhs_evals, steps = (int(n) for n in iwork[[16, 18]])
     states = np.empty((len(times), 4))
@@ -338,12 +378,13 @@ def iter_continue_in_eps(s0, p: Params,
     if any(b < a for a, b in zip(eps_values, eps_values[1:])):
         raise ParameterDomainError("schedule eps values must be non-decreasing")
 
+    configs = [SimConfig(eps=eps, t_end=duration) for eps, duration in schedule]
     current = s0
-    for index, (eps, duration) in enumerate(schedule):
+    for index, c in enumerate(configs):
         try:
-            tr = integrate(current, p, SimConfig(eps=eps, t_end=duration))
+            tr = integrate(current, p, c)
         except StiffnessError as err:
-            raise StiffnessError(f"schedule entry {index} (eps={eps:g}): {err}") from err
+            raise StiffnessError(f"schedule entry {index} (eps={c.eps:g}): {err}") from err
         yield tr
         current = tr.final_state()
 

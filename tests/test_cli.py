@@ -222,6 +222,23 @@ def test_simulate_honours_samples(tmp_path, capsys):
     assert "sample" in capsys.readouterr().err
 
 
+def test_a_run_the_step_budget_cannot_finish_is_refused(tmp_path, capsys):
+    # t_end / max_step, the fewest steps a run can take, above 10^7 is user
+    # error before any stepping; a cap of 1e-300 once stepped without end
+    out = tmp_path / "refused"
+    assert run("simulate", "--eps", "0.1", "--t-end", "1", "--max-step", "1e-300",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: t_end 1 at max_step 1e-300 takes at least 1e+300 steps, above the "
+        "budget of 1e+07; raise max_step (eps/2 when unset) or shorten t_end\n")
+    assert run("simulate", "--eps", "1e-6", "--t-end", "50", "--out", str(out)) == 2
+    assert "takes at least 1e+08 steps" in capsys.readouterr().err
+    # a schedule is checked whole before its first run
+    assert run("continue", "--schedule", "1e-6:0.001,1e-6:50", "--out", str(out)) == 2
+    assert "takes at least 1e+08 steps" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no manifest entry and no files
+
+
 def test_simulate_config_file_sets_max_step(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 1\nmax_step = 0.001\n")
@@ -299,7 +316,7 @@ def test_manifest_records_solver_statistics_of_each_run(tmp_path, capsys, monkey
 
         return counted
 
-    monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
+    monkeypatch.setattr(relaxor.simulate, "_bind_field", counted_field)
     out = tmp_path / "runs"
     assert run("simulate", "--eps", "0.1", "--t-end", "2", "--out", str(out)) == 0
     assert run("continue", "--schedule", "0.1:1.0,0.2:1.0", "--out", str(out)) == 0
@@ -923,9 +940,12 @@ def test_failed_runs_record_their_error_in_the_manifest(tmp_path, capsys):
     out = tmp_path / "runs"
     failing = {
         "construct": ("construct", "--r", "0.8", "--m", "0.7", "--seed", "hybrid"),
-        "simulate": ("simulate", "--eps", "1e-300", "--t-end", "1",
+        # each run's t_end / max_step is inside the step budget, so the
+        # stepper itself fails
+        "simulate": ("simulate", "--eps", "1e-300", "--t-end", "1", "--max-step", "0.1",
                      "--state", "1.18,0.87,1.5,0.5"),
-        "continue": ("continue", "--schedule", "1e-300:1", "--state", "1.18,0.87,1.5,0.5"),
+        "continue": ("continue", "--schedule", "1e-300:1e-300",
+                     "--state", "1.18,0.87,1.5,0.5"),
     }
     messages = []
     for argv in failing.values():

@@ -31,6 +31,12 @@ def test_sim_config_validation():
     with pytest.raises(ParameterDomainError):
         SimConfig(eps=0.1, t_end=1.0, rel_tol=2.0)
     assert SimConfig(eps=0.1, t_end=1.0).resolved_max_step() == pytest.approx(0.05)
+    # t_end / max_step, the fewest steps a run can take, is held to 10^7
+    SimConfig(eps=2e-5, t_end=50.0)
+    with pytest.raises(ParameterDomainError, match="at least 1e\\+08 steps"):
+        SimConfig(eps=1e-6, t_end=50.0)
+    with pytest.raises(ParameterDomainError, match="at least 1e\\+300 steps"):
+        SimConfig(eps=0.1, t_end=1.0, max_step=1e-300)
 
 
 def test_equilibrium_is_stationary(params_default):
@@ -230,7 +236,11 @@ def test_to_json_bytes_equal_json_dump(tmp_path, params_default, reference_orbit
 
 
 def _count_field_calls(monkeypatch, field):
-    """Route ``integrate`` through ``field``; returns the ndim of each call's state."""
+    """Route ``integrate`` through ``field``; returns the ndim of each call's state.
+
+    The stepper's field comes from ``simulate._bind_field(p, eps)``, which
+    returns the one long-lived field; a counting wrapper replaces it here.
+    """
     ndims = []
 
     def counted_field(p, eps):
@@ -242,7 +252,7 @@ def _count_field_calls(monkeypatch, field):
 
         return counted
 
-    monkeypatch.setattr(relaxor.simulate, "vector_field", counted_field)
+    monkeypatch.setattr(relaxor.simulate, "_bind_field", counted_field)
     return ndims
 
 
@@ -280,27 +290,26 @@ def test_integrate_work_and_statistics_at_eps_one_half(monkeypatch, params_defau
 
 @pytest.mark.slow
 def test_integrate_keeps_no_step_record_alive(params_default):
-    # scipy's dop853 wrapper leaks a reference to the step recorder and the
-    # field of each run; a record and sample list left filled would stay
-    # alive (a kept point for each of the 2,000 steps here, 40 bytes each,
-    # and 2,001 sample times), an emptied recorder and the field with its
-    # (4,) buffer leave 2,128 B per run over these 4 runs (1,584 over 20)
+    # scipy's dop853 wrapper keeps every callback it is handed; every run
+    # hands it the same field and recorder, so runs leave nothing behind:
+    # 104 B per run over these 8 runs, an 830 B constant of the measurement
+    # (1,568 B per run when each run made its own field and recorder)
     s0 = State(1.18, 0.87, 1.50, 0.99)
     cfg = SimConfig(eps=0.01, t_end=10.0)
     integrate(s0, params_default, cfg)
     gc.collect()
-    gc.disable()
     tracemalloc.start()
     try:
         integrate(s0, params_default, cfg)
+        gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(4):
+        for _ in range(8):
             integrate(s0, params_default, cfg)
+        gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-        gc.enable()
-    assert grown / 4 < 4_000
+    assert grown / 8 < 200
 
 
 @pytest.mark.slow
@@ -319,20 +328,48 @@ def test_integrate_memory_follows_the_samples_not_the_steps(params_default):
     assert peak < 200_000
 
 
-def test_stepper_runs_leave_no_integrator_state_alive(params_default, reference_pairs):
-    # scipy's dop853 wrapper leaks a reference to the step recorder of each
-    # run; every recorder still alive must hold an empty record and sample list
-    def held():
-        gc.collect()
-        return [cell.cell_contents for f in gc.get_objects()
-                if callable(f) and getattr(f, "__qualname__", "") == "dop853_samples.<locals>.keep"
-                for cell in f.__closure__ if hasattr(cell.cell_contents, "__len__")]
+def test_stepper_runs_leave_no_integrator_state_alive(monkeypatch, params_default,
+                                                      reference_pairs):
+    # scipy's dop853 wrapper never releases a callback: every run must hand
+    # it the same field and step recorder, and the recorder must hold no
+    # samples and no step points between runs
+    dop = scipy_module("integrate._dop", "dopri853")
+    dopri853, handed = dop.dopri853, []
 
-    for eps in (0.1, 0.2, 0.3):
-        integrate(State(1.18, 0.87, 1.5, 0.99), params_default, SimConfig(eps=eps, t_end=1.0))
+    def recorded(field, *args):
+        handed.append((field, args[5]))  # the right-hand side and solout
+        return dopri853(field, *args)
+
+    monkeypatch.setattr(dop, "dopri853", recorded)
     p, pair = reference_pairs["hybrid"]
+    for eps in (0.1, 0.2):
+        integrate(State(1.18, 0.87, 1.5, 0.99), params_default, SimConfig(eps=eps, t_end=1.0))
     assemble_singular_orbit(pair, p)
-    assert not any(map(len, held()))
+    integrate(State(1.18, 0.87, 1.5, 0.99), params_default, SimConfig(eps=0.3, t_end=1.0))
+    assert len(handed) == 5  # three runs and two slow segments
+    (field, keep), = set(handed)
+    held = dict(zip(keep.__code__.co_freevars, (c.cell_contents for c in keep.__closure__)))
+    assert len(held["record"]) == 0 and held["due"] == [math.inf]
+
+
+def test_fields_stay_independent_of_the_stepper_field(params_default):
+    # every run rebinds the one field the stepper steps; a field made by
+    # vector_field keeps its own r, m and eps, and a failed run leaves
+    # nothing that changes the next one
+    y = np.array([1.3, 0.7, 1.1, 0.6])
+    field = vector_field(params_default, 0.025)
+    own = field(0.0, y).copy()
+    s0, cfg = State(1.18, 0.87, 1.50, 0.99), SimConfig(eps=0.1, t_end=2.0)
+    integrate(s0, Params(0.3, 0.6), SimConfig(eps=0.2, t_end=2.0))
+    assert field(0.0, y).tobytes() == own.tobytes()
+    clean = integrate(s0, params_default, cfg)
+    with pytest.raises(StiffnessError):
+        integrate(State(1.18, 0.87, 1.5, 0.5), Params(0.3, 0.6),
+                  SimConfig(eps=1e-300, t_end=1.0, max_step=0.1))
+    after = integrate(s0, params_default, cfg)
+    assert after.states.tobytes() == clean.states.tobytes()
+    assert (after.steps, after.rhs_evals) == (clean.steps, clean.rhs_evals)
+    assert field(0.0, y).tobytes() == own.tobytes()
 
 
 def test_sampling_in_blocks_is_bitwise_one_pass(monkeypatch, params_default):
@@ -363,13 +400,14 @@ def test_two_samples_take_the_whole_run_in_one_call(params_default):
 
 
 def test_stepper_failure_raises_stiffness_error_and_no_warning(params_default):
-    # at eps = 1e-300 no step passes the error test; a warning that escaped
-    # integrate would be raised here in place of the StiffnessError
+    # at eps = 1e-300 no step passes the error test (a max_step of 0.1 keeps
+    # the run inside the step budget); a warning that escaped integrate would
+    # be raised here in place of the StiffnessError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StiffnessError, match=r"t=0 \(eps=1e-300\): dop853: "):
             integrate(State(1.18, 0.87, 1.5, 0.5), params_default,
-                      SimConfig(eps=1e-300, t_end=1.0))
+                      SimConfig(eps=1e-300, t_end=1.0, max_step=0.1))
 
 
 def _logit_reference(y0, p, eps, times):
