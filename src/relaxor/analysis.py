@@ -390,11 +390,9 @@ def classify_orientation(ex: ExtremaList, align_tol: float | None = None,
     peak_sets = {prey: np.array([e.time for e in ex.of(prey, "max")])
                  for prey in ("p1", "p2")}
     for prey, prey_peaks in peak_sets.items():
-        votes[prey] = _gap_votes(_peak_gaps(z_peaks, prey_peaks, ex.period)
-                                 if len(prey_peaks) else [], align_tol)
+        votes[prey] = _gap_votes(_peak_gaps(z_peaks, prey_peaks, ex.period), align_tol)
     combined = np.sort(np.concatenate([peak_sets["p1"], peak_sets["p2"]]))
-    votes["combined"] = _gap_votes(_peak_gaps(z_peaks, combined, ex.period)
-                                   if len(combined) else [], align_tol)
+    votes["combined"] = _gap_votes(_peak_gaps(z_peaks, combined, ex.period), align_tol)
 
     mapping = {"clockwise": Orientation.CLOCKWISE,
                "counterclockwise": Orientation.COUNTERCLOCKWISE,

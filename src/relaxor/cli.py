@@ -34,8 +34,7 @@ from .analysis import (classify_synchronization, classification_report,
                        effective_jump_pair, find_extrema)
 from .errors import InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
-from .orbit import (UNKNOWN_NAMES, SingularOrbit, assemble_singular_orbit,
-                    scan_family, solve_jump_points)
+from .orbit import SingularOrbit, assemble_singular_orbit, scan_family, solve_jump_points
 from .simulate import (SimConfig, Trajectory, default_continuation_schedule,
                        detect_jump_events, integrate, iter_continue_in_eps)
 from .svgplot import dual_phase_plane_svg, scatter_plot, time_series_svg
@@ -330,10 +329,6 @@ def cmd_scan(args) -> dict:
     (name1, *grid1), (name2, *grid2) = args.pin1, args.pin2
     if not args.guess:
         args.guess = dict(SEEDS[args.seed]["guess"])
-    free = [n for n in UNKNOWN_NAMES if n not in (name1, name2)]
-    if sorted(args.guess) != sorted(free):
-        raise InvalidInputError(
-            f"scan over ({name1}, {name2}) needs a guess for {free}")
 
     names = ("scan.family.json", "scan.family.csv",
              *(f"scan.{xk}_{yk}.svg" for xk, yk in _PROJECTIONS))

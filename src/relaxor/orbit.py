@@ -275,12 +275,11 @@ class JumpPair:
     zb: float
     t0: float
     t1: float
-    # solver statistics of the solve that accepted the pair: the sup norm
-    # of its travel-time residuals, its Newton steps and its residual
-    # evaluations; NaN and None for a pair built any other way
-    residual: float = field(default=math.nan, init=False, repr=False, compare=False)
-    iterations: int | None = field(default=None, init=False, repr=False, compare=False)
-    residual_evaluations: int | None = field(default=None, init=False, repr=False,
+    # statistics of the Newton solve that returns the pair: the sup norm of
+    # its travel-time residuals, its steps and its residual evaluations
+    residual: float = field(default=math.nan, kw_only=True, repr=False, compare=False)
+    iterations: int | None = field(default=None, kw_only=True, repr=False, compare=False)
+    residual_evaluations: int | None = field(default=None, kw_only=True, repr=False,
                                              compare=False)
 
     @property
@@ -324,7 +323,9 @@ def _half(man: ManifoldTag, prey_a: float, zA: float, zB: float,
     """(prey at B, growth time, route time) of the chart half on ``man``.
 
     M1 gives (p1B, T0 = ln(p1A/p1B), q = 1 route time), M0 gives
-    (p2B, T1 = ln(p2B/p2A)/r, q = 0 route time).
+    (p2B, T1 = ln(p2B/p2A)/r, q = 0 route time).  The M1 half reads only
+    (p1A, zA, zB) and the M0 half only (p2A, zA, zB), so a Jacobian column
+    that moves one half's inputs reuses the other.
     """
     # W0 puts p1B left of the predator nullcline on q = 1, W-1 puts p2B
     # right of it on q = 0.  The route runs A -> B on q = 1 and B -> A on
@@ -336,20 +337,6 @@ def _half(man: ManifoldTag, prey_a: float, zA: float, zB: float,
     start, end = ((prey_a, zA), (prey_b, zB)) if on_m1 else ((prey_b, zB), (prey_a, zA))
     route = _route_time(man, start, end, a, p)
     return prey_b, math.log(start[0] / end[0]) / man.centre(p), route
-
-
-def _pair_from_unknowns(p1A, p2A, zA, zB, p) -> JumpPair:
-    """The one jump-pair builder: B by elimination, T0 and T1 from the exponential prey.
-
-    The M1 half depends only on (p1A, zA, zB) and the M0 half only on
-    (p2A, zA, zB); each is memoized, so a Jacobian column that moves one
-    half's inputs reuses the other, and the pair at convergence reuses the
-    last residual's halves.  Their branches, W0 on q = 1 and W-1 on
-    q = 0, give the geometry of a downward jump (p1B < p2B).
-    """
-    p1B, t0, _ = _half(ManifoldTag.M1, p1A, zA, zB, p)
-    p2B, t1, _ = _half(ManifoldTag.M0, p2A, zA, zB, p)
-    return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0=t0, t1=t1)
 
 
 def existence_residual(p1A: float, p2A: float, zA: float, zB: float,
@@ -414,7 +401,8 @@ def solve_jump_points(pinned: dict, guess: dict, p: Params) -> JumpPair:
     Raises NonConvergenceError with the last iterate's diagnostics and the
     evaluations spent if the iteration fails; InadmissibleOrbitError if it
     converges to a point violating the jump directions; ParameterDomainError
-    for a pin or guess that is not finite and positive.
+    unless ``pinned`` names two of the four and ``guess`` the other two,
+    or for a pin or guess that is not finite and positive.
     """
     pair = _newton(pinned, guess, p)
     pair.check(p)
@@ -433,7 +421,7 @@ def _newton(pinned: dict, guess: dict, p: Params) -> JumpPair:
 
     def unknowns(x: np.ndarray) -> list:
         vals = dict(pinned)
-        vals.update(zip(free_names, x))
+        vals.update(zip(free_names, x.tolist()))
         return [vals[n] for n in UNKNOWN_NAMES]
 
     evaluations = 0
@@ -457,11 +445,13 @@ def _newton(pinned: dict, guess: dict, p: Params) -> JumpPair:
     for iteration in range(_MAX_ITER):
         norm = np.max(np.abs(r))
         if norm < _SOLVE_TOL:
-            pair = _pair_from_unknowns(*unknowns(x), p)
-            for name, value in (("residual", float(norm)), ("iterations", iteration),
-                                ("residual_evaluations", evaluations)):
-                object.__setattr__(pair, name, value)
-            return pair
+            # B, T0 and T1 from the memoized halves of the last residual;
+            # W0 on q = 1 and W-1 on q = 0 make the jump a downward one
+            p1A, p2A, zA, zB = unknowns(x)
+            p1B, t0, _ = _half(ManifoldTag.M1, p1A, zA, zB, p)
+            p2B, t1, _ = _half(ManifoldTag.M0, p2A, zA, zB, p)
+            return JumpPair(p1A, p2A, zA, p1B, p2B, zB, t0, t1, residual=float(norm),
+                            iterations=iteration, residual_evaluations=evaluations)
 
         jac = np.empty((2, 2))
         for k, name in enumerate(free_names):

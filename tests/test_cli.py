@@ -399,6 +399,22 @@ def test_scan_nonpositive_pin_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pins, named", [
+    (("foo=1.4:2.6:2", "zA=1.3:1.4:2"), "['foo', 'zA']"),
+    (("zA=1.1:1.2:2", "zA=1.3:1.4:2"), "['zA']"),  # a repeated pin is one pin
+])
+def test_scan_needs_two_distinct_known_pins(tmp_path, capsys, pins, named):
+    # the solver's message states the rule and names the pins and guess it got
+    out = tmp_path / "scan"
+    assert run("scan", "--pin1", pins[0], "--pin2", pins[1], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pin exactly two of ('p1A', 'p2A', 'zA', 'zB') "
+                          "and guess the remaining two; ")
+    assert f"pinned={named}, guess=['p2A', 'zB']" in err
+    # --out is opened first, as construct opens it; no run is recorded
+    assert out.is_dir() and not (out / "manifest.json").exists()
+
+
 def test_construct_negative_guess_is_input_error(tmp_path, capsys):
     code = run("construct", "--pin", "p1A=1.81", "--pin", "zA=1.35",
                "--guess", "p2A=-0.49", "--guess", "zB=1.4", "--out", str(tmp_path / "c"))

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 
@@ -970,6 +971,11 @@ def test_family_table_serialization(tmp_path, params_default):
     assert header == ["r", "m", "pin_p1A", "pin_zA", "p1A", "p2A", "zA",
                       "p1B", "p2B", "zB", "T0", "T1", "residual"]
     assert list(rows[0])[:2] == ["r", "m"]
+    # every cell is a plain repr that parses back to the row's JSON value,
+    # the free coordinates and what is eliminated from them included
+    with open(csv_path, newline="") as fh:
+        [cells] = csv.DictReader(fh)
+    assert {k: float(v) for k, v in cells.items()} == rows[0]
 
 
 # ------------------------------------------------------------------- assembly
