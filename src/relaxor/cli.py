@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import logging
 import math
@@ -93,11 +94,14 @@ def _schedule(text: str) -> list[tuple[float, float]]:
 
 
 def _assignments(items) -> dict:
-    """The NAME=VALUE texts of a repeatable flag as {NAME: VALUE}."""
+    """The NAME=VALUE texts of a repeatable flag as {NAME: VALUE}; a repeated NAME is refused."""
     out = {}
     for item in items:
         name, _, value = item.partition("=")
-        out[name.strip()], = _floats(value, 1, ",", "NAME=VALUE")
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"repeated name {name!r}")
+        out[name], = _floats(value, 1, ",", "NAME=VALUE")
     return out
 
 
@@ -478,7 +482,16 @@ def cmd_classify(args) -> dict:
             "outputs": manifest.finish()}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Nothing in it depends on the arguments, and parsing leaves it as it
+    was: each parse fills a fresh namespace, every default is None, False
+    or ".", and a repeatable flag gets a new list.  So ``main`` can run
+    any number of commands in one process on one parser; callers share it
+    and must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="relaxor",
         description="Singular periodic orbits and simulations of the "

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import logging
@@ -678,6 +679,10 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
     (["construct", "--seed", "bogus", "--pin", "p1A=1.81", "--pin", "zA=1.35",
       "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
     (["scan", "--seed", "bogus", "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["construct", "--pin", "p1A=1.7", "--pin", "p1A=1.81", "--pin", "zA=1.35",
+      "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["construct", "--pin", "p1A=1.81", "--pin", "zA=1.35",
+      "--guess", "p2A=0.3", "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
         "empty-grid", "corrupt-manifest", "trajectory-empty-config",
         "orbit-empty-segments", "trajectory-text-parameter", "trajectory-text-time",
@@ -688,7 +693,7 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
         "max-step-zero", "max-step-nan", "align-tol-negative", "align-tol-nan",
         "grid-bound-nan", "grid-bound-inf", "guess-inf", "pin-nan", "m-inf",
         "config-repeated-key", "out-is-file", "construct-unknown-seed-with-pins",
-        "scan-unknown-seed-with-guess"])
+        "scan-unknown-seed-with-guess", "pin-repeated-name", "guess-repeated-name"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():
@@ -749,6 +754,54 @@ def test_scan_manifest_records_seed(manifest_entries):
     assert parameters["seed"] == "hybrid"
     assert parameters["guess"] == SEEDS["hybrid"]["guess"]
     assert parameters["pin1"] == ["p1A", 1.81, 1.81, 1]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    assert run("classify", "--out", str(tmp_path)) == 2  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = tmp_path / "runs"
+    for command, argv in _ONE_RUN.items():
+        argv = [a.replace("{out}", str(out)) for a in argv]
+        assert run(command, *argv, "--out", str(out)) == 0
+    assert built == []
+    build_parser.__wrapped__()  # the counter sees the top parser and one per command
+    assert len(built) == 1 + len(_COMMANDS)
+
+
+def test_a_main_call_carries_nothing_into_the_next(tmp_path, capsys):
+    # the flags of the first call give hybrid's pins and guess
+    runs = {"hybrid": ["--pin", "p1A=1.81", "--pin", "zA=1.35",
+                       "--guess", "p2A=0.49", "--guess", "zB=1.4"],
+            "balanced": ["--seed", "balanced"]}
+    for preset, argv in runs.items():
+        assert run("construct", *argv, "--samples", "20", "--out", str(tmp_path / preset)) == 0
+    for preset in runs:
+        [entry] = json.loads((tmp_path / preset / "manifest.json").read_text())["runs"]
+        assert entry["parameters"]["pin"] == SEEDS[preset]["pin"]
+        assert entry["parameters"]["guess"] == SEEDS[preset]["guess"]
+
+
+def test_main_works_after_help_and_after_an_unknown_flag(tmp_path, capsys):
+    for argv, code in ((["--help"], 0), (["construct", "--help"], 0),
+                       (["simulate", "--bogus", "1"], 2)):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+    captured = capsys.readouterr()
+    assert "construct" in captured.out and "--pin NAME=VALUE" in captured.out
+    assert "unrecognized arguments: --bogus 1" in captured.err
+    assert run("simulate", "--t-end", "1", "--samples", "7", "--out", str(tmp_path)) == 0
+    [entry] = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert entry["parameters"]["eps"] == 0.025
+    assert entry["parameters"]["t_end"] == 1.0
 
 
 # a text for each option whose default is None or not text
