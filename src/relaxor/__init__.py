@@ -20,7 +20,7 @@ from .model import (
     h0, h1, full_integral, coexistence_equilibrium, characteristic_roots,
 )
 from .orbit import (
-    Anchor, JumpPair, SingularOrbit, FamilyRow, FamilyTable,
+    Anchor, JumpPair, SingularOrbit, FamilyTable,
     lv_branch, extrema, eliminate, travel_time_M1, travel_time_M0,
     existence_residual, solve_jump_points, scan_family,
     trait_pressure_balance, solve_balanced_orbit, assemble_singular_orbit,

@@ -347,7 +347,7 @@ def cmd_scan(args) -> dict:
         json_path, csv_path, *svg_paths = manifest.claim(*names)
         table.to_json(json_path)
         table.to_csv(csv_path)
-        jumps = [row.jump.as_dict() for row in table.rows]
+        jumps = [pair.as_dict() for pair in table.rows]
         for (xk, yk), path in zip(_PROJECTIONS, svg_paths):
             path.write_text(scatter_plot([d[xk] for d in jumps], [d[yk] for d in jumps],
                                          xk, yk, title=f"family projection ({xk}, {yk})"))
@@ -459,8 +459,8 @@ def cmd_classify(args) -> dict:
             data = readers[kind](doc)
         except KeyError as err:
             raise InvalidInputError(f"{args.input}: {kind} document lacks {err}") from err
-        except InvalidInputError:
-            raise
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{args.input}: {err}") from err
         except (TypeError, ValueError) as err:  # a field of the wrong type or shape
             raise InvalidInputError(f"{args.input}: malformed {kind} document: {err}") from err
     with manifest.phase("classify"):

@@ -5,8 +5,10 @@ code 2); everything else under ``RelaxorError`` is a numerical failure
 (CLI exit code 1).
 """
 
-import math
 import numbers
+import sys
+
+_MAX_DOUBLE = sys.float_info.max
 
 
 class RelaxorError(Exception):
@@ -24,10 +26,11 @@ class ParameterDomainError(InvalidInputError):
 def require_positive(what: str, values) -> None:
     """The one rule for densities, durations and scales: each of ``values`` is finite and > 0.
 
-    ``values`` holds plain numbers, not arrays; NaN fails the rule.
+    ``values`` holds plain numbers, not arrays; NaN fails the rule, and so
+    does an integer too large for a double.
     """
     for v in values:
-        if not 0.0 < v < math.inf:
+        if not 0.0 < v <= _MAX_DOUBLE:
             raise ParameterDomainError(f"{what} must be finite and positive")
 
 

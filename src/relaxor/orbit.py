@@ -58,7 +58,7 @@ from .simulate import dop853_samples, solve_ivp  # solve_ivp: perfbench/tracing.
 _log = logging.getLogger(__name__)
 
 __all__ = [
-    "Anchor", "JumpPair", "SingularOrbit", "FamilyRow", "FamilyTable",
+    "Anchor", "JumpPair", "SingularOrbit", "FamilyTable",
     "lv_branch", "extrema", "eliminate", "travel_time_M1", "travel_time_M0",
     "existence_residual", "solve_jump_points", "scan_family",
     "trait_pressure_balance", "solve_balanced_orbit",
@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 UNKNOWN_NAMES = ("p1A", "p2A", "zA", "zB")
+# a jump pair's document keys, in field order; each lowercased is its field
+_PAIR_KEYS = ("p1A", "p2A", "zA", "p1B", "p2B", "zB", "T0", "T1")
 
 _LEVEL_TOL = 1e-8        # conserved-level agreement required of segment endpoints
 _DEGENERATE_TOL = 1e-12  # branch-point offset below which the level orbit is a point
@@ -293,14 +295,11 @@ class JumpPair:
         return np.array([self.p1b, self.p2b, self.zb])
 
     def as_dict(self) -> dict:
-        return {"p1A": self.p1a, "p2A": self.p2a, "zA": self.za,
-                "p1B": self.p1b, "p2B": self.p2b, "zB": self.zb,
-                "T0": self.t0, "T1": self.t1}
+        return {k: getattr(self, k.lower()) for k in _PAIR_KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "JumpPair":
-        return cls(d["p1A"], d["p2A"], d["zA"], d["p1B"], d["p2B"], d["zB"],
-                   d["T0"], d["T1"])
+        return cls(*(d[k] for k in _PAIR_KEYS))
 
     def check(self, p: Params) -> None:
         """Raise unless the jump-pair invariants hold."""
@@ -541,47 +540,37 @@ def solve_balanced_orbit(guess: dict, p: Params) -> JumpPair:
 # family scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyRow:
-    r: float
-    m: float
-    pinned: dict
-    jump: JumpPair
-
-
 @dataclass
 class FamilyTable:
     """Converged, admissible jump pairs over a grid of the pinned parameters.
 
+    ``rows`` are the solved pairs in grid order; each holds its two pinned
+    coordinates among its own, and ``params`` holds the r and m of all.
     ``iterations`` and ``residual_evaluations`` total the Newton steps and
     existence-residual evaluations of every solve the scan made, failed
     solves included.
     """
 
+    params: Params
     pin_names: tuple[str, str]
-    rows: list[FamilyRow] = field(default_factory=list)
+    rows: list[JumpPair] = field(default_factory=list)
     iterations: int = 0
     residual_evaluations: int = 0
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    _COORDS = ("p1A", "p2A", "zA", "p1B", "p2B", "zB", "T0", "T1")
-
-    def _row_dict(self, row: FamilyRow) -> dict:
-        out = {"r": row.r, "m": row.m}
-        out.update({f"pin_{k}": row.pinned[k] for k in self.pin_names})
-        out.update(row.jump.as_dict())  # keyed in _COORDS order
-        out["residual"] = row.jump.residual
-        return out
+    def _row_dict(self, pair: JumpPair) -> dict:
+        d = pair.as_dict()
+        return {"r": self.params.r, "m": self.params.m,
+                **{f"pin_{k}": d[k] for k in self.pin_names}, **d, "residual": pair.residual}
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump([self._row_dict(r) for r in self.rows], fh, indent=1)
 
     def to_csv(self, path) -> None:
-        columns = (["r", "m"] + [f"pin_{k}" for k in self.pin_names]
-                   + list(self._COORDS) + ["residual"])
+        columns = ["r", "m", *(f"pin_{k}" for k in self.pin_names), *_PAIR_KEYS, "residual"]
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
@@ -602,28 +591,30 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
     its row and of the point beside it in the row before, where these
     converged, then ``seed_guess``.  Each seed is solved exactly as
     ``solve_jump_points`` solves it.  Only converged, admissible jump
-    pairs become rows; an empty table is a valid outcome.  Each point
-    without a row is logged at INFO with its pins, the number of seeds
-    tried and the last error.  Rows are ordered by grid index regardless
-    of the visit order, and the table totals the solver work of the
-    whole grid.  Invalid input, such as a nonpositive pin or a misnamed
+    pairs become rows, each the pair its solve returned; an empty table is
+    a valid outcome.  Each point without a row is logged at INFO with its
+    pins, the number of seeds tried and the last error.  Rows are ordered
+    by grid index regardless of the visit order, and the table totals the
+    solver work of the whole grid.  Invalid input, such as a nonpositive pin or a misnamed
     guess, raises ParameterDomainError instead of dropping grid points.
     """
     free_names = tuple(n for n in UNKNOWN_NAMES if n not in pin_names)
     values1, values2 = (np.asarray(g, dtype=float) for g in grid)
-    solved: dict[tuple[int, int], np.ndarray] = {}  # free coordinates of converged points
-    table = FamilyTable(pin_names)
-    rows: dict[tuple[int, int], FamilyRow] = {}
+    solved: dict[tuple[int, int], JumpPair] = {}  # the rows, by grid index
+    table = FamilyTable(p, pin_names)
 
-    def guess_at(x: np.ndarray) -> dict:
-        return dict(zip(free_names, x.tolist()))
+    def free(n: tuple[int, int]) -> dict:
+        """Free coordinates of the row at grid index ``n``."""
+        d = solved[n].as_dict()
+        return {k: d[k] for k in free_names}
 
     def prediction(i: int, j: int, back: int):
         """Secant guess at (i, j), or None."""
         for n1, n2 in (((i, j - back), (i, j - 2 * back)), ((i - 1, j), (i - 2, j))):
             if n1 in solved and n2 in solved:
-                x = 2.0 * solved[n1] - solved[n2]
-                return guess_at(x) if np.all(x > 0.0) else None
+                x1, x2 = free(n1), free(n2)
+                x = {k: 2.0 * x1[k] - x2[k] for k in free_names}
+                return x if all(v > 0.0 for v in x.values()) else None
         return None
 
     for i, v1 in enumerate(values1):
@@ -633,7 +624,7 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
             v2 = values2[j]
             predicted = prediction(i, j, back)
             seeds = [] if predicted is None else [predicted]
-            seeds += [guess_at(solved[n]) for n in ((i, j - back), (i - 1, j)) if n in solved]
+            seeds += [free(n) for n in ((i, j - back), (i - 1, j)) if n in solved]
             seeds.append(dict(seed_guess))
             pinned = {pin_names[0]: float(v1), pin_names[1]: float(v2)}
             for guess in seeds:
@@ -650,15 +641,13 @@ def scan_family(p: Params, grid: tuple[np.ndarray, np.ndarray], seed_guess: dict
                     # text, not the error: its traceback would hold this frame
                     last_error = f"{type(err).__name__}: {err}"
                     continue
-                rows[(i, j)] = FamilyRow(r=p.r, m=p.m, pinned=pinned, jump=pair)
-                d = pair.as_dict()
-                solved[(i, j)] = np.array([d[k] for k in free_names])
+                solved[(i, j)] = pair
                 break
             else:
                 _log.info("scan point %s: no row after %d seeds; last error %s",
                           pinned, len(seeds), last_error)
 
-    table.rows = [row for _, row in sorted(rows.items())]
+    table.rows = [pair for _, pair in sorted(solved.items())]
     return table
 
 
@@ -719,14 +708,16 @@ class SingularOrbit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SingularOrbit":
-        orbit = cls(
-            params=Params(d["r"], d["m"]),
-            jumps=JumpPair.from_dict(d["jumps"]),
-            t_m1=np.asarray(d["t_m1"]), y_m1=np.asarray(d["y_m1"]),
-            t_m0=np.asarray(d["t_m0"]), y_m0=np.asarray(d["y_m0"]),
-        )
+        try:
+            orbit = cls(params=Params(d["r"], d["m"]), jumps=JumpPair.from_dict(d["jumps"]),
+                        **{k: np.asarray(d[k], dtype=float)
+                           for k in ("t_m1", "y_m1", "t_m0", "y_m0")})
+        except OverflowError as err:  # json reads 1e400 as inf, but 10**400 as an int
+            raise ParameterDomainError("orbit holds a number too large for a double") from err
         if not np.all(np.diff(orbit.times) > 0.0):  # also refuses NaN times
             raise ParameterDomainError("orbit times must increase strictly across both segments")
+        if not np.all(np.isfinite(orbit.times)):
+            raise ParameterDomainError("orbit times must be finite")
         require_positive("orbit times T0, T1 and densities p1, p2, z",
                          [*orbit.jumps.as_dict().values(), *orbit.slow_points().ravel().tolist()])
         return orbit

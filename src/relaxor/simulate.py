@@ -164,14 +164,20 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        try:
+        try:  # a setting missing, unknown, not a number or an integer no double holds
             cfg = SimConfig(**d["config"])
-        except TypeError as err:  # missing, unknown or non-numeric settings
+        except (TypeError, OverflowError) as err:
             raise ParameterDomainError(f"malformed trajectory config: {err}") from err
-        tr = cls(times=np.asarray(d["times"]), states=np.asarray(d["states"]),
-                 params=Params(d["r"], d["m"]), config=cfg)
-        # q goes unchecked: integrate's samples may lie up to abs_tol outside [0, 1]
+        try:
+            tr = cls(times=d["times"], states=d["states"], params=Params(d["r"], d["m"]),
+                     config=cfg)
+        except OverflowError as err:  # json reads 1e400 as inf, but 10**400 as an int
+            raise ParameterDomainError(
+                "trajectory holds a number too large for a double") from err
         require_positive("trajectory densities p1, p2, z", tr.states[:, :3].ravel().tolist())
+        # q need only be finite: integrate's samples may lie up to abs_tol outside [0, 1]
+        if not (np.all(np.isfinite(tr.times)) and np.all(np.isfinite(tr.states[:, 3]))):
+            raise ParameterDomainError("trajectory times and traits q must be finite")
         return tr
 
     @classmethod

@@ -255,8 +255,7 @@ def test_criterion_9_family_scan():
         table = scan_family(p, grid, {"p2A": 0.49, "zB": 1.40})
         assert len(table) >= 50
         antiphase_rows = 0
-        for row in table.rows:
-            j = row.jump
+        for j in table.rows:
             # direct re-evaluation of all four closure conditions
             assert abs(h0(j.p2a, j.za, p) - h0(j.p2b, j.zb, p)) < 1e-9
             assert abs(h1(j.p1a, j.za, p) - h1(j.p1b, j.zb, p)) < 1e-9
@@ -271,9 +270,9 @@ def test_criterion_9_family_scan():
                 ex = find_extrema(orbit)
                 for extremum in ex.entries["z"]:
                     if extremum.location == "at-jump":
-                        assert extremum.kind == "min", row.pinned
+                        assert extremum.kind == "min", (j.p1a, j.za)
                 sync = classify_synchronization(ex, j, p)
-                assert sync.prey_prey_antiphase, row.pinned
+                assert sync.prey_prey_antiphase, (j.p1a, j.za)
                 assert sync.label in (SyncLabel.PREY_PREY_ANTIPHASE,
                                       SyncLabel.PREDATOR_PREY_PREY)
         assert antiphase_rows > 0

@@ -363,7 +363,7 @@ def test_construct_and_scan_manifests_record_the_newton_work(tmp_path, capsys, m
     assert scan["newton_iterations"] == table.iterations
     # the failed solves at zA = 1.19 are counted too
     [row] = table.rows
-    assert row.jump.residual_evaluations < scan_calls
+    assert row.residual_evaluations < scan_calls
 
 
 def test_scan_single_point(tmp_path, capsys):
@@ -865,23 +865,45 @@ def test_balanced_preset_pins_the_balanced_solve(params_default):
         relaxor.solve_balanced_orbit({**pin, **guess}, params_default)
 
 
-@pytest.mark.parametrize("kind,constant", [("singular_orbit", "NaN"),
-                                           ("trajectory", "Infinity")])
-def test_classify_refuses_non_finite_numbers(tmp_path, capsys, kind, constant):
-    # json reads NaN and Infinity, which strict JSON does not have
+_HUGE = "1" + "0" * 400  # an integer no double holds
+
+
+@pytest.mark.parametrize("kind,where,number,tail", [
+    ("singular_orbit", ("y_m1", 1, 0), "NaN", " is not JSON: NaN is not a finite number"),
+    ("trajectory", ("states", 100, 1), "Infinity",
+     " is not JSON: Infinity is not a finite number"),
+    ("singular_orbit", ("t_m0", -1), "1e999", ": orbit times must be finite"),
+    ("trajectory", ("states", 100, 3), "1e999",
+     ": trajectory times and traits q must be finite"),
+    ("trajectory", ("times", -1), "1e999", ": trajectory times and traits q must be finite"),
+    ("singular_orbit", ("y_m0", 0, 1), _HUGE, ": orbit holds a number too large for a double"),
+    ("singular_orbit", ("jumps", "p1B"), _HUGE,
+     ": orbit times T0, T1 and densities p1, p2, z must be finite and positive"),
+    ("trajectory", ("states", 100, 1), _HUGE,
+     ": trajectory holds a number too large for a double"),
+    ("trajectory", ("config", "eps"), _HUGE,
+     ": malformed trajectory config: int too large to convert to float"),
+], ids=["singular_orbit-NaN", "trajectory-Infinity", "orbit-time-1e999", "trajectory-q-1e999",
+        "trajectory-time-1e999", "orbit-density-huge-int", "orbit-jump-huge-int", "trajectory-density-huge-int",
+        "trajectory-eps-huge-int"])
+def test_classify_refuses_non_finite_numbers(tmp_path, capsys, kind, where, number, tail):
+    # json reads NaN and Infinity, which strict JSON does not have, 1e999 as
+    # inf, and a long integer as an int too large for a double
     if kind == "singular_orbit":
         doc = json.loads(_ORBIT_DOC)
-        doc["y_m1"][1][0] = float("nan")
     else:
         assert run("simulate", "--eps", "0.1", "--t-end", "10", "--out", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "simulate.trajectory.json").read_text())
-        doc["states"][100][1] = float("inf")
+    *keys, last = where
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = "@"
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace('"@"', number))
     capsys.readouterr()
     assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == (
-        f"error: {path} is not JSON: {constant} is not a finite number\n")
+    assert capsys.readouterr().err == f"error: {path}{tail}\n"
     assert not (tmp_path / "out" / "classify.report.json").exists()
 
 
@@ -909,7 +931,7 @@ def test_classify_refuses_an_orbit_the_library_cannot_write(tmp_path, capsys, ed
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not (tmp_path / "out" / "classify.report.json").exists()
 
 
@@ -925,7 +947,7 @@ def test_classify_refuses_a_trajectory_with_negative_densities(tmp_path, capsys)
     capsys.readouterr()
     assert run("classify", "--input", str(path), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == (
-        "error: trajectory densities p1, p2, z must be finite and positive\n")
+        f"error: {path}: trajectory densities p1, p2, z must be finite and positive\n")
     assert not (tmp_path / "out" / "classify.report.json").exists()
 
 

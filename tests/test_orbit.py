@@ -810,8 +810,8 @@ def test_scan_single_point_grid(reference_pairs):
     table = scan_family(p, (np.array([pair.p1a]), np.array([pair.za])),
                         {"p2A": pair.p2a, "zB": pair.zb})
     assert len(table) == 1
-    assert table.rows[0].jump.p2b == pytest.approx(pair.p2b, rel=1e-9)
-    assert table.rows[0].jump.residual < 1e-10
+    assert table.rows[0].p2b == pytest.approx(pair.p2b, rel=1e-9)
+    assert table.rows[0].residual < 1e-10
 
 
 def test_scan_rows_pass_residual_recheck(params_default):
@@ -820,7 +820,7 @@ def test_scan_rows_pass_residual_recheck(params_default):
                         {"p2A": 0.49, "zB": 1.40})
     assert len(table) == 9
     for row in table.rows:
-        d = row.jump.as_dict()
+        d = row.as_dict()
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
         assert max(abs(res[0]), abs(res[1])) < 1e-10
         assert d["p1A"] > d["p2A"] and d["p1B"] < d["p2B"]
@@ -841,9 +841,9 @@ def test_scan_work_on_the_benchmark_grid(params_default, residual_calls):
     assert 0 < table.iterations < table.residual_evaluations
     # the residual column is the one the solver converged on
     for row in table.rows:
-        d = row.jump.as_dict()
+        d = row.as_dict()
         res = existence_residual(d["p1A"], d["p2A"], d["zA"], d["zB"], params_default)
-        assert row.jump.residual == float(np.max(np.abs(res)))
+        assert row.residual == float(np.max(np.abs(res)))
 
 
 _NEWTON = orbit_module._newton
@@ -872,7 +872,7 @@ def test_scan_seeds_a_row_point_with_the_secant_prediction(params_default, monke
     table = scan_family(params_default, (np.array([2.15]), np.array([1.40, 1.47, 1.54])),
                         {"p2A": 0.49, "zB": 1.40})
     assert len(table) == 3 and len(solves) == 3
-    first, second, _ = (row.jump for row in table.rows)
+    first, second, _ = table.rows
     # the first point starts from the guess, the second from the first's
     # coordinates, the third from 2 x1 - x2
     assert solves[0][1] == {"p2A": 0.49, "zB": 1.40}
@@ -883,7 +883,7 @@ def test_scan_seeds_a_row_point_with_the_secant_prediction(params_default, monke
     # each seed is solved as solve_jump_points solves it
     for (pinned, guess, pair), row in zip(solves, table.rows):
         alone = solve_jump_points(pinned, guess, params_default)
-        assert alone == pair == row.jump and alone.iterations == pair.iterations
+        assert alone == pair == row and alone.iterations == pair.iterations
 
 
 @pytest.mark.parametrize("pin_names,grid,guess,count", [
@@ -895,15 +895,30 @@ def test_scan_seeds_a_row_point_with_the_secant_prediction(params_default, monke
      {"p2A": 0.49, "zA": 1.35}, 12),
 ], ids=["zA-zB", "p1A-zB"])
 def test_scans_under_other_pins_yield_true_rows_and_total_their_solves(
-        params_default, monkeypatch, residual_calls, pin_names, grid, guess, count):
+        tmp_path, params_default, monkeypatch, residual_calls, pin_names, grid, guess, count):
     solves = _recording_newton(monkeypatch)
     table = scan_family(params_default, grid, guess, pin_names)
     assert len(table) == count
-    for row in table.rows:
-        assert set(row.pinned) == set(pin_names)
-        j = row.jump
+    # each row sits at its own grid point, and the rows come in grid order
+    points = []
+    for j in table.rows:
+        d = j.as_dict()
+        points.append(tuple(values.tolist().index(d[name])
+                            for name, values in zip(pin_names, grid)))
         j.check(params_default)
         assert max(map(abs, existence_residual(j.p1a, j.p2a, j.za, j.zb, params_default))) < 1e-10
+    assert points == sorted(set(points))
+    # the written rows carry the pins as the pair's own coordinates and the
+    # table's r and m
+    table.to_json(tmp_path / "family.json")
+    table.to_csv(tmp_path / "family.csv")
+    with open(tmp_path / "family.csv", newline="") as fh:
+        cells = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    written = json.loads((tmp_path / "family.json").read_text())
+    assert cells == written and len(written) == count
+    for row in written:
+        assert [row[f"pin_{name}"] for name in pin_names] == [row[name] for name in pin_names]
+        assert (row["r"], row["m"]) == (params_default.r, params_default.m)
     # every solve, failed or not, counts toward the table's totals
     assert len(solves) > len(table)
     work = [(s.iterations or 0, s.evaluations) if isinstance(s, NonConvergenceError)
@@ -922,8 +937,7 @@ def test_wide_box_scan_yields_only_true_rows(params_default, monkeypatch):
     monkeypatch.setattr(quadrature_module, "_NODES", nodes)
     monkeypatch.setattr(quadrature_module, "_WEIGHTS", weights)
     _clear_memos()
-    for row in table.rows:
-        j = row.jump
+    for j in table.rows:
         assert max(map(abs, existence_residual(j.p1a, j.p2a, j.za, j.zb, params_default))) < 1e-10
 
 
@@ -933,7 +947,7 @@ def test_scan_logs_each_point_without_a_row(caplog, params_default):
     with caplog.at_level(logging.INFO, logger="relaxor.orbit"):
         table = scan_family(params_default, (np.array([1.85]), np.array([1.33, 1.19])),
                             {"p2A": 0.49, "zB": 1.40})
-    assert [row.pinned for row in table.rows] == [{"p1A": 1.85, "zA": 1.33}]
+    assert [(row.p1a, row.za) for row in table.rows] == [(1.85, 1.33)]
     [record] = caplog.records
     assert (record.name, record.levelno) == ("relaxor.orbit", logging.INFO)
     message = record.getMessage()
@@ -1057,6 +1071,14 @@ def test_singular_orbit_json_round_trip(tmp_path, reference_orbits):
     assert np.array_equal(back.times, orbit.times)
     assert np.array_equal(back.states, orbit.states)
     assert back.jumps == orbit.jumps
+
+
+def test_singular_orbit_from_dict_reads_integers_as_doubles(reference_orbits):
+    _, _, orbit = reference_orbits["hybrid"]
+    doc = orbit.to_dict()
+    doc["y_m1"] = [[1, 2, 1]] * len(doc["y_m1"])  # json reads an integer as an int
+    back = SingularOrbit.from_dict(doc)
+    assert all(a.dtype == np.float64 for a in (back.t_m1, back.y_m1, back.t_m0, back.y_m0))
 
 
 # ----------------------------------------------------- trait-pressure balance
