@@ -32,7 +32,7 @@ from .simulate import (
 from .analysis import (
     Extremum, ExtremaList, SyncLabel, Orientation, SyncClass,
     find_extrema, classify_synchronization, classify_orientation,
-    effective_jump_pair, classification_report,
+    effective_jump_pair, classify, classification_report,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .simulate import detect_jump_events
 __all__ = [
     "Extremum", "ExtremaList", "SyncLabel", "Orientation", "SyncClass",
     "find_extrema", "classify_synchronization", "classify_orientation",
-    "effective_jump_pair", "classification_report",
+    "effective_jump_pair", "classify", "classification_report",
 ]
 
 _VARS = ("p1", "p2", "z")
@@ -53,10 +53,6 @@ class Extremum:
     kind: str                 # "max" or "min"
     location: str             # "interior" or "at-jump"
     jump_direction: str | None = None  # "up"/"down" when at a jump
-
-    def as_dict(self) -> dict:
-        return {"time": self.time, "value": self.value, "kind": self.kind,
-                "location": self.location, "jump_direction": self.jump_direction}
 
 
 @dataclass
@@ -275,20 +271,6 @@ class SyncClass:
     jump_extrema: dict = field(default_factory=dict)
     orientation_votes: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label.value,
-            "orientation": self.orientation.value,
-            "prey_prey_antiphase": self.prey_prey_antiphase,
-            "predator_min_at_jumps": self.predator_min_at_jumps,
-            "jump_extrema": self.jump_extrema,
-            "orientation_votes": self.orientation_votes,
-        }
-
-
-def _jump_kinds(ex: ExtremaList, var: str, direction: str) -> set[str]:
-    return {e.kind for e in ex.at_jump(var, direction)}
-
 
 def classify_synchronization(ex: ExtremaList, j: JumpPair, p: Params) -> SyncClass:
     """Assign the synchronization pattern implied by the jump extrema.
@@ -299,8 +281,10 @@ def classify_synchronization(ex: ExtremaList, j: JumpPair, p: Params) -> SyncCla
     predator/prey-2 pattern requires both jump predator levels strictly
     between r and 1, predator minima at both jumps, and prey-2 aligned in
     phase at the upward jump and in antiphase at the downward one.
+    The orientation and its votes are those of ``classify_orientation``.
     """
-    kinds = {var: {d: _jump_kinds(ex, var, d) for d in ("up", "down")} for var in _VARS}
+    kinds = {var: {d: {e.kind for e in ex.at_jump(var, d)} for d in ("up", "down")}
+             for var in _VARS}
     p1_up, p1_down = kinds["p1"]["up"], kinds["p1"]["down"]
     p2_up, p2_down = kinds["p2"]["up"], kinds["p2"]["down"]
     z_up, z_down = kinds["z"]["up"], kinds["z"]["down"]
@@ -318,7 +302,7 @@ def classify_synchronization(ex: ExtremaList, j: JumpPair, p: Params) -> SyncCla
           and p.r < j.za < 1.0 and p.r < j.zb < 1.0):
         label = SyncLabel.PREDATOR_PREY2_ALTERNATING
 
-    orientation, votes = classify_orientation(ex, details=True)
+    orientation, votes = _orientation_votes(ex, None)
     jump_table = {var: {d: sorted(k) for d, k in by_dir.items()}
                   for var, by_dir in kinds.items()}
     return SyncClass(label=label, orientation=orientation,
@@ -362,8 +346,7 @@ def _gap_votes(gaps, align_tol: float) -> dict:
     return counts
 
 
-def classify_orientation(ex: ExtremaList, align_tol: float | None = None,
-                         details: bool = False):
+def classify_orientation(ex: ExtremaList, align_tol: float | None = None) -> Orientation:
     """Judge cycle orientation from predator-peak timing.
 
     For each predator peak, the time gap to the nearest prey peak after
@@ -374,11 +357,17 @@ def classify_orientation(ex: ExtremaList, align_tol: float | None = None,
     ``align_tol`` put the predator peak mid-way between the prey peaks
     (neither).  The verdict is the majority over predator peaks, with
     ties resolved to neither.  Peak sequences of both prey together feed
-    the verdict; the per-prey votes (prey 1 first) are reported alongside.
+    the verdict; ``classify_synchronization`` reports the votes, per prey
+    (prey 1 first) and combined, as ``SyncClass.orientation_votes``.
 
     Requires at least two predator peaks (periodic inputs wrap around, so
     one period suffices there).
     """
+    return _orientation_votes(ex, align_tol)[0]
+
+
+def _orientation_votes(ex: ExtremaList, align_tol: float | None) -> tuple[Orientation, dict]:
+    """The orientation of ``classify_orientation`` and the votes behind it."""
     if align_tol is None:
         align_tol = ex.align_tol
     z_peaks = np.array([e.time for e in ex.of("z", "max")])
@@ -397,17 +386,31 @@ def classify_orientation(ex: ExtremaList, align_tol: float | None = None,
     mapping = {"clockwise": Orientation.CLOCKWISE,
                "counterclockwise": Orientation.COUNTERCLOCKWISE,
                "neither": Orientation.NEITHER, None: Orientation.NEITHER}
-    orientation = mapping[votes["combined"]["verdict"]]
-    if details:
-        return orientation, votes
-    return orientation
+    return mapping[votes["combined"]["verdict"]], votes
+
+
+def classify(source, align_tol: float | None = None) -> tuple[SyncClass, ExtremaList]:
+    """Classify a SingularOrbit or a Trajectory: its pattern and its extrema.
+
+    An orbit is judged against its own jump pair.  A trajectory's jumps are
+    its detected trait crossings, and it is judged against their
+    ``effective_jump_pair``.  ``align_tol`` is that of ``find_extrema``.
+    """
+    if isinstance(source, SingularOrbit):
+        ex = find_extrema(source, align_tol=align_tol)
+        return classify_synchronization(ex, source.jumps, source.params), ex
+    events = detect_jump_events(source)
+    ex = find_extrema(source, events, align_tol=align_tol)
+    return classify_synchronization(ex, effective_jump_pair(events, source.params),
+                                    source.params), ex
 
 
 def classification_report(sync: SyncClass, ex: ExtremaList) -> dict:
-    """JSON-ready report: labels, per-jump extremum table, gap statistics."""
+    """JSON-ready report: each record's own fields in order (enums as values), jump times."""
     return {
-        "classification": sync.as_dict(),
-        "extrema": {var: [e.as_dict() for e in ex.entries[var]] for var in _VARS},
+        "classification": {**vars(sync), "label": sync.label.value,
+                           "orientation": sync.orientation.value},
+        "extrema": {var: [vars(e).copy() for e in ex.entries[var]] for var in _VARS},
         "jump_times": [{"time": t, "direction": d} for t, d in ex.jump_times],
         "align_tol": ex.align_tol,
         "period": ex.period,

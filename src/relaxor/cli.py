@@ -31,13 +31,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (classify_synchronization, classification_report,
-                       effective_jump_pair, find_extrema)
-from .errors import InvalidInputError, NonConvergenceError, RelaxorError
+from .analysis import classification_report, classify
+from .errors import MAX_SAMPLES, InvalidInputError, NonConvergenceError, RelaxorError
 from .model import Params, State
 from .orbit import SingularOrbit, assemble_singular_orbit, scan_family, solve_jump_points
-from .simulate import (SimConfig, Trajectory, default_continuation_schedule,
-                       detect_jump_events, integrate, iter_continue_in_eps)
+from .simulate import (SimConfig, Trajectory, default_continuation_schedule, integrate,
+                       iter_continue_in_eps)
 from .svgplot import dual_phase_plane_svg, scatter_plot, time_series_svg
 
 # orbit presets: pinned coordinates and starting guesses for the solver;
@@ -124,7 +123,7 @@ _OPTIONS = {
     "construct": {
         **_PARAMS,
         "seed": (_seed, "hybrid", f"orbit preset: {', '.join(sorted(SEEDS))}"),
-        "samples": (int, 400, "samples per slow segment"),
+        "samples": (int, 400, f"samples per slow segment, 2 to {MAX_SAMPLES:,}"),
         "pin": (_assignments, (), "pinned jump coordinate (twice)"),
         **_GUESS,
     },
@@ -142,7 +141,7 @@ _OPTIONS = {
         "rel_tol": (_number, SimConfig.rel_tol, "relative error tolerance"),
         "abs_tol": (_number, SimConfig.abs_tol, "absolute error tolerance"),
         "max_step": (_number, None, "largest step (default eps/2)"),
-        "samples": (int, SimConfig.n_samples, "number of output samples, at least 2"),
+        "samples": (int, SimConfig.n_samples, f"number of output samples, 2 to {MAX_SAMPLES:,}"),
     },
     "continue": {
         **_PARAMS, **_STATE,
@@ -464,14 +463,7 @@ def cmd_classify(args) -> dict:
         except (TypeError, ValueError) as err:  # a field of the wrong type or shape
             raise InvalidInputError(f"{args.input}: malformed {kind} document: {err}") from err
     with manifest.phase("classify"):
-        params = data.params
-        if kind == "singular_orbit":
-            ex = find_extrema(data, align_tol=args.align_tol)
-            sync = classify_synchronization(ex, data.jumps, params)
-        else:
-            events = detect_jump_events(data)
-            ex = find_extrema(data, events, align_tol=args.align_tol)
-            sync = classify_synchronization(ex, effective_jump_pair(events, params), params)
+        sync, ex = classify(data, args.align_tol)
         report = classification_report(sync, ex)
 
     with manifest.phase("write"):

@@ -34,10 +34,16 @@ def require_positive(what: str, values) -> None:
             raise ParameterDomainError(f"{what} must be finite and positive")
 
 
+# the most samples one output array may hold, checked before any is
+# allocated: 10^6 trajectory samples take about 0.6 GB at peak
+MAX_SAMPLES = 1_000_000
+
+
 def require_samples(what: str, n) -> None:
-    """Refuse a sample count ``n`` that is not a Python or numpy integer of at least 2."""
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise ParameterDomainError(f"need a whole number of at least two {what}, got {n!r}")
+    """Refuse a sample count ``n`` that is not a Python or numpy integer in [2, MAX_SAMPLES]."""
+    if not (isinstance(n, numbers.Integral) and 2 <= n <= MAX_SAMPLES):
+        raise ParameterDomainError(
+            f"need a whole number of at least two {what}, at most {MAX_SAMPLES:,}, got {n!r}")
 
 
 class SingularScalingError(InvalidInputError):

@@ -9,7 +9,7 @@ from relaxor import (
     ExtremaList, Extremum, InsufficientDataError, JumpEvent, ManifoldTag, Orientation,
     ParameterDomainError, SimConfig, State, SyncLabel, Trajectory, classify_orientation,
     classify_synchronization, detect_jump_events, effective_jump_pair, find_extrema,
-    integrate, slow_rhs,
+    classify, integrate, slow_rhs,
 )
 import relaxor.analysis as analysis_module
 from relaxor.analysis import classification_report
@@ -144,7 +144,7 @@ def test_lv_segment_is_counterclockwise(params_default):
     states = np.column_stack([sol.y.T, np.ones(len(sol.t))])
     source = SimpleNamespace(times=sol.t, states=states)
     ex = find_extrema(source, jump_times=[], align_tol=0.02)
-    orientation, votes = classify_orientation(ex, details=True)
+    orientation, votes = analysis_module._orientation_votes(ex, None)
     assert orientation is Orientation.COUNTERCLOCKWISE
     assert votes["p1"]["verdict"] == "counterclockwise"
 
@@ -210,6 +210,32 @@ def test_classification_report_is_json_ready(antiphase_orbit):
     text = json.dumps(doc)
     assert "PreyPreyAntiphase" in text
     assert doc["period"] == pytest.approx(orbit.period)
+    # each record holds its dataclass's fields, in declaration order
+    assert list(doc["classification"]) == [
+        "label", "orientation", "prey_prey_antiphase", "predator_min_at_jumps",
+        "jump_extrema", "orientation_votes"]
+    assert doc["classification"]["orientation"] == sync.orientation.value
+    for var in ("p1", "p2", "z"):
+        assert [list(e) for e in doc["extrema"][var]] == \
+            [["time", "value", "kind", "location", "jump_direction"]] * len(ex.entries[var])
+        assert [Extremum(**e) for e in doc["extrema"][var]] == ex.entries[var]
+
+
+def test_classify_follows_the_recipe_of_each_source(preset_orbits, params_default):
+    # an orbit is judged by its own jumps; a trajectory by its detected
+    # crossings and the effective jump pair averaged out of them
+    for name, (p, pair, orbit) in preset_orbits.items():
+        for align_tol in (None, 0.01):
+            ex = find_extrema(orbit, align_tol=align_tol)
+            assert classify(orbit, align_tol) == \
+                (classify_synchronization(ex, pair, p), ex), name
+    for eps in (0.025, 0.01):
+        tr = integrate(State(1.18, 0.87, 1.5, 0.99), params_default,
+                       SimConfig(eps=eps, t_end=50.0))
+        events = detect_jump_events(tr)
+        ex = find_extrema(tr, events)
+        assert classify(tr) == (classify_synchronization(
+            ex, effective_jump_pair(events, params_default), params_default), ex), eps
 
 
 def _per_sample_turns(y):

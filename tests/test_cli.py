@@ -17,7 +17,7 @@ import relaxor
 from relaxor import svgplot
 from relaxor.cli import (_COMMANDS, _OPTIONS, _PROJECTIONS, SEEDS, _resolve,
                          _trajectory_names, _write_trajectory, build_parser, main)
-from relaxor.errors import InvalidInputError
+from relaxor.errors import MAX_SAMPLES, InvalidInputError
 from relaxor.simulate import continue_in_eps
 from conftest import CRITERION_9_BOX
 
@@ -683,6 +683,9 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
       "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
     (["construct", "--pin", "p1A=1.81", "--pin", "zA=1.35",
       "--guess", "p2A=0.3", "--guess", "p2A=0.49", "--guess", "zB=1.4"], {}),
+    (["simulate", "--t-end", "1", "--samples", "1" + "0" * 400], {}),
+    (["construct", "--seed", "hybrid", "--samples", "1" + "0" * 400], {}),
+    (["simulate", "--t-end", "1", "--samples", str(MAX_SAMPLES + 1)], {}),
 ], ids=["pin-value", "state-value", "not-json", "not-object", "missing-field",
         "empty-grid", "corrupt-manifest", "trajectory-empty-config",
         "orbit-empty-segments", "trajectory-text-parameter", "trajectory-text-time",
@@ -693,7 +696,8 @@ def test_classify_rejects_unknown_document(tmp_path, capsys):
         "max-step-zero", "max-step-nan", "align-tol-negative", "align-tol-nan",
         "grid-bound-nan", "grid-bound-inf", "guess-inf", "pin-nan", "m-inf",
         "config-repeated-key", "out-is-file", "construct-unknown-seed-with-pins",
-        "scan-unknown-seed-with-guess", "pin-repeated-name", "guess-repeated-name"])
+        "scan-unknown-seed-with-guess", "pin-repeated-name", "guess-repeated-name",
+        "simulate-samples-huge", "construct-samples-huge", "simulate-samples-over-bound"])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv, files):
     # bad input is reported as such, not as a numerical failure or a crash
     for name, text in files.items():

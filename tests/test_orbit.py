@@ -15,6 +15,7 @@ from relaxor import (
     extrema, lv_branch, scan_family, solve_balanced_orbit, solve_jump_points,
     trait_pressure_balance, travel_time_M0, travel_time_M1,
 )
+from relaxor.errors import MAX_SAMPLES
 from relaxor.lambertw import w_plus_one
 from relaxor.model import h0, h1, slow_rhs
 import relaxor.orbit as orbit_module
@@ -1032,7 +1033,7 @@ def test_assembled_presets_match_solve_ivp_over_the_slow_field(preset_orbits):
         assert np.max(np.abs(orbit.y_m0 - y0[1:])) < 1e-10, name
 
 
-@pytest.mark.parametrize("samples", [0, 1, 2.5, np.nan])
+@pytest.mark.parametrize("samples", [0, 1, 2.5, np.nan, MAX_SAMPLES + 1])
 def test_assemble_needs_two_samples_per_segment(reference_pairs, samples):
     p, pair = reference_pairs["hybrid"]
     with pytest.raises(ParameterDomainError, match="at least two samples"):

@@ -13,6 +13,7 @@ from scipy.integrate import ode, solve_ivp
 
 import relaxor.simulate
 from relaxor._scipy import scipy_module
+from relaxor.errors import MAX_SAMPLES
 from relaxor import (
     Params, ParameterDomainError, SimConfig, State, StiffnessError, Trajectory,
     assemble_singular_orbit, closeness_check, coexistence_equilibrium, continue_in_eps,
@@ -494,7 +495,10 @@ def test_sim_config_requires_finite_positive_values(name, value):
         SimConfig(**{"eps": 0.1, "t_end": 1.0, name: value})
 
 
-@pytest.mark.parametrize("n_samples", [1, 2.5, math.nan, "2000"])
+@pytest.mark.parametrize("n_samples", [
+    1, 2.5, math.nan, "2000", pytest.param(10**400, id="10**400"),
+    pytest.param(MAX_SAMPLES + 1, id="MAX_SAMPLES+1"),
+])
 def test_sim_config_requires_a_whole_sample_count_of_at_least_two(n_samples):
     with pytest.raises(ParameterDomainError, match="whole number of at least two"):
         SimConfig(eps=0.1, t_end=1.0, n_samples=n_samples)
